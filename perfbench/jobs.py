@@ -1,4 +1,4 @@
-"""Job lists of the four workloads, each job with its independent check.
+"""Job lists of the three workloads, each job with its independent check.
 
 A job is one operation: one call into the program's public API (a short
 chain such as budget_partition -> piecewise_project -> error_Lq counts as
@@ -360,7 +360,14 @@ def partitions_jobs(inputs: dict) -> list[Job]:
                                   n_samples=item["samples"], seed=item["seed"])
             return part, approx, err, se
 
-        def check(res, _all, spec=spec, item=item):
+        if isinstance(spec, lq.DyadicDensity):
+            def sub_masses(cube, k, spec=spec):
+                return refs.density_sub_masses(spec.values, spec.depth, cube.level, cube.index, k)
+        else:
+            def sub_masses(cube, k, p=spec.weights[0]):
+                return refs.binomial_sub_masses(p, cube.level, cube.index, k)
+
+        def check(res, _all, spec=spec, item=item, sub_masses=sub_masses):
             part, approx, err, se = res
             out = refs.check_tiling(part.cubes)
             if part.cardinality > item["budget"]:
@@ -368,10 +375,18 @@ def partitions_jobs(inputs: dict) -> list[Job]:
             bound = _lipschitz_bound(part, spec.dim)
             if not (0.0 <= err <= bound) or not (se >= 0.0):
                 out.append(f"ell=1 error {err!r} (se {se!r}) outside [0, Lip * diam = {bound!r}]")
+            # the Monte Carlo estimate against a midpoint sum over 2^10 (1D) or
+            # 2^12 (2D) sub-cubes per cube, which is within 3e-4 relative of the
+            # sum over 4 times as many: 6 standard errors plus 0.2%
+            ref = refs.expsum_mean_error(part.cubes, sub_masses, item["q"], 6 if spec.dim > 1 else 10)
+            if abs(err - ref) > 6.0 * se + 0.002 * ref:
+                out.append(f"ell=1 error {err!r} (se {se!r}), midpoint sum gives {ref!r}")
             return out
 
         jobs.append(Job(f"project_error/{item['spec']}", project, check,
-                        [("error x 1000", lambda r: (r[0], r[1], r[2] * 1000.0, r[3]))]))
+                        [("error x 1000", lambda r: (r[0], r[1], r[2] * 1000.0, r[3])),
+                         ("error x 0.5", lambda r: (r[0], r[1], r[2] * 0.5, r[3])),
+                         ("error = 0", lambda r: (r[0], r[1], 0.0, r[3]))]))
 
     pl = prm["poly"]
     spec = specs[pl["spec"]]
@@ -392,182 +407,6 @@ def partitions_jobs(inputs: dict) -> list[Job]:
 
     jobs.append(Job("polynomial_reproduction/tetra", reproduce, check_poly,
                     [("one value + 1e-8", lambda r: (r[0], _bumped(r[1], 0, 1e-8)))]))
-    return jobs
-
-
-# ---------------------------------------------------------------------------
-# strings: Krein-Feller eigenvalues, order fits and the counting sandwich
-# ---------------------------------------------------------------------------
-
-
-def _binomial_atoms(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint atoms and masses of the level-n binomial, in closed form."""
-    return (2 * np.arange(1 << n) + 1) * math.ldexp(1.0, -(n + 1)), refs.binomial_masses(p, n)
-
-
-def _sturm_check(eigs, points, weights, n_points: int, seed: int) -> list[str]:
-    """counting_function at points between computed eigenvalues against the
-    LDL^T pivot count; a point within 1e-9 of an eigenvalue may go either way."""
-    lam = eigs.eigenvalues
-    if len(lam) < 2:
-        return []
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(lam) - 1, size=min(n_points, len(lam) - 1), replace=False)
-    xs = np.sqrt(lam[idx] * lam[idx + 1])
-    got = np.array([lq.counting_function(eigs, float(x)) for x in xs])
-    high = refs.sturm_counts(points, weights, xs * (1.0 - 1e-9))
-    low = refs.sturm_counts(points, weights, xs * (1.0 + 1e-9))
-    bad = (got < low) | (got > high)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        return [f"N({xs[i]!r}) = {got[i]}, Sturm count gives {low[i]}"]
-    return []
-
-
-def strings_jobs(inputs: dict) -> list[Job]:
-    specs = {name: build_spec(entry) for name, entry in inputs["specs"].items()}
-    prm = inputs["params"]
-    binomial = specs["binomial"]
-    p = binomial.weights[0]
-    seed = prm["sturm_seed"]
-    jobs = []
-
-    for level in prm["solve_levels"]:
-        def solve(level=level):
-            atoms = lq.discretize(binomial, level)
-            return atoms, lq.solve_eigen(atoms)
-
-        def check(res, _all, level=level):
-            atoms, eigs = res
-            points, masses = _binomial_atoms(p, level)
-            out = refs.check_close("atom positions", atoms.points, points, 0.0)
-            out += refs.check_masses(atoms.weights, masses, rtol=1e-12, atol=0.0)
-            if eigs.size != len(points) or np.any(np.diff(eigs.eigenvalues) > 0):
-                return out + [f"{eigs.size} eigenvalues for {len(points)} atoms, or not descending"]
-            return out + _sturm_check(eigs, points, masses, prm["sturm_points"], seed + level)
-
-        jobs.append(Job(f"discretize_solve/binomial/{level}", solve, check,
-                        [("one eigenvalue dropped", lambda r: (r[0], dataclasses.replace(
-                            r[1], eigenvalues=np.delete(r[1].eigenvalues, 3)))),
-                         ("eigenvalues shifted by one index", lambda r: (r[0], dataclasses.replace(
-                             r[1], eigenvalues=np.r_[r[1].eigenvalues[1:], 0.5 * r[1].eigenvalues[-1]]))),
-                         ("one mass x (1 + 1e-9)", lambda r: (dataclasses.replace(
-                         r[0], weights=_bumped(r[0].weights, 0, 1e-9 * r[0].weights[0])), r[1]))]))
-
-    def check_dense(lam, points, weights) -> list[str]:
-        dense = refs.dense_eigenvalues(points, weights)
-        if lam.shape != dense.shape:
-            return [f"{len(lam)} eigenvalues, dense eigh gives {len(dense)}"]
-        # dense eigh is accurate to eps * lambda_max in absolute terms
-        err = np.abs(lam - dense)
-        tol = 1e-9 * dense[0] + 1e-7 * dense
-        if np.any(err > tol):
-            i = int(np.argmax(err - tol))
-            return [f"lambda_{i + 1} = {lam[i]!r}, dense eigh gives {dense[i]!r}"]
-        return []
-
-    atomic = specs["atomic"]
-
-    def check_atomic(res, _all):
-        order = sorted(range(len(atomic.points)), key=lambda i: atomic.points[i][0])
-        points = np.array([float(atomic.points[i][0]) for i in order])
-        weights = np.array([atomic.weights[i] for i in order])
-        out = refs.check_close("atom positions", res.atoms.points, points, 0.0)
-        out += refs.check_close("atom weights", res.atoms.weights, weights, 0.0)
-        if out:
-            return out
-        out = check_dense(res.eigenvalues, points, weights)
-        return out + _sturm_check(res, points, weights, prm["sturm_points"], seed)
-
-    jobs.append(Job("solve_eigen/atomic", lambda: lq.solve_eigen(lq.discretize(atomic, 0)),
-                    check_atomic,
-                    [("one eigenvalue x (1 + 1e-6)", lambda r: dataclasses.replace(
-                        r, eigenvalues=_bumped(r.eigenvalues, 5, 1e-6 * r.eigenvalues[5]))),
-                     ("one eigenvalue dropped", lambda r: dataclasses.replace(
-                         r, eigenvalues=np.delete(r.eigenvalues, 3)))]))
-
-    vec_level = prm["vectors_level"]
-
-    def solve_vectors():
-        atoms = lq.discretize(binomial, vec_level)
-        return atoms, lq.solve_eigen(atoms, eigenvectors=True)
-
-    def check_vectors(res, _all):
-        atoms, eigs = res
-        points, masses = _binomial_atoms(p, vec_level)
-        out = refs.check_close("atom positions", atoms.points, points, 0.0)
-        out += refs.check_masses(atoms.weights, masses, rtol=1e-12, atol=0.0)
-        out += check_dense(eigs.eigenvalues, points, masses)
-        if out:
-            return out
-        resid = refs.pencil_residuals(points, masses, eigs.eigenvalues, eigs.vectors)
-        if resid.max() > 1e-8:
-            out.append(f"eigenpair residual {resid.max():.3e} above 1e-8")
-        if not np.allclose(np.abs(eigs.vectors).max(axis=0), 1.0, rtol=0.0, atol=1e-15):
-            out.append("eigenvectors are not sup-normalized")
-        return out
-
-    jobs.append(Job("solve_eigenvectors/binomial", solve_vectors, check_vectors,
-                    [("one vector scaled by 1.5", lambda r: (r[0], dataclasses.replace(
-                        r[1], vectors=r[1].vectors * np.r_[1.5, np.ones(r[1].vectors.shape[1] - 1)]))),
-                     ("one vector perturbed", lambda r: (r[0], dataclasses.replace(
-                         r[1], vectors=r[1].vectors + np.eye(*r[1].vectors.shape) * 1e-3)))]))
-
-    targets = {
-        "binomial": -1.0 / refs.binomial_s1(p),
-        # beta of c * Lebesgue + (1 - c) * binomial is the larger of the two
-        # spectra, so s_1 is the larger of 1/2 and the binomial's s_1
-        "mixture": -1.0 / max(0.5, refs.binomial_s1(specs["mixture"].components[1][1].weights[0])),
-        "cantor": refs.cantor_order(),
-    }
-    for item in prm["order"]:
-        name = item["spec"]
-        spec = specs[name]
-
-        def fit(spec=spec, item=item):
-            return lq.order_fit(spec, item["levels"], reference_levels=item["reference_levels"])
-
-        def check(res, _all, item=item, target=targets[name]):
-            out = []
-            if [lvl for lvl, _ in res.per_level] != item["levels"]:
-                out.append(f"fitted levels {res.per_level}, asked for {item['levels']}")
-            if abs(res.slope - target) > 0.15:
-                out.append(f"order slope {res.slope:.4f} not within 0.15 of {target:.4f}")
-            return out
-
-        jobs.append(Job(f"order_fit/{name}", fit, check,
-                        [("slope + 0.5", lambda r: dataclasses.replace(r, slope=r.slope + 0.5))]))
-
-    sp = prm["split"]
-    xs = np.geomspace(1e-9, 1.0, sp["x_count"])
-
-    def split():
-        return lq.split_counting_check(binomial, sp["level"], sp["cuts"], xs)
-
-    def check_split(res, _all):
-        points, masses = _binomial_atoms(p, sp["level"])
-        gaps = res.gaps
-        out = []
-        if np.any(gaps < 0) or np.any(gaps > len(sp["cuts"])):
-            out.append(f"sandwich gaps {gaps.min()}..{gaps.max()} outside [0, {len(sp['cuts'])}]")
-        high = refs.sturm_counts(points, masses, xs * (1.0 - 1e-9))
-        low = refs.sturm_counts(points, masses, xs * (1.0 + 1e-9))
-        if np.any(res.n_full < low) or np.any(res.n_full > high):
-            out.append("full-interval counts disagree with the Sturm count")
-        return out
-
-    jobs.append(Job("split_counting_check/binomial", split, check_split,
-                    [("one split count + #cuts + 1", lambda r: dataclasses.replace(
-                        r, n_split_sum=_bumped(r.n_split_sum, 40, len(sp["cuts"]) + 1).astype(int)))]))
-
-    dirac = specs["dirac"]
-
-    def check_dirac(res, _all):
-        return refs.check_close("Dirac eigenvalue", res.eigenvalues, [0.25], 1e-15)
-
-    jobs.append(Job("solve_eigen/dirac", lambda: lq.solve_eigen(lq.discretize(dirac, 0)),
-                    check_dirac,
-                    [("lambda x (1 + 1e-9)", lambda r: dataclasses.replace(r, eigenvalues=r.eigenvalues * (1 + 1e-9)))]))
     return jobs
 
 
@@ -643,6 +482,18 @@ def _edit_csv(res: CliResult, fname: str, row: int, col: int, delta: float) -> C
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return dataclasses.replace(res, files={**res.files, fname: buf.getvalue()})
+
+
+def _shift_eigenvalues(res: CliResult) -> CliResult:
+    """Copy of an ``eigen`` result whose lambda_n (and sqrt column) is lambda_(n+1)."""
+    rows = list(csv.reader(io.StringIO(res.files["eigen.csv"])))
+    lam = [float(row[1]) for row in rows[1:]]
+    lam = lam[1:] + [0.5 * lam[-1]]
+    for row, value in zip(rows[1:], lam):
+        row[1:] = [repr(value), repr(math.sqrt(value))]
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return dataclasses.replace(res, files={**res.files, "eigen.csv": buf.getvalue()})
 
 
 def cli_jobs(inputs: dict, runner: CliRunner) -> list[Job]:
@@ -750,6 +601,19 @@ def cli_jobs(inputs: dict, runner: CliRunner) -> list[Job]:
         if np.any(np.diff(eig[:, 1]) > 0):
             out.append("eigenvalues not descending")
         out += refs.check_close("sqrt column", eig[:, 2], np.sqrt(eig[:, 1]), 1e-15)
+        # between each pair of neighbouring eigenvalues, the Sturm count of the
+        # level-12 string (closed-form atoms) must be the number above
+        lam = eig[:, 1]
+        xs = np.sqrt(lam[:-1] * lam[1:])
+        points = (2 * np.arange(4096) + 1) * math.ldexp(1.0, -13)
+        masses = refs.binomial_masses(ship[0], 12)
+        high = refs.sturm_counts(points, masses, xs * (1.0 - 1e-9))
+        low = refs.sturm_counts(points, masses, xs * (1.0 + 1e-9))
+        above = np.arange(1, 4096)
+        bad = (above < low) | (above > high)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            out.append(f"{above[i]} eigenvalues above {xs[i]!r}, Sturm count gives {low[i]}")
         gaps = sandwich[:, 3]
         if np.any(gaps != sandwich[:, 1] - sandwich[:, 2]) or np.any(gaps < 0) or np.any(gaps > 2):
             out.append(f"sandwich gaps {gaps.min()}..{gaps.max()} outside [0, 2]")
@@ -758,7 +622,8 @@ def cli_jobs(inputs: dict, runner: CliRunner) -> list[Job]:
     add("eigen", ["eigen", "--measure", "binomial_07_03", "--level", "12", "--cuts", "0.25,0.75"],
         ["eigen.csv", "sandwich.csv"], check_eigen,
         [("one gap = 3", lambda r: _edit_csv(_edit_csv(r, "sandwich.csv", 20, 3, 3.0),
-                                              "sandwich.csv", 20, 1, 3.0))])
+                                              "sandwich.csv", 20, 1, 3.0)),
+         ("eigenvalues shifted by one index", _shift_eigenvalues)])
 
     target = -1.0 / refs.binomial_s1(ship[0])
 
@@ -805,8 +670,7 @@ def build(inputs: dict, runner: CliRunner) -> list[Job]:
     workload = inputs["workload"]
     if workload == "cli":
         return cli_jobs(inputs, runner)
-    make = {"levels": levels_jobs, "partitions": partitions_jobs, "strings": strings_jobs}[workload]
-    return make(inputs)
+    return {"levels": levels_jobs, "partitions": partitions_jobs}[workload](inputs)
 
 
 # ---------------------------------------------------------------------------

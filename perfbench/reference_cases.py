@@ -1,7 +1,7 @@
 """Re-measure the single-call reference cases of the ROADMAP baseline table.
 
-Usage: ``python3 perfbench/reference_cases.py [--reps 3]`` from the root of
-a source checkout.  Each case is timed ``--reps`` times in one process with
+Usage: ``python3 perfbench/reference_cases.py`` from the root of a source
+checkout.  Each case is timed three times in one process with
 single-threaded BLAS, and the median is printed next to ``host.calib_s``
 (the benchmark's calibration kernel) timed before and after.  These figures
 are for reading a run of ``run.py`` against; they are not part of it.
@@ -9,7 +9,6 @@ are for reading a run of ``run.py`` against; they are not part of it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import statistics
 import subprocess
@@ -19,6 +18,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+REPS = 3
 if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                       PYTHONPATH=str(ROOT / "src"))
@@ -37,10 +37,7 @@ def _import_time() -> float:
     return float(out.stdout)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--reps", type=int, default=3)
-    args = parser.parse_args(argv)
+def main() -> int:
     binomial = lq.binomial_ifs(0.7)
     cantor = lq.cantor_measure()
     atoms = {n: lq.discretize(binomial, n) for n in (13, 14)}
@@ -63,7 +60,7 @@ def main(argv=None) -> int:
     print(f"{'case':58s} {'median_s':>9s}  runs")
     for name, call in cases:
         times = []
-        for _ in range(args.reps):
+        for _ in range(REPS):
             if call is None:
                 times.append(_import_time())
                 continue

@@ -2,8 +2,9 @@
 
 Nothing here calls into ``lqspectra``: masses come from integer bucketing,
 block sums, closed-form weight products and the Cantor function; spectra and
-fixed points from those masses with ``scipy.optimize.brentq``; eigenvalue
-counts from an LDL^T (Sturm) recurrence and dense ``scipy.linalg.eigh``.
+fixed points from those masses with ``scipy.optimize.brentq``; L^q errors
+of cube-wise means from midpoint sums over sub-cube masses; eigenvalue counts
+from an LDL^T (Sturm) recurrence.
 Every ``check_*`` helper returns a list of problems, empty when the program's
 output agrees.
 """
@@ -16,7 +17,6 @@ from itertools import combinations_with_replacement
 from collections import Counter
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 # ---------------------------------------------------------------------------
@@ -232,6 +232,44 @@ def check_cardinality(card: int, weights: list[float], m: int, a: float, t: floa
     return []
 
 
+def binomial_sub_masses(p: float, level: int, index: tuple[int, ...], k: int) -> np.ndarray:
+    """Masses of the level-(level + k) sub-cubes of one binomial(p) cube:
+    nu(Q) times the level-k masses, by self-similarity."""
+    ones = bin(index[0]).count("1")
+    return p ** (level - ones) * (1.0 - p) ** ones * binomial_masses(p, k)
+
+
+def density_sub_masses(values: np.ndarray, depth: int, level: int, index: tuple[int, ...],
+                       k: int) -> np.ndarray:
+    """Masses of the level-(level + k) sub-cubes of one cube of a 2D grid
+    density, for level + k >= depth: the density of the grid cell holding
+    each sub-cube times its volume."""
+    fine = level + k
+    if fine < depth:
+        raise ValueError(f"sub-cubes at level {fine} are coarser than the grid ({depth})")
+    rows = [((i << k) + np.arange(1 << k)) >> (fine - depth) for i in index]
+    return np.asarray(values, dtype=float)[np.ix_(*rows)] * math.ldexp(1.0, -2 * fine)
+
+
+def expsum_mean_error(cubes, sub_masses, q: float, k: int) -> float:
+    """(int |u - P u|^q dnu)^(1/q) for u = exp(x_1 + ... + x_m) and P u the
+    Lebesgue mean of u on each cube (the ell = 1 projection), as a midpoint
+    sum over the level-(l + k) sub-cubes of each cube weighted by
+    ``sub_masses(cube, k)``, an array with one axis per coordinate.  The
+    mean is the closed form prod_i e^(a_i) (e^h - 1) / h."""
+    total = []
+    for cube in cubes:
+        h = math.ldexp(1.0, -cube.level)
+        mids = (np.arange(1 << k) + 0.5) * math.ldexp(h, -k)
+        u = np.ones(())
+        mean = 1.0
+        for i in cube.index:
+            u = np.multiply.outer(u, np.exp(i * h + mids))
+            mean *= math.exp(i * h) * math.expm1(h) / h
+        total.append(float(np.sum(sub_masses(cube, k).reshape(u.shape) * np.abs(u - mean) ** q)))
+    return math.fsum(total) ** (1.0 / q)
+
+
 # ---------------------------------------------------------------------------
 # Krein-Feller strings
 # ---------------------------------------------------------------------------
@@ -263,32 +301,7 @@ def sturm_counts(points: np.ndarray, weights: np.ndarray, xs: np.ndarray) -> np.
     return count
 
 
-def dense_eigenvalues(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """All lambda of W u = lambda K u by dense ``eigh(W, K)``, largest first."""
-    inv = _inverse_gaps(points)
-    n = len(points)
-    stiff = np.diag(inv[:-1] + inv[1:])
-    stiff[np.arange(n - 1), np.arange(1, n)] = -inv[1:-1]
-    stiff[np.arange(1, n), np.arange(n - 1)] = -inv[1:-1]
-    return eigh(np.diag(weights), stiff, eigvals_only=True)[::-1]
-
-
-def pencil_residuals(points, weights, lam, vectors) -> np.ndarray:
-    """||W u - lambda K u|| / ||W u|| per eigenpair, with K built here."""
-    inv = _inverse_gaps(points)
-    ku = (inv[:-1] + inv[1:])[:, None] * vectors
-    ku[:-1] -= inv[1:-1, None] * vectors[1:]
-    ku[1:] -= inv[1:-1, None] * vectors[:-1]
-    wu = weights[:, None] * vectors
-    return np.linalg.norm(wu - lam[None, :] * ku, axis=0) / np.linalg.norm(wu, axis=0)
-
-
 def binomial_s1(p: float) -> float:
     """Fixed point beta(s) = s of the binomial spectrum: p^s + q^s = 2^s."""
     return brentq(lambda s: p ** s + (1 - p) ** s - 2.0 ** s, 1e-9, 1.0, xtol=1e-14)
 
-
-def cantor_order() -> float:
-    """Eigenvalue order -(1 + delta)/delta of the Cantor string, delta = log 2 / log 3."""
-    delta = math.log(2.0) / math.log(3.0)
-    return -(1.0 + delta) / delta

@@ -1,17 +1,19 @@
-"""Benchmark of the lqspectra chain: levels, partitions, strings, cli.
+"""Benchmark of the lqspectra chain: levels, partitions, cli.
 
 Usage::
 
-    python3 perfbench/run.py --workload levels --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload levels --seed 1 --seconds 30 --trace 0
 
 Run from the root of a source checkout (``src/lqspectra`` must exist; the
 package is imported from there, nothing is installed).  The run
 
 1. writes the workload's seeded inputs under ``perfbench/out/``,
-2. times several fresh interpreters that import ``lqspectra`` and parse and
-   validate those inputs (``setup_s``, median),
-3. starts ``worker.py`` with ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1`` and
+2. starts ``worker.py`` with ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1`` and
    ``LQSPECTRA_WORKERS`` unset, which runs and checks the passes,
+3. times fresh interpreters that import ``lqspectra`` and parse and validate
+   those inputs (``setup_s``, the median), half of them before the worker
+   and half after it, so that they do not all fall into one slow spell of
+   the host,
 4. prints one JSON line: with ``--trace 0`` the end-to-end metrics
    ``setup_s``, ``pass_s`` and ``peak_rss_mb``; with ``--trace 1`` the
    per-layer metrics.  A readable summary goes to standard error.
@@ -37,7 +39,7 @@ sys.path.insert(0, str(HERE))
 from specs import WORKLOADS, make_inputs  # noqa: E402
 
 ROOT = HERE.parent
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 8  # half before and half after the worker
 DEADLINE_S = 170.0
 
 
@@ -92,12 +94,13 @@ def main(argv=None) -> int:
 
     try:
         setup_sample(inputs_file, env)  # untimed: compiles bytecode, warms the file cache
-        samples = [setup_sample(inputs_file, env) for _ in range(SETUP_SAMPLES)]
+        samples = [setup_sample(inputs_file, env) for _ in range(SETUP_SAMPLES // 2)]
         worker = subprocess.run(
             [sys.executable, str(HERE / "worker.py"), str(inputs_file), str(workdir),
              repr(args.seconds), str(args.trace)],
             stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT,
             timeout=max(1.0, DEADLINE_S - (time.perf_counter() - began)))
+        samples += [setup_sample(inputs_file, env) for _ in range(SETUP_SAMPLES // 2)]
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

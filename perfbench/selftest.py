@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 perfbench/selftest.py [--seed 1] [--workload levels ...]
+    python3 perfbench/selftest.py [--seed 1]
 
 Runs one pass of each workload (the ``cli`` jobs in fresh interpreters),
 then feeds every job's check first its own result, which must pass, and
@@ -32,13 +32,12 @@ from specs import WORKLOADS, make_inputs  # noqa: E402
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", nargs="*", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     workdir = HERE / "out" / f"selftest-{os.getpid()}"
     workdir.mkdir(parents=True, exist_ok=True)
     bad = 0
     try:
-        for workload in args.workload:
+        for workload in WORKLOADS:
             job_list = workload_jobs.build(make_inputs(workload, args.seed),
                                            workload_jobs.CliRunner(workdir))
             results = {job.name: job.call() for job in job_list}

@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-WORKLOADS = ("levels", "partitions", "strings", "cli")
+WORKLOADS = ("levels", "partitions", "cli")
 
 FIG1_WEIGHTS = [0.659, 0.28, 0.001, 0.06]
 
@@ -164,11 +164,12 @@ def _levels_inputs(rng: random.Random) -> dict:
 
 
 def _partitions_inputs(rng: random.Random) -> dict:
-    # Exponents a are fixed and thresholds vary within a factor of 1.1, so
-    # the work per pass hardly depends on the seed: the cardinality of an
-    # adaptive partition grows like a power of 1/t whose exponent depends on a.
+    # Exponents a are fixed, thresholds vary within a factor of 1.02 and the
+    # binomial's p within 0.698..0.702, so the work per pass hardly depends on
+    # the seed: the cardinality of an adaptive partition grows like a power of
+    # 1/t whose exponent depends on a, and the oracle's work moves with p.
     specs = {
-        "binomial": {"call": "binomial_ifs", "args": [rng.uniform(0.69, 0.71)]},
+        "binomial": {"call": "binomial_ifs", "args": [rng.uniform(0.698, 0.702)]},
         "tetra": {"call": "sierpinski_tetrahedron", "args": [FIG1_WEIGHTS]},
         "lebesgue2": {"doc": {"type": "lebesgue", "dimension": 2}},
         "density2d": {"doc": density_doc(rng, 4, 0.1)},
@@ -180,7 +181,7 @@ def _partitions_inputs(rng: random.Random) -> dict:
                            "t": 10.0 ** rng.uniform(-5.0, -1.0)})
 
     def near(t: float) -> float:
-        return t * rng.uniform(1.0, 1.1)
+        return t * rng.uniform(1.0, 1.02)
 
     params = {
         "adaptive": [
@@ -194,7 +195,7 @@ def _partitions_inputs(rng: random.Random) -> dict:
             {"spec": "lebesgue2", "a": 1.0, "t_max": near(1e7)},
         ],
         "profile": {"spec": "binomial", "a": 1.0, "k_max": 448},
-        "widths": {"spec": "tetra", "p": 2.0, "q": round(rng.uniform(2.0, 4.0), 6), "ell": 2,
+        "widths": {"spec": "tetra", "p": 2.0, "q": round(rng.uniform(2.95, 3.05), 6), "ell": 2,
                    "log2_n_max": 13},
         "minimality": minimality,
         "project": [
@@ -206,35 +207,6 @@ def _partitions_inputs(rng: random.Random) -> dict:
         "poly": {"spec": "tetra", "a": 0.5, "budget": rng.randint(120, 128), "ell": 3,
                  "coeffs": [round(rng.uniform(-1.0, 1.0), 6) for _ in range(10)],
                  "points": 2000, "seed": rng.randrange(1 << 30)},
-    }
-    return {"specs": specs, "params": params}
-
-
-def _strings_inputs(rng: random.Random) -> dict:
-    specs = {
-        "binomial": {"call": "binomial_ifs", "args": [0.7]},
-        "mixture": {"doc": {"type": "mixture", "components": [
-            {"coefficient": 0.3, "spec": {"type": "lebesgue", "dimension": 1}},
-            {"coefficient": 0.7, "spec": binomial_doc(0.7)},
-        ]}},
-        "cantor": {"call": "cantor_measure", "args": []},
-        "atomic": {"doc": atomic_doc(rng, 1000, 0.0)},
-        "dirac": {"call": "dirac", "args": [[0.5]]},
-    }
-    n_cuts = rng.randint(2, 4)
-    cuts = sorted(rng.sample(range(1, 1024), n_cuts))
-    params = {
-        "solve_levels": [11, 12, 13],
-        "vectors_level": 10,
-        "order": [
-            {"spec": "binomial", "levels": [9, 10, 11], "reference_levels": [4, 6]},
-            {"spec": "mixture", "levels": [9, 10, 11], "reference_levels": [4, 6]},
-            {"spec": "cantor", "levels": [13], "reference_levels": [4, 6]},
-        ],
-        "split": {"spec": "binomial", "level": 10, "cuts": [k / 1024 for k in cuts],
-                  "x_count": 64},
-        "sturm_points": 64,
-        "sturm_seed": rng.randrange(1 << 30),
     }
     return {"specs": specs, "params": params}
 
@@ -273,7 +245,6 @@ def make_inputs(workload: str, seed: int) -> dict:
     build = {
         "levels": _levels_inputs,
         "partitions": _partitions_inputs,
-        "strings": _strings_inputs,
         "cli": _cli_inputs,
     }[workload]
     doc = build(rng)
