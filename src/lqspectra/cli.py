@@ -14,9 +14,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -121,13 +119,6 @@ def _fmt(x):
     return x
 
 
-def _pool_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -136,9 +127,9 @@ def _cmd_spectrum(args) -> None:
     spec = _resolve_measure(args.measure)
     levels = _parse_levels(args.levels)
     sgrid = _parse_sgrid(args.s_grid)
-    curves = _pool_map(lambda n: spectrum_curve(spec, n, sgrid), levels, args.workers)
     rows = []
-    for curve in curves:
+    for n in levels:
+        curve = spectrum_curve(spec, n, sgrid)
         for s, beta in zip(curve.s_grid, curve.values):
             rows.append((curve.level, s, beta))
     _write_csv(Path(args.out) / "spectrum.csv", ["level", "s", "beta_n"], rows)
@@ -305,8 +296,6 @@ def _build_parser() -> _Parser:
                            help="measure spec JSON path, or a shipped name like lebesgue_1d")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("LQSPECTRA_WORKERS", "1")))
         p.add_argument("--max-depth", type=int, default=60)
 
     p = sub.add_parser("spectrum", help="level spectra beta_n over an s grid")

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .measures import Atomic, MeasureSpec, ensure_valid, support_with_masses
-from .spectrum import s_b_estimate
+from .spectrum import _check_levels, _fixed_point, s_b_estimate
 
 __all__ = [
     "AtomicApprox",
@@ -91,6 +91,12 @@ def discretize(spec: MeasureSpec, n: int) -> AtomicApprox:
     than endpoints so discretization atoms never sit on the dyadic grid,
     keeping them clear of typical cut points in the counting checks.
     """
+    return _discretize(spec, n)[0]
+
+
+def _discretize(spec: MeasureSpec, n: int) -> tuple[AtomicApprox, np.ndarray | None]:
+    """discretize(spec, n) and the unnormalised level-n masses it used (None
+    for the atomic passthrough, which uses none)."""
     ensure_valid(spec)
     if spec.dim != 1:
         raise ValueError("the eigensolver only handles 1D measures")
@@ -98,14 +104,14 @@ def discretize(spec: MeasureSpec, n: int) -> AtomicApprox:
         pts = np.array([float(p[0]) for p in spec.points])
         order = np.argsort(pts)
         return AtomicApprox(pts[order], np.asarray(spec.weights)[order],
-                            provenance="atomic passthrough")
+                            provenance="atomic passthrough"), None
     if n < 0:
         raise ValueError("level must be >= 0")
     cubes, masses = support_with_masses(spec, n)
     pts = np.array([(2 * c.index[0] + 1) * math.ldexp(1.0, -(n + 1)) for c in cubes])
     total = math.fsum(masses)
     return AtomicApprox(pts, masses / total,
-                        provenance=f"level-{n} midpoint discretization")
+                        provenance=f"level-{n} midpoint discretization"), masses
 
 
 def stiffness_tridiagonal(points: np.ndarray, lo: float = 0.0, hi: float = 1.0
@@ -285,8 +291,11 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
     slopes = []
     stderr_finest = None
     window_finest = None
+    raw = []  # each level's masses, reused by the fixed-point step below
     for lvl in levels:
-        eigs = solve_eigen(discretize(spec, lvl))
+        atoms, masses = _discretize(spec, lvl)
+        raw.append(masses)
+        eigs = solve_eigen(atoms)
         lam = eigs.eigenvalues
         lo, hi = _fit_window(len(lam), index_window if lvl == levels[-1] else None)
         if hi - lo + 1 < 10:
@@ -301,8 +310,11 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
             window_finest = (lo, hi)
     finest_slope = slopes[-1][1]
     drift = max(abs(s - finest_slope) for _, s in slopes)
-    ref_levels = list(reference_levels) if reference_levels is not None else levels
-    s1 = s_b_estimate(spec, 1.0, ref_levels).s_hat
+    if reference_levels is None and not isinstance(spec, Atomic):
+        s1 = _fixed_point(1.0, _check_levels(levels), raw).s_hat
+    else:
+        ref_levels = list(reference_levels) if reference_levels is not None else levels
+        s1 = s_b_estimate(spec, 1.0, ref_levels).s_hat
     reference = -1.0 / s1 if s1 > 0 else -math.inf
     return OrderFit(
         slope=finest_slope,

@@ -4,8 +4,17 @@ Geometry is exact: cube coordinates, IFS offsets and atom positions are
 rational numbers (dyadic integers or :class:`fractions.Fraction`), so
 containment and disjointness predicates never suffer rounding.  Masses are
 ordinary floats; they are exact products/sums of the input weights for
-every measure family except ``GeneralIFS1D``, whose recursive evaluation is
+every measure family except ``GeneralIFS1D``, whose self-similar CDF is
 truncated at the spec's mass tolerance.
+
+All masses come from one level-synchronous engine (see "Frontier engine"
+below).  A frontier holds the cubes of one level that carry mass as arrays:
+exact integer positions, masses and per-family state.  One vectorised
+``expand`` per family maps level n to level n+1: IFS image tables for
+DyadicIFS and Lebesgue, exact atom indices for Atomic, the block-sum
+pyramid for DyadicDensity, a merge on position for Mixture and CDF
+differences for GeneralIFS1D.  Cube masses, support enumeration, the
+adaptive partitions and the exact oracle are walks over these frontiers.
 
 Conventions
 -----------
@@ -448,8 +457,8 @@ class Mixture(MeasureSpec):
             return ["at least one component is required"]
         out = []
         coefs = [c for c, _ in self.components]
-        if any(c < 0 for c in coefs):
-            out.append("mixture coefficients must be >= 0")
+        if any(not (math.isfinite(c) and c >= 0) for c in coefs):
+            out.append("mixture coefficients must be finite and >= 0")
         if abs(sum(coefs) - 1.0) > NORMALIZATION_TOL:
             out.append(f"coefficients sum to {sum(coefs)!r}, not 1")
         dims = {spec.dim for _, spec in self.components}
@@ -490,211 +499,303 @@ def ensure_valid(spec: MeasureSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Mass cursors
+# Frontier engine
 #
-# A cursor represents one dyadic cube together with just enough state to
-# give its nu-mass and to produce the cursors of its 2^m children.  All
-# traversals (support enumeration, adaptive partitioning, discretization)
-# run on this shared machinery, so exactness properties are uniform.
+# A frontier holds one level of a descent: the cubes that hold a branch of
+# the measure, as arrays in depth-first selector order.  ``keys`` are the
+# cubes' Morton codes (the selector path read as one base-2^m number, so
+# ascending keys are depth-first order), ``masses`` their nu-masses and
+# ``state`` whatever else the family needs for the next level.  Each family
+# has one engine: ``root()`` is the level-0 frontier, ``expand(fr)`` the
+# frontier of the children of ``fr`` that hold a branch (zero-mass children
+# are never materialised), ``take(fr, mask)`` the rows where ``mask`` is set
+# and ``concat(fr, more)`` the rows of both, in that order.  Support
+# enumeration, cube masses, the adaptive partitions, the exact oracle and
+# discretization all run on these engines.
+#
+# Keys are int64 while m * level <= 62 and Python integers (object arrays)
+# beyond, so positions are exact at any depth.  A mass that sums several
+# terms (IFS images sharing a cube, atoms, mixture components) is correctly
+# rounded, as math.fsum gives it, whatever the order of the terms.
 # ---------------------------------------------------------------------------
 
-class _Cursor:
-    __slots__ = ()
-
-    def mass(self) -> float:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def split(self) -> list["_Cursor | None"]:
-        """Children in selector order; ``None`` marks a zero-mass child."""
-        raise NotImplementedError  # pragma: no cover
+_KEY_BITS = 62
 
 
-class _LebCursor(_Cursor):
-    __slots__ = ("m", "level")
+@dataclass
+class _Frontier:
+    level: int
+    keys: np.ndarray
+    masses: np.ndarray
+    state: tuple = ()
 
-    def __init__(self, m, level=0):
-        self.m = m
-        self.level = level
-
-    def mass(self):
-        return math.ldexp(1.0, -self.level * self.m)
-
-    def split(self):
-        child = _LebCursor(self.m, self.level + 1)
-        return [child] * (1 << self.m)
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
-class _IfsTables:
-    """Precomputed selector paths of the image cubes of a DyadicIFS."""
+def _shifted(keys: np.ndarray, bits: int, total_bits: int) -> np.ndarray:
+    """keys << bits, as Python integers when the result needs more than 62 bits."""
+    if total_bits > _KEY_BITS and keys.dtype != object:
+        keys = keys.astype(object)
+    return keys << bits
 
-    __slots__ = ("spec", "paths", "weights", "nmaps")
+
+def _all_children(keys: np.ndarray, level: int, m: int) -> np.ndarray:
+    """Keys of the 2^m children of each cube, in depth-first order."""
+    return (_shifted(keys, m, m * (level + 1))[:, None] | np.arange(1 << m)).ravel()
+
+
+def _coords(keys: np.ndarray, level: int, m: int) -> list[np.ndarray]:
+    """Per-coordinate cube indices of level-``level`` Morton keys."""
+    coords = [np.zeros(len(keys), dtype=keys.dtype) for _ in range(m)]
+    for d in range(level):
+        for k in range(m):
+            coords[k] |= ((keys >> (d * m + k)) & 1) << d
+    return coords
+
+
+def _cubes(level: int, keys: np.ndarray, m: int) -> list[DyadicCube]:
+    return [DyadicCube(level, idx) for idx in zip(*(c.tolist() for c in _coords(keys, level, m)))]
+
+
+def _exact_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of the runs of ``values`` that begin at ``starts``, correctly
+    rounded (a run of one or two terms needs no help)."""
+    out = np.add.reduceat(values, starts) if len(starts) else np.zeros(0)
+    ends = np.append(starts[1:], len(values))
+    for g in np.flatnonzero(ends - starts > 2).tolist():
+        out[g] = math.fsum(values[starts[g]:ends[g]].tolist())
+    return out
+
+
+class _Engine:
+    """The parts common to the families whose state is a tuple of arrays
+    aligned with the keys."""
+
+    def __init__(self, spec: MeasureSpec):
+        self.m = spec.dim
+
+    def take(self, fr: _Frontier, mask: np.ndarray) -> _Frontier:
+        return _Frontier(fr.level, fr.keys[mask], fr.masses[mask],
+                         tuple(a[mask] for a in fr.state))
+
+    def concat(self, fr: _Frontier, more: _Frontier) -> _Frontier:
+        return _Frontier(fr.level, np.concatenate((fr.keys, more.keys)),
+                         np.concatenate((fr.masses, more.masses)),
+                         tuple(np.concatenate(pair) for pair in zip(fr.state, more.state)))
+
+
+class _IfsEngine(_Engine):
+    """State (w, node).  ``w`` is the weight of the cube's nearest ancestor
+    that holds a whole rescaled copy of the measure; ``node`` is the cube's
+    place in the trie of the maps' image paths below that ancestor (node 0:
+    the cube is the copy).  A cube at node k holds the images of the maps
+    ``pending[k]``, so its mass is the sum of w * p_i over them.  Images are
+    disjoint, so a cube never holds branches of two different copies."""
 
     def __init__(self, spec: DyadicIFS):
-        self.spec = spec
-        self.weights = spec.weights
-        self.nmaps = len(spec.maps)
-        self.paths = [mp.image_cube().selector_path() for mp in spec.maps]
-
-
-class _IfsCursor(_Cursor):
-    """Branch list semantics: ("copy", w) puts a full rescaled copy of the
-    measure inside this cube with total mass w; ("img", w, i, d) records
-    that the image of map i lies strictly inside this cube (this cube is
-    its depth-d ancestor), contributing mass w."""
-
-    __slots__ = ("tab", "branches")
-
-    def __init__(self, tab: _IfsTables, branches):
-        self.tab = tab
-        self.branches = branches
-
-    def mass(self):
-        return math.fsum(br[1] for br in self.branches)
-
-    def split(self):
-        tab = self.tab
-        buckets: dict[int, list] = {}
-        for br in self.branches:
-            if br[0] == "copy":
-                w = br[1]
-                for i in range(tab.nmaps):
-                    path = tab.paths[i]
-                    wi = w * tab.weights[i]
-                    if len(path) == 1:
-                        entry = ("copy", wi)
-                    else:
-                        entry = ("img", wi, i, 1)
-                    buckets.setdefault(path[0], []).append(entry)
-            else:
-                _, w, i, d = br
-                path = tab.paths[i]
-                if d + 1 == len(path):
-                    entry = ("copy", w)
+        super().__init__(spec)
+        self.p = np.asarray(spec.weights, dtype=float)
+        paths = [mp.image_cube().selector_path() for mp in spec.maps]
+        self.pending, depth, rules = [list(range(len(paths)))], [0], []
+        for node, maps in enumerate(self.pending):  # grows while it is walked
+            d = depth[node]
+            rules.append([])
+            for sel in sorted({paths[i][d] for i in maps}):
+                sub = [i for i in maps if paths[i][d] == sel]
+                if len(paths[sub[0]]) == d + 1:  # the image is complete: a copy
+                    rules[node].append((sel, 0, self.p[sub[0]]))
                 else:
-                    entry = ("img", w, i, d + 1)
-                buckets.setdefault(path[d], []).append(entry)
-        return [
-            _IfsCursor(self.tab, buckets[j]) if j in buckets else None
-            for j in range(1 << self.tab.spec.dimension)
-        ]
+                    self.pending.append(sub)
+                    depth.append(d + 1)
+                    rules[node].append((sel, len(self.pending) - 1, 1.0))
+        # (selector, next node, weight factor) per node, padded with NaN factors
+        width = max(map(len, rules))
+        table = np.array([r + [(0, 0, np.nan)] * (width - len(r)) for r in rules])
+        self.node_type = np.min_scalar_type(len(rules))
+        self.sel = table[..., 0].astype(np.min_scalar_type(1 << self.m))
+        self.next = table[..., 1].astype(self.node_type)
+        self.factor = table[..., 2]
+        self.full = not np.isnan(self.factor).any()
+
+    def _frontier(self, level, keys, w, node):
+        masses = w
+        if node.any():
+            masses = w.copy()
+            for k in np.unique(node[node > 0]).tolist():
+                rows = node == k
+                terms = w[rows, None] * self.p[self.pending[k]]
+                masses[rows] = _exact_sums(terms.ravel(), np.arange(0, terms.size, terms.shape[1]))
+        return _Frontier(level, keys, masses, (w, node))
+
+    def root(self):
+        return self._frontier(0, np.zeros(1, dtype=np.int64), np.ones(1),
+                              np.zeros(1, dtype=self.node_type))
+
+    def expand(self, fr):
+        w, node = fr.state
+        # one table row serves a frontier that sits at one node, which keeps
+        # the deepest full-support levels free of per-child index arrays
+        rows = node[:1] if len(node) and (node == node[0]).all() else node
+        keys = _shifted(fr.keys, self.m, self.m * (fr.level + 1))[:, None] | self.sel[rows]
+        w = w[:, None] * self.factor[rows]
+        node = np.broadcast_to(self.next[rows], keys.shape)
+        if self.full:
+            return self._frontier(fr.level + 1, keys.ravel(), w.ravel(), node.ravel())
+        real = ~np.isnan(w)
+        return self._frontier(fr.level + 1, keys[real], w[real], node[real])
 
 
-class _Ifs1DCursor(_Cursor):
-    __slots__ = ("spec", "lo", "hi", "_mass")
-
-    def __init__(self, spec: GeneralIFS1D, lo: Fraction, hi: Fraction):
-        self.spec = spec
-        self.lo = lo
-        self.hi = hi
-        self._mass = None
-
-    def mass(self):
-        if self._mass is None:
-            self._mass = _ifs1d_interval_mass(self.spec, self.lo, self.hi)
-        return self._mass
-
-    def split(self):
-        mid = (self.lo + self.hi) / 2
-        left = _Ifs1DCursor(self.spec, self.lo, mid)
-        right = _Ifs1DCursor(self.spec, mid, self.hi)
-        return [c if c.mass() > 0.0 else None for c in (left, right)]
+def _lebesgue_ifs(spec: Lebesgue) -> DyadicIFS:
+    """Lebesgue measure as the IFS of the 2^m corner maps of ratio 1/2; its
+    masses are powers of two, so every product is exact."""
+    m = spec.dimension
+    maps = tuple(DyadicMap(1, tuple(Fraction((j >> k) & 1, 2) for k in range(m)))
+                 for j in range(1 << m))
+    return DyadicIFS(m, maps, (math.ldexp(1.0, -m),) * (1 << m))
 
 
-def _ifs1d_interval_mass(spec: GeneralIFS1D, lo: Fraction, hi: Fraction) -> float:
-    """nu((lo, hi]) within mass_tol.  Only branches whose image straddles an
-    endpoint recurse; each endpoint owns at most one straddling chain, so the
-    proportional cut at weight < mass_tol/4 keeps the total error < mass_tol/2."""
-    cut = spec.mass_tol / 4.0
-    params = [(mp.ratio, mp.offset, p) for mp, p in zip(spec.maps, spec.weights)]
+class _Ifs1DEngine(_Engine):
+    """State (lo, hi): the CDF F(x) = nu((0, x]) at the cube's end points, so
+    the cube mass is F(hi) - F(lo).
 
-    def rec(a: Fraction, b: Fraction, w: float) -> float:
-        if a < 0:
-            a = Fraction(0)
-        if b > 1:
-            b = Fraction(1)
-        if b <= a:
-            return 0.0
-        if a == 0 and b == 1:
-            return w
-        if w < cut:
-            return w * float(b - a)
-        total = 0.0
-        for r, c, p in params:
-            total += rec((a - c) / r, (b - c) / r, w * p)
-        return total
+    F(x) follows one exact chain per point.  The support lies in the hull
+    [a, b] spanned by the fixed points of the outermost maps, and map i
+    carries it to [c + r a, c + r b].  With the maps in offset order, a
+    point y adds weight w times the total weight of the image hulls that
+    end at or before y; if y lies inside the next one, the chain continues
+    with y <- (y - c)/r and w <- w p.  Once w < mass_tol/4 the chain adds
+    w * y instead (the proportional cut), so F is within mass_tol/4 of the
+    exact CDF and each mass within mass_tol/2.  Every gap of the support
+    lies between two image hulls at one depth, so F takes one floating point
+    value on all of it and cubes inside a gap get mass exactly 0.  The
+    points of one call share a denominator D: y = N/D with integer N."""
 
-    return rec(lo, hi, 1.0)
+    def __init__(self, spec: GeneralIFS1D):
+        super().__init__(spec)
+        maps = sorted(zip(spec.maps, spec.weights), key=lambda mw: mw[0].offset)
+        a, b = (mp.offset / (1 - mp.ratio) for mp in (maps[0][0], maps[-1][0]))
+        self.cut = spec.mass_tol / 4.0
+        self.p = [p for _, p in maps]
+        self.below = np.concatenate(([0.0], np.cumsum(self.p)))
+        self.hulls, self.inverse = [], []
+        for mp, _ in maps:
+            r, c = mp.ratio, mp.offset
+            self.hulls.append((c + r * a, c + r * b))
+            u, v = 1 / r, c / r  # y -> u y - v = (P y - Q) / R
+            den = math.lcm(u.denominator, v.denominator)
+            self.inverse.append((int(u * den), int(v * den), den))
+        self.lcm = math.lcm(*(den for _, _, den in self.inverse))
+        self.bound = max([max(x.numerator, x.denominator) for hull in self.hulls for x in hull]
+                         + [max(pv, qv) for pv, qv, _ in self.inverse])
+
+    def _cdf(self, nums: np.ndarray, level: int) -> np.ndarray:
+        D = 1 << level
+        exact64 = self.lcm == 1 and self.bound * D < 1 << _KEY_BITS
+        N = np.array(nums.tolist(), dtype=np.int64 if exact64 else object)
+        F = np.zeros(len(N))
+        w = np.ones(len(N))
+        live = np.arange(len(N))
+        while len(live):
+            left = sum((N * e.denominator >= e.numerator * D).astype(np.intp)
+                       for _, e in self.hulls)
+            F[live] += w * self.below[left]
+            inside = np.zeros(len(N), dtype=bool)
+            nxt = N.copy()
+            for i, ((s, _), (pv, qv, den)) in enumerate(zip(self.hulls, self.inverse)):
+                rows = (left == i) & (N * s.denominator > s.numerator * D)
+                inside |= rows
+                nxt[rows] = (pv * N[rows] - qv * D) * (self.lcm // den)
+                w[rows] *= self.p[i]
+            N, w, live, D = nxt[inside], w[inside], live[inside], D * self.lcm
+            cut = w < self.cut
+            F[live[cut]] += w[cut] * (N[cut] / D).astype(float)
+            N, w, live = N[~cut], w[~cut], live[~cut]
+        return F
+
+    def root(self):
+        lo, hi = self._cdf(np.array([0, 1]), 0)
+        return _Frontier(0, np.zeros(1, dtype=np.int64), np.array([hi - lo]),
+                         (np.array([lo]), np.array([hi])))
+
+    def expand(self, fr):
+        lo, hi = fr.state
+        mid = self._cdf(2 * fr.keys + 1, fr.level + 1)
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        keep = hi - lo > 0.0
+        return _Frontier(fr.level + 1, _all_children(fr.keys, fr.level, 1)[keep],
+                         (hi - lo)[keep], (lo[keep], hi[keep]))
 
 
-class _AtomicCursor(_Cursor):
-    __slots__ = ("spec", "level", "index", "ids", "_mass")
+class _AtomicEngine(_Engine):
+    """No state: at level n an atom x lies in the cube with the indices
+    ceil(x_k 2^n) - 1 (right-closed cubes), in exact integer arithmetic."""
 
-    def __init__(self, spec: Atomic, level, index, ids):
-        self.spec = spec
-        self.level = level
-        self.index = index
-        self.ids = ids
-        self._mass = None
+    def __init__(self, spec: Atomic):
+        super().__init__(spec)
+        self.w = np.asarray(spec.weights, dtype=float)
+        self.num, self.den = (np.array([[getattr(x, part) for x in pt] for pt in spec.points],
+                                       dtype=object).T for part in ("numerator", "denominator"))
+        self.int64 = int(self.den.max()) < 1 << _KEY_BITS
+        if self.int64:
+            self.num64, self.den64 = self.num.astype(np.int64), self.den.astype(np.int64)
 
-    def mass(self):
-        if self._mass is None:
-            w = self.spec.weights
-            self._mass = math.fsum(w[i] for i in self.ids)
-        return self._mass
+    def _frontier(self, level, parents=None):
+        """The cubes of ``level`` holding atoms, among the children of the
+        cubes with keys ``parents`` when given."""
+        small = self.int64 and int(self.den.max()) << level < 1 << _KEY_BITS
+        num, den = (self.num64, self.den64) if small else (self.num, self.den)
+        index = -((-(num << level)) // den) - 1
+        if self.m * level > _KEY_BITS:
+            index = index.astype(object)
+        keys = index[0]
+        if self.m > 1:
+            keys = np.zeros(len(self.w), dtype=object if self.m * level > _KEY_BITS else np.int64)
+            for d in range(level):
+                for k in range(self.m):
+                    keys |= ((index[k] >> d) & 1) << (d * self.m + k)
+        atom = np.argsort(keys, kind="stable")
+        if parents is not None:
+            atom = atom[np.isin(keys[atom] >> self.m, parents)]
+        keys = keys[atom]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        return _Frontier(level, keys[starts], _exact_sums(self.w[atom], starts))
 
-    def split(self):
-        m = self.spec.dim
-        nxt = self.level + 1
-        buckets: dict[int, list] = {}
-        for i in self.ids:
-            pt = self.spec.points[i]
-            sel = 0
-            for k in range(m):
-                # child bit 0 iff x_k <= (2 l_k + 1) / 2^(n+1), exactly
-                x = pt[k]
-                if x.numerator * (1 << nxt) > (2 * self.index[k] + 1) * x.denominator:
-                    sel |= 1 << k
-            buckets.setdefault(sel, []).append(i)
-        out = []
-        for j in range(1 << m):
-            if j in buckets:
-                idx = tuple(2 * l + ((j >> k) & 1) for k, l in enumerate(self.index))
-                out.append(_AtomicCursor(self.spec, nxt, idx, buckets[j]))
-            else:
-                out.append(None)
-        return out
+    def root(self):
+        return self._frontier(0)
+
+    def expand(self, fr):
+        return self._frontier(fr.level + 1, fr.keys)
 
 
-class _DensityCursor(_Cursor):
-    __slots__ = ("spec", "pyramid", "level", "index", "density")
+class _DensityEngine(_Engine):
+    """No state: down to the grid depth a cube's mass is a block sum of the
+    density pyramid, below it the density of the grid cell that holds it
+    times the cube volume."""
 
-    def __init__(self, spec, pyramid, level, index, density=None):
-        self.spec = spec
-        self.pyramid = pyramid
-        self.level = level
-        self.index = index
-        self.density = density  # set once level >= depth
+    def __init__(self, spec: DyadicDensity):
+        super().__init__(spec)
+        self.depth = spec.depth
+        self.values = np.asarray(spec.values, dtype=float)
+        self.pyramid = _density_pyramid(spec)
 
-    def mass(self):
-        if self.level <= self.spec.depth:
-            block = self.pyramid[self.level][self.index]
-            return float(block) * math.ldexp(1.0, -self.spec.depth * self.spec.dim)
-        return self.density * math.ldexp(1.0, -self.level * self.spec.dim)
+    def _frontier(self, level, keys):
+        coords = _coords(keys, level, self.m)
+        if level <= self.depth:
+            masses = self.pyramid[level][tuple(coords)] * math.ldexp(1.0, -self.depth * self.m)
+        else:
+            cell = tuple((c >> (level - self.depth)).astype(np.intp) for c in coords)
+            masses = self.values[cell] * math.ldexp(1.0, -level * self.m)
+        keep = masses > 0.0
+        return _Frontier(level, keys[keep], masses[keep])
 
-    def split(self):
-        m = self.spec.dim
-        out = []
-        for j in range(1 << m):
-            idx = tuple(2 * l + ((j >> k) & 1) for k, l in enumerate(self.index))
-            if self.level + 1 <= self.spec.depth:
-                child = _DensityCursor(self.spec, self.pyramid, self.level + 1, idx)
-            else:
-                dens = self.density
-                if dens is None:
-                    dens = float(self.spec.values[self.index])
-                child = _DensityCursor(self.spec, self.pyramid, self.level + 1, idx, dens)
-            out.append(child if child.mass() > 0.0 else None)
-        return out
+    def root(self):
+        return self._frontier(0, np.zeros(1, dtype=np.int64))
+
+    def expand(self, fr):
+        return self._frontier(fr.level + 1, _all_children(fr.keys, fr.level, self.m))
 
 
 def _density_pyramid(spec: DyadicDensity) -> list[np.ndarray]:
@@ -711,44 +812,73 @@ def _density_pyramid(spec: DyadicDensity) -> list[np.ndarray]:
     return levels
 
 
-class _MixCursor(_Cursor):
-    __slots__ = ("dim", "parts")
+class _MixtureEngine(_Engine):
+    """State (subs, owners): the frontier of each component with a positive
+    coefficient, and for each the rows of the mixture frontier its cubes sit
+    in.  A cube's mass is the sum of c * (component mass) over the
+    components that hold it."""
 
-    def __init__(self, dim, parts):
-        self.dim = dim
-        self.parts = parts  # list of (coef, cursor)
+    def __init__(self, spec: Mixture):
+        super().__init__(spec)
+        self.parts = [(c, _engine(s)) for c, s in spec.components if c > 0.0]
 
-    def mass(self):
-        return math.fsum(c * cur.mass() for c, cur in self.parts)
+    def _merge(self, level, subs):
+        keys = np.unique(np.concatenate([s.keys for s in subs]))
+        terms = np.zeros((len(keys), len(subs)))
+        owners = [np.searchsorted(keys, s.keys) for s in subs]
+        for col, ((c, _), sub, own) in enumerate(zip(self.parts, subs, owners)):
+            terms[own, col] = c * sub.masses
+        masses = _exact_sums(terms.ravel(), np.arange(0, terms.size, len(subs)))
+        return _Frontier(level, keys, masses, (subs, owners))
 
-    def split(self):
-        split_parts = [(c, cur.split()) for c, cur in self.parts]
-        out = []
-        for j in range(1 << self.dim):
-            sub = [(c, ch[j]) for c, ch in split_parts if ch[j] is not None]
-            out.append(_MixCursor(self.dim, sub) if sub else None)
-        return out
+    def root(self):
+        return self._merge(0, [eng.root() for _, eng in self.parts])
+
+    def expand(self, fr):
+        return self._merge(fr.level + 1,
+                           [eng.expand(sub) for (_, eng), sub in zip(self.parts, fr.state[0])])
+
+    def take(self, fr, mask):
+        row = np.cumsum(mask) - 1
+        keep = [mask[own] for own in fr.state[1]]
+        return _Frontier(fr.level, fr.keys[mask], fr.masses[mask],
+                         ([eng.take(s, k) for (_, eng), s, k in zip(self.parts, fr.state[0], keep)],
+                          [row[own[k]] for own, k in zip(fr.state[1], keep)]))
+
+    def concat(self, fr, more):
+        return _Frontier(fr.level, np.concatenate((fr.keys, more.keys)),
+                         np.concatenate((fr.masses, more.masses)),
+                         ([eng.concat(a, b) for (_, eng), a, b
+                           in zip(self.parts, fr.state[0], more.state[0])],
+                          [np.concatenate((a, b + len(fr)))
+                           for a, b in zip(fr.state[1], more.state[1])]))
 
 
-def _root_cursor(spec: MeasureSpec) -> _Cursor:
+def _engine(spec: MeasureSpec) -> _Engine:
     if isinstance(spec, Lebesgue):
-        return _LebCursor(spec.dimension)
-    if isinstance(spec, DyadicIFS):
-        return _IfsCursor(_IfsTables(spec), [("copy", 1.0)])
-    if isinstance(spec, GeneralIFS1D):
-        return _Ifs1DCursor(spec, Fraction(0), Fraction(1))
-    if isinstance(spec, Atomic):
-        return _AtomicCursor(spec, 0, (0,) * spec.dim, list(range(len(spec.points))))
-    if isinstance(spec, DyadicDensity):
-        return _DensityCursor(spec, _density_pyramid(spec), 0, (0,) * spec.dim)
-    if isinstance(spec, Mixture):
-        return _MixCursor(spec.dim, [(c, _root_cursor(s)) for c, s in spec.components if c > 0.0])
+        return _IfsEngine(_lebesgue_ifs(spec))
+    for family, engine in ((DyadicIFS, _IfsEngine), (GeneralIFS1D, _Ifs1DEngine),
+                           (Atomic, _AtomicEngine), (DyadicDensity, _DensityEngine),
+                           (Mixture, _MixtureEngine)):
+        if isinstance(spec, family):
+            return engine(spec)
     raise TypeError(f"unknown measure spec {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # Mass queries
 # ---------------------------------------------------------------------------
+
+def _level_frontier(spec: MeasureSpec, n: int) -> _Frontier:
+    ensure_valid(spec)
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    eng = _engine(spec)
+    fr = eng.root()
+    for _ in range(n):
+        fr = eng.expand(fr)
+    return fr
+
 
 def cube_mass(spec: MeasureSpec, cube: DyadicCube) -> float:
     """nu(cube).
@@ -759,41 +889,23 @@ def cube_mass(spec: MeasureSpec, cube: DyadicCube) -> float:
     ensure_valid(spec)
     if cube.dim != spec.dim:
         raise ValueError(f"cube dimension {cube.dim} != measure dimension {spec.dim}")
-    cur: _Cursor | None = _root_cursor(spec)
-    for sel in cube.selector_path():
-        cur = cur.split()[sel]
-        if cur is None:
-            return 0.0
-    return cur.mass()
+    eng = _engine(spec)
+    fr = eng.root()
+    key = 0
+    for sel in cube.selector_path():  # follow the cube's ancestors only
+        key = (key << spec.dim) | sel
+        fr = eng.expand(fr)
+        fr = eng.take(fr, fr.keys == key)
+    return float(fr.masses.sum())  # 0.0 once no branch reaches the cube
 
 
 def support_with_masses(spec: MeasureSpec, n: int) -> tuple[list[DyadicCube], np.ndarray]:
     """All level-n cubes of positive mass (depth-first selector order) with
     their masses.  The descent prunes zero-mass subtrees, so thin supports
     never cost 2^(nm) work."""
-    ensure_valid(spec)
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    m = spec.dim
-    cubes: list[DyadicCube] = []
-    masses: list[float] = []
-    # stack of (level, index, cursor); selectors pushed in reverse for
-    # ascending depth-first order
-    stack = [(0, (0,) * m, _root_cursor(spec))]
-    while stack:
-        level, index, cur = stack.pop()
-        if level == n:
-            mass = cur.mass()
-            if mass > 0.0:
-                cubes.append(DyadicCube(level, index))
-                masses.append(mass)
-            continue
-        kids = cur.split()
-        for j in range(len(kids) - 1, -1, -1):
-            if kids[j] is not None:
-                idx = tuple(2 * l + ((j >> k) & 1) for k, l in enumerate(index))
-                stack.append((level + 1, idx, kids[j]))
-    return cubes, np.asarray(masses, dtype=float)
+    fr = _level_frontier(spec, n)
+    keep = fr.masses > 0.0
+    return _cubes(n, fr.keys[keep], spec.dim), fr.masses[keep]
 
 
 def support_cubes(spec: MeasureSpec, n: int) -> list[DyadicCube]:
@@ -802,23 +914,10 @@ def support_cubes(spec: MeasureSpec, n: int) -> list[DyadicCube]:
 
 
 def support_masses(spec: MeasureSpec, n: int) -> np.ndarray:
-    """Masses of the positive level-n cubes (order not meaningful).
-
-    Fast closed-form paths cover Lebesgue and DyadicIFS with all ratios 1/2;
-    they return the same multiset as the generic descent.
-    """
-    ensure_valid(spec)
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    if isinstance(spec, Lebesgue):
-        return np.full(1 << (n * spec.dimension), math.ldexp(1.0, -n * spec.dimension))
-    if isinstance(spec, DyadicIFS) and all(mp.ratio_log2 == 1 for mp in spec.maps):
-        out = np.array([1.0])
-        w = np.asarray(spec.weights)
-        for _ in range(n):
-            out = (out[:, None] * w[None, :]).ravel()
-        return out
-    return support_with_masses(spec, n)[1]
+    """Masses of the positive level-n cubes, in the depth-first order of
+    :func:`support_with_masses`."""
+    masses = _level_frontier(spec, n).masses
+    return masses if masses.all() else masses[masses > 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +975,27 @@ def spec_to_dict(spec: MeasureSpec) -> dict:
 
 
 def parse_spec(doc: dict) -> MeasureSpec:
-    """Build a MeasureSpec from its JSON document (see README for the schema).
+    """Build a MeasureSpec from its JSON document.
+
+    A document is an object with a ``type`` tag and the fields of its family:
+
+    * ``{"type": "lebesgue", "dimension": m}``
+    * ``{"type": "dyadic_ifs", "dimension": m, "maps": [{"ratio_log2": e,
+      "offset": [c_1, ..., c_m]}, ...], "weights": [p, ...]}``: the maps
+      x -> 2^-e x + c, each offset on the 2^-e grid, images disjoint
+    * ``{"type": "ifs_1d", "maps": [{"ratio": r, "offset": c}, ...],
+      "weights": [p, ...], "mass_tol": tol}``: the maps x -> r x + c of
+      [0, 1], images meeting at most in end points (``mass_tol``: 1e-12)
+    * ``{"type": "atomic", "atoms": [{"point": [x_1, ..., x_m],
+      "weight": w}, ...]}``: points inside the open cube (0, 1)^m
+    * ``{"type": "dyadic_density", "depth": D, "values": [...]}``: nested
+      lists of shape (2^D,)*m, the density on each level-D cube
+    * ``{"type": "mixture", "components": [{"coefficient": c,
+      "spec": document}, ...]}``
+
+    Coordinates, offsets and ratios are exact rationals: a JSON number, or
+    ``{"num": a, "den": b}``, or ``{"num": a, "log2_den": k}`` for a / 2^k.
+    Weights and coefficients are positive and sum to 1.
 
     Raises ValueError with a descriptive message on malformed input; call
     :func:`validate` afterwards for semantic constraints.

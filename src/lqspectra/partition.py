@@ -26,7 +26,6 @@ a geometric t-grid; no extrapolation beyond the sampled range is attempted.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,7 +37,10 @@ from .measures import (
     MeasureSpec,
     cube_mass,
     ensure_valid,
-    _root_cursor,
+    _all_children,
+    _cubes,
+    _engine,
+    _shifted,
 )
 
 __all__ = [
@@ -157,44 +159,34 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
 # Adaptive threshold partitions
 # ---------------------------------------------------------------------------
 
-def _scan(spec: MeasureSpec, a: float, t: float, max_depth: int, collect: bool):
-    """Shared traversal: emit good cubes (J_a < t), split bad ones."""
+def _scan(spec: MeasureSpec, a: float, t: float, max_depth: int) -> list[tuple]:
+    """Shared level-synchronous walk: emit good cubes (J_a < t), split bad
+    ones.  Returns the good cubes as (level, keys, masses, J_a) per level."""
     ensure_valid(spec)
     if a <= 0:
         raise ValueError("a must be > 0")
     if not (t > 0):
         raise ValueError("threshold t must be > 0")
     m = spec.dim
-    cubes: list[DyadicCube] = []
-    masses: list[float] = []
-    jvals: list[float] = []
-    card = 0
-    max_j = 0.0
-    depth_max = 0
-    # (level, index, cursor); cursor None encodes zero mass
-    stack = [(0, (0,) * m, _root_cursor(spec))]
-    while stack:
-        level, index, cur = stack.pop()
-        mass = cur.mass() if cur is not None else 0.0
-        j = 2.0 ** (-level * m * a) * mass
-        if j < t:
-            card += 1
-            if j > max_j:
-                max_j = j
-            if level > depth_max:
-                depth_max = level
-            if collect:
-                cubes.append(DyadicCube(level, index))
-                masses.append(mass)
-                jvals.append(j)
-            continue
+    eng = _engine(spec)
+    fr = eng.root()
+    leaves = []
+    while True:
+        level = fr.level
+        jvals = 2.0 ** (-level * m * a) * fr.masses
+        good = jvals < t
+        leaves.append((level, fr.keys[good], fr.masses[good], jvals[good]))
+        if good.all():
+            return leaves
         if level >= max_depth:
-            raise MaxDepthExceeded(DyadicCube(level, index), j, t)
-        kids = cur.split()
-        for sel in range(len(kids) - 1, -1, -1):
-            idx = tuple(2 * l + ((sel >> k) & 1) for k, l in enumerate(index))
-            stack.append((level + 1, idx, kids[sel]))
-    return cubes, masses, jvals, card, max_j, depth_max
+            i = int(np.argmin(good))  # the first bad cube in depth-first order
+            raise MaxDepthExceeded(_cubes(level, fr.keys[i:i + 1], m)[0], float(jvals[i]), t)
+        parents = eng.take(fr, ~good)
+        fr = eng.expand(parents)
+        # children that hold no branch have mass 0, so they are good at once
+        kids = _all_children(parents.keys, level, m)
+        zero = kids[~np.isin(kids, fr.keys)]
+        leaves.append((level + 1, zero, np.zeros(len(zero)), np.zeros(len(zero))))
 
 
 def adaptive_partition(spec: MeasureSpec, a: float, t: float,
@@ -207,11 +199,18 @@ def adaptive_partition(spec: MeasureSpec, a: float, t: float,
     because J_a(cube) <= 2^(-level*m*a) -> 0; ``max_depth`` only guards
     against inconsistent inputs.
     """
-    cubes, masses, jvals, *_ = _scan(spec, a, t, max_depth, collect=True)
+    leaves = _scan(spec, a, t, max_depth)
+    m = spec.dim
+    # the depth-first order of disjoint cubes is the order of their first
+    # descendants at one common level
+    depth = max(level for level, keys, _, _ in leaves if len(keys))
+    order = np.argsort(np.concatenate([_shifted(keys, m * (depth - level), m * depth)
+                                       for level, keys, _, _ in leaves]), kind="stable")
+    cubes = [c for level, keys, _, _ in leaves for c in _cubes(level, keys, m)]
     return Partition(
-        cubes=cubes,
-        masses=np.asarray(masses),
-        j_values=np.asarray(jvals),
+        cubes=[cubes[i] for i in order.tolist()],
+        masses=np.concatenate([leaf[2] for leaf in leaves])[order],
+        j_values=np.concatenate([leaf[3] for leaf in leaves])[order],
         a=float(a),
         threshold=float(t),
     )
@@ -224,8 +223,7 @@ def counting_N(spec: MeasureSpec, a: float, t: float,
     for the unconstrained partition problem over arbitrary subcubes."""
     if not (t > 0):
         raise ValueError("t must be > 0")
-    *_, card, _, _ = _scan(spec, a, 1.0 / t, max_depth, collect=False)
-    return card
+    return sum(len(keys) for _, keys, _, _ in _scan(spec, a, 1.0 / t, max_depth))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +245,11 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
     if budget_cap < 1:
         raise ValueError("budget_cap must be >= 1")
     m = spec.dim
-    counter = itertools.count()
-    root = _root_cursor(spec)
-    heap = [(-root.mass(), next(counter), 0, (0,) * m, root)]
+    nkids = 1 << m
+    eng = _engine(spec)
+    pools = [eng.root()]  # pools[L]: every level-L cube pushed so far, in push order
+    heap = [(-float(pools[0].masses[0]), 0, 0, 0)]  # (-J, counter, level, row)
+    counter = 1
     states = []
     while heap:
         j_top = -heap[0][0]
@@ -260,16 +260,35 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
         batch = []
         while heap and -heap[0][0] == j_top:
             batch.append(heapq.heappop(heap))
-        for _, _, level, index, cur in batch:
+        for _, _, level, row in batch:
             if level >= max_depth:
-                raise MaxDepthExceeded(DyadicCube(level, index), j_top, 0.0)
-            for sel, child in enumerate(cur.split()):
-                idx = tuple(2 * l + ((sel >> k) & 1) for k, l in enumerate(index))
-                if child is None:
-                    heapq.heappush(heap, (0.0, next(counter), level + 1, idx, None))
-                else:
-                    j = 2.0 ** (-(level + 1) * m * a) * child.mass()
-                    heapq.heappush(heap, (-j, next(counter), level + 1, idx, child))
+                cube = _cubes(level, pools[level].keys[row:row + 1], m)[0]
+                raise MaxDepthExceeded(cube, j_top, 0.0)
+        # children take the heap counters in batch order, then selector order;
+        # the batch is split one level at a time
+        first = {(level, row): counter + nkids * i for i, (_, _, level, row) in enumerate(batch)}
+        counter += nkids * len(batch)
+        for level in sorted({level for _, _, level, _ in batch}):
+            mask = np.zeros(len(pools[level]), dtype=bool)
+            mask[[row for _, _, lv, row in batch if lv == level]] = True
+            parents = eng.take(pools[level], mask)
+            kids = eng.expand(parents)
+            if level + 1 == len(pools):
+                base = 0
+                pools.append(kids)
+            else:
+                base = len(pools[level + 1])
+                pools[level + 1] = eng.concat(pools[level + 1], kids)
+            parent_of = {key: i for i, key in enumerate(parents.keys.tolist())}
+            counters = [first[level, row] for row in np.flatnonzero(mask).tolist()]
+            absent = np.ones((len(parents), nkids), dtype=bool)
+            jvals = 2.0 ** (-(level + 1) * m * a) * kids.masses
+            for row, (key, j) in enumerate(zip(kids.keys.tolist(), jvals.tolist()), base):
+                parent, sel = parent_of[key >> m], key & (nkids - 1)
+                absent[parent, sel] = False
+                heapq.heappush(heap, (-j, counters[parent] + sel, level + 1, row))
+            for parent, sel in zip(*np.nonzero(absent)):
+                heapq.heappush(heap, (0.0, counters[parent] + int(sel), -1, -1))
     return np.asarray(states, dtype=float)
 
 
@@ -371,23 +390,32 @@ def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
         return _selfsimilar_gamma_vector(list(spec.weights), m, a, k_max)
     nkids = 1 << m
     size = k_max + 1
+    # the subtree walk splits every cube of a level or none: a cube at level
+    # L is handed k_max - L * (2^m - 1) usable cubes
+    eng = _engine(spec)
+    tree = [eng.root()]
+    usable = k_max
+    while usable >= nkids and tree[-1].level < max_depth:
+        tree.append(eng.expand(tree[-1]))
+        usable -= nkids - 1
+    # the children of row i of tree[L] are rows kids[L][0][i]:kids[L][1][i] of tree[L + 1]
+    kids = [(np.searchsorted(down.keys >> m, up.keys, "left"),
+             np.searchsorted(down.keys >> m, up.keys, "right"))
+            for up, down in zip(tree, tree[1:])]
 
-    def vec(cur, level, usable):
-        j_here = 2.0 ** (-level * m * a) * cur.mass()
-        out = np.full(size, j_here)
+    def vec(level, row):
+        out = np.full(size, 2.0 ** (-level * m * a) * tree[level].masses[row])
         out[0] = np.inf
-        if usable >= nkids and level < max_depth:
-            kids = cur.split()
-            nz = [c for c in kids if c is not None]
-            zeros = nkids - len(nz)
-            child_usable = usable - (nkids - 1)
-            if nz:
-                acc = vec(nz[0], level + 1, child_usable)
-                for c in nz[1:]:
-                    acc = _minmax_fold(acc, vec(c, level + 1, child_usable))
+        if level + 1 < len(tree):
+            lo, hi = int(kids[level][0][row]), int(kids[level][1][row])
+            if hi > lo:
+                acc = vec(level + 1, lo)
+                for r in range(lo + 1, hi):
+                    acc = _minmax_fold(acc, vec(level + 1, r))
             else:
                 acc = np.full(size, np.inf)
                 acc[0] = 0.0  # zero-mass interior: resolved below by the shift
+            zeros = nkids - (hi - lo)
             if zeros:
                 shifted = np.full(size, np.inf)
                 shifted[zeros:] = acc[: size - zeros]
@@ -395,7 +423,7 @@ def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
             out = np.minimum(out, acc)
         return out
 
-    return vec(_root_cursor(spec), 0, k_max)
+    return vec(0, 0)
 
 
 def gamma_dyadic_oracle(spec: MeasureSpec, a: float, n_cells: int,

