@@ -502,16 +502,18 @@ def ensure_valid(spec: MeasureSpec) -> None:
 # Frontier engine
 #
 # A frontier holds one level of a descent: the cubes that hold a branch of
-# the measure, as arrays in depth-first selector order.  ``keys`` are the
-# cubes' Morton codes (the selector path read as one base-2^m number, so
-# ascending keys are depth-first order), ``masses`` their nu-masses and
-# ``state`` whatever else the family needs for the next level.  Each family
-# has one engine: ``root()`` is the level-0 frontier, ``expand(fr)`` the
-# frontier of the children of ``fr`` that hold a branch (zero-mass children
-# are never materialised), ``take(fr, mask)`` the rows where ``mask`` is set
-# and ``concat(fr, more)`` the rows of both, in that order.  Support
-# enumeration, cube masses, the adaptive partitions, the exact oracle and
-# discretization all run on these engines.
+# the measure, as arrays.  ``keys`` are the cubes' Morton codes (the selector
+# path read as one base-2^m number, so ascending keys are depth-first order),
+# ``masses`` their nu-masses and ``state`` whatever else the family needs for
+# the next level.  Each family has one engine: ``root()`` is the level-0
+# frontier, ``expand(fr)`` the frontier of the children of ``fr`` that hold
+# a branch (zero-mass children are never materialised) and
+# ``take(frs, masks)`` the rows of the frontiers ``frs`` of one level where
+# ``masks`` are set, one frontier after the other.  Frontiers grown from the
+# root have ascending keys; one that ``take`` gathers from several need not.
+# Support enumeration, cube masses, the adaptive partitions, the exact
+# oracle and discretization all run on these engines; the helpers below keep
+# the key arithmetic in this module.
 #
 # Keys are int64 while m * level <= 62 and Python integers (object arrays)
 # beyond, so positions are exact at any depth.  A mass that sums several
@@ -529,9 +531,6 @@ class _Frontier:
     masses: np.ndarray
     state: tuple = ()
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
 
 def _shifted(keys: np.ndarray, bits: int, total_bits: int) -> np.ndarray:
     """keys << bits, as Python integers when the result needs more than 62 bits."""
@@ -545,6 +544,37 @@ def _all_children(keys: np.ndarray, level: int, m: int) -> np.ndarray:
     return (_shifted(keys, m, m * (level + 1))[:, None] | np.arange(1 << m)).ravel()
 
 
+def _child_rows(parents: np.ndarray, kids: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each key of ``kids``, children of cubes in ``parents``: the row of
+    its parent in ``parents`` and its selector."""
+    order = np.argsort(parents, kind="stable")
+    return order[np.searchsorted(parents[order], kids >> m)], (kids & ((1 << m) - 1)).astype(np.intp)
+
+
+def _empty_children(parents: np.ndarray, kids: np.ndarray, level: int, m: int) -> np.ndarray:
+    """Keys of the children of ``parents`` that are not among ``kids``."""
+    empty = np.ones((len(parents), 1 << m), dtype=bool)
+    empty[_child_rows(parents, kids, m)] = False
+    return _all_children(parents, level, m)[empty.ravel()]
+
+
+def _in_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which ``values`` occur in the ascending ``keys``: a binary search,
+    which unlike np.isin stays O(n log n) on Python-integer keys."""
+    pos = np.searchsorted(keys, values)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == values[hit]
+    return hit
+
+
+def _depth_first(groups: list[tuple[int, np.ndarray]], m: int) -> np.ndarray:
+    """The order that puts disjoint cubes, given as (level, keys) groups, in
+    depth-first order: the order of their first descendants at one level."""
+    depth = max(level for level, keys in groups if len(keys))
+    return np.argsort(np.concatenate([_shifted(keys, m * (depth - level), m * depth)
+                                      for level, keys in groups]), kind="stable")
+
+
 def _coords(keys: np.ndarray, level: int, m: int) -> list[np.ndarray]:
     """Per-coordinate cube indices of level-``level`` Morton keys."""
     coords = [np.zeros(len(keys), dtype=keys.dtype) for _ in range(m)]
@@ -552,6 +582,19 @@ def _coords(keys: np.ndarray, level: int, m: int) -> list[np.ndarray]:
         for k in range(m):
             coords[k] |= ((keys >> (d * m + k)) & 1) << d
     return coords
+
+
+def _morton(coords: np.ndarray, level: int, m: int) -> np.ndarray:
+    """Morton keys of level-``level`` cubes from their per-coordinate
+    indices (rows of ``coords``): the inverse of :func:`_coords`."""
+    coords = coords.astype(object if m * level > _KEY_BITS else np.int64)
+    if m == 1:
+        return coords[0]
+    keys = np.zeros(coords.shape[1], dtype=coords.dtype)
+    for d in range(level):
+        for k in range(m):
+            keys |= ((coords[k] >> d) & 1) << (d * m + k)
+    return keys
 
 
 def _cubes(level: int, keys: np.ndarray, m: int) -> list[DyadicCube]:
@@ -575,14 +618,10 @@ class _Engine:
     def __init__(self, spec: MeasureSpec):
         self.m = spec.dim
 
-    def take(self, fr: _Frontier, mask: np.ndarray) -> _Frontier:
-        return _Frontier(fr.level, fr.keys[mask], fr.masses[mask],
-                         tuple(a[mask] for a in fr.state))
-
-    def concat(self, fr: _Frontier, more: _Frontier) -> _Frontier:
-        return _Frontier(fr.level, np.concatenate((fr.keys, more.keys)),
-                         np.concatenate((fr.masses, more.masses)),
-                         tuple(np.concatenate(pair) for pair in zip(fr.state, more.state)))
+    def take(self, frs: list[_Frontier], masks: list[np.ndarray]) -> _Frontier:
+        cols = zip(*[(fr.keys, fr.masses) + fr.state for fr in frs])
+        keys, masses, *state = (np.concatenate([a[k] for a, k in zip(col, masks)]) for col in cols)
+        return _Frontier(frs[0].level, keys, masses, tuple(state))
 
 
 class _IfsEngine(_Engine):
@@ -745,18 +784,11 @@ class _AtomicEngine(_Engine):
         cubes with keys ``parents`` when given."""
         small = self.int64 and int(self.den.max()) << level < 1 << _KEY_BITS
         num, den = (self.num64, self.den64) if small else (self.num, self.den)
-        index = -((-(num << level)) // den) - 1
-        if self.m * level > _KEY_BITS:
-            index = index.astype(object)
-        keys = index[0]
-        if self.m > 1:
-            keys = np.zeros(len(self.w), dtype=object if self.m * level > _KEY_BITS else np.int64)
-            for d in range(level):
-                for k in range(self.m):
-                    keys |= ((index[k] >> d) & 1) << (d * self.m + k)
+        # every index is below 2^level, so the keys are int64 where they fit
+        keys = _morton(-((-(num << level)) // den) - 1, level, self.m)
         atom = np.argsort(keys, kind="stable")
         if parents is not None:
-            atom = atom[np.isin(keys[atom] >> self.m, parents)]
+            atom = atom[_in_sorted(keys[atom] >> self.m, np.sort(parents))]
         keys = keys[atom]
         first = np.ones(len(keys), dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
@@ -838,20 +870,17 @@ class _MixtureEngine(_Engine):
         return self._merge(fr.level + 1,
                            [eng.expand(sub) for (_, eng), sub in zip(self.parts, fr.state[0])])
 
-    def take(self, fr, mask):
-        row = np.cumsum(mask) - 1
-        keep = [mask[own] for own in fr.state[1]]
-        return _Frontier(fr.level, fr.keys[mask], fr.masses[mask],
-                         ([eng.take(s, k) for (_, eng), s, k in zip(self.parts, fr.state[0], keep)],
-                          [row[own[k]] for own, k in zip(fr.state[1], keep)]))
-
-    def concat(self, fr, more):
-        return _Frontier(fr.level, np.concatenate((fr.keys, more.keys)),
-                         np.concatenate((fr.masses, more.masses)),
-                         ([eng.concat(a, b) for (_, eng), a, b
-                           in zip(self.parts, fr.state[0], more.state[0])],
-                          [np.concatenate((a, b + len(fr)))
-                           for a, b in zip(fr.state[1], more.state[1])]))
+    def take(self, frs, masks):
+        row = np.cumsum(np.concatenate(masks)) - 1  # new rows, one frontier after the other
+        start = np.cumsum([0] + [len(fr.keys) for fr in frs])
+        subs, owners = [], []
+        for col, (_, eng) in enumerate(self.parts):
+            own = [fr.state[1][col] for fr in frs]
+            keep = [mask[o] for mask, o in zip(masks, own)]
+            subs.append(eng.take([fr.state[0][col] for fr in frs], keep))
+            owners.append(np.concatenate([row[s + o[k]] for s, o, k in zip(start, own, keep)]))
+        return _Frontier(frs[0].level, np.concatenate([fr.keys[k] for fr, k in zip(frs, masks)]),
+                         np.concatenate([fr.masses[k] for fr, k in zip(frs, masks)]), (subs, owners))
 
 
 def _engine(spec: MeasureSpec) -> _Engine:
@@ -895,7 +924,7 @@ def cube_mass(spec: MeasureSpec, cube: DyadicCube) -> float:
     for sel in cube.selector_path():  # follow the cube's ancestors only
         key = (key << spec.dim) | sel
         fr = eng.expand(fr)
-        fr = eng.take(fr, fr.keys == key)
+        fr = eng.take([fr], [fr.keys == key])
     return float(fr.masses.sum())  # 0.0 once no branch reaches the cube
 
 

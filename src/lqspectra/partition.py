@@ -37,10 +37,11 @@ from .measures import (
     MeasureSpec,
     cube_mass,
     ensure_valid,
-    _all_children,
+    _child_rows,
     _cubes,
+    _depth_first,
+    _empty_children,
     _engine,
-    _shifted,
 )
 
 __all__ = [
@@ -181,11 +182,10 @@ def _scan(spec: MeasureSpec, a: float, t: float, max_depth: int) -> list[tuple]:
         if level >= max_depth:
             i = int(np.argmin(good))  # the first bad cube in depth-first order
             raise MaxDepthExceeded(_cubes(level, fr.keys[i:i + 1], m)[0], float(jvals[i]), t)
-        parents = eng.take(fr, ~good)
+        parents = eng.take([fr], [~good])
         fr = eng.expand(parents)
         # children that hold no branch have mass 0, so they are good at once
-        kids = _all_children(parents.keys, level, m)
-        zero = kids[~np.isin(kids, fr.keys)]
+        zero = _empty_children(parents.keys, fr.keys, level, m)
         leaves.append((level + 1, zero, np.zeros(len(zero)), np.zeros(len(zero))))
 
 
@@ -201,11 +201,7 @@ def adaptive_partition(spec: MeasureSpec, a: float, t: float,
     """
     leaves = _scan(spec, a, t, max_depth)
     m = spec.dim
-    # the depth-first order of disjoint cubes is the order of their first
-    # descendants at one common level
-    depth = max(level for level, keys, _, _ in leaves if len(keys))
-    order = np.argsort(np.concatenate([_shifted(keys, m * (depth - level), m * depth)
-                                       for level, keys, _, _ in leaves]), kind="stable")
+    order = _depth_first([(level, keys) for level, keys, _, _ in leaves], m)
     cubes = [c for level, keys, _, _ in leaves for c in _cubes(level, keys, m)]
     return Partition(
         cubes=[cubes[i] for i in order.tolist()],
@@ -247,8 +243,8 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
     m = spec.dim
     nkids = 1 << m
     eng = _engine(spec)
-    pools = [eng.root()]  # pools[L]: every level-L cube pushed so far, in push order
-    heap = [(-float(pools[0].masses[0]), 0, 0, 0)]  # (-J, counter, level, row)
+    pools = [eng.root()]  # the root, then the children of each split group
+    heap = [(-float(pools[0].masses[0]), 0, 0, 0)]  # (-J, counter, pool, row)
     counter = 1
     states = []
     while heap:
@@ -260,35 +256,35 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
         batch = []
         while heap and -heap[0][0] == j_top:
             batch.append(heapq.heappop(heap))
-        for _, _, level, row in batch:
-            if level >= max_depth:
-                cube = _cubes(level, pools[level].keys[row:row + 1], m)[0]
+        for _, _, pool, row in batch:
+            if pools[pool].level >= max_depth:
+                cube = _cubes(pools[pool].level, pools[pool].keys[row:row + 1], m)[0]
                 raise MaxDepthExceeded(cube, j_top, 0.0)
         # children take the heap counters in batch order, then selector order;
-        # the batch is split one level at a time
-        first = {(level, row): counter + nkids * i for i, (_, _, level, row) in enumerate(batch)}
+        # the cubes of one level are gathered from their pools and split at
+        # once, and their children form a new pool
+        first, groups = {}, {}
+        for i, (_, _, pool, row) in enumerate(batch):
+            first[pool, row] = counter + nkids * i
+            groups.setdefault(pools[pool].level, {}).setdefault(pool, []).append(row)
         counter += nkids * len(batch)
-        for level in sorted({level for _, _, level, _ in batch}):
-            mask = np.zeros(len(pools[level]), dtype=bool)
-            mask[[row for _, _, lv, row in batch if lv == level]] = True
-            parents = eng.take(pools[level], mask)
+        for group in groups.values():
+            masks = [np.zeros(len(pools[pool].keys), dtype=bool) for pool in group]
+            for mask, rows in zip(masks, group.values()):
+                mask[rows] = True
+            parents = eng.take([pools[pool] for pool in group], masks)
             kids = eng.expand(parents)
-            if level + 1 == len(pools):
-                base = 0
-                pools.append(kids)
-            else:
-                base = len(pools[level + 1])
-                pools[level + 1] = eng.concat(pools[level + 1], kids)
-            parent_of = {key: i for i, key in enumerate(parents.keys.tolist())}
-            counters = [first[level, row] for row in np.flatnonzero(mask).tolist()]
-            absent = np.ones((len(parents), nkids), dtype=bool)
-            jvals = 2.0 ** (-(level + 1) * m * a) * kids.masses
-            for row, (key, j) in enumerate(zip(kids.keys.tolist(), jvals.tolist()), base):
-                parent, sel = parent_of[key >> m], key & (nkids - 1)
-                absent[parent, sel] = False
-                heapq.heappush(heap, (-j, counters[parent] + sel, level + 1, row))
-            for parent, sel in zip(*np.nonzero(absent)):
-                heapq.heappush(heap, (0.0, counters[parent] + int(sel), -1, -1))
+            pools.append(kids)
+            counters = np.array([first[pool, row] for pool, mask in zip(group, masks)
+                                 for row in np.flatnonzero(mask).tolist()])
+            counters = counters[:, None] + np.arange(nkids)
+            slot = _child_rows(parents.keys, kids.keys, m)
+            jvals = 2.0 ** (-kids.level * m * a) * kids.masses
+            for row, (c, j) in enumerate(zip(counters[slot].tolist(), jvals.tolist())):
+                heapq.heappush(heap, (-j, c, len(pools) - 1, row))
+            counters[slot] = -1
+            for c in counters[counters >= 0].tolist():  # children without a branch
+                heapq.heappush(heap, (0.0, c, -1, -1))
     return np.asarray(states, dtype=float)
 
 
@@ -398,16 +394,15 @@ def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
     while usable >= nkids and tree[-1].level < max_depth:
         tree.append(eng.expand(tree[-1]))
         usable -= nkids - 1
-    # the children of row i of tree[L] are rows kids[L][0][i]:kids[L][1][i] of tree[L + 1]
-    kids = [(np.searchsorted(down.keys >> m, up.keys, "left"),
-             np.searchsorted(down.keys >> m, up.keys, "right"))
+    # the children of row i of tree[L] are rows kids[L][i]:kids[L][i + 1] of tree[L + 1]
+    kids = [np.searchsorted(_child_rows(up.keys, down.keys, m)[0], np.arange(len(up.keys) + 1))
             for up, down in zip(tree, tree[1:])]
 
     def vec(level, row):
         out = np.full(size, 2.0 ** (-level * m * a) * tree[level].masses[row])
         out[0] = np.inf
         if level + 1 < len(tree):
-            lo, hi = int(kids[level][0][row]), int(kids[level][1][row])
+            lo, hi = int(kids[level][row]), int(kids[level][row + 1])
             if hi > lo:
                 acc = vec(level + 1, lo)
                 for r in range(lo + 1, hi):

@@ -17,7 +17,7 @@ import pytest
 
 import cursor_reference as ref
 import lqspectra as lq
-from lqspectra import kreinfeller, spectrum
+from lqspectra import kreinfeller, measures, spectrum
 from lqspectra.measures import cube_containing
 
 MAX_LEVEL = 12
@@ -31,6 +31,14 @@ SAME_AS_SHIPPED = {"leb1": "lebesgue_1d", "leb3": "lebesgue_3d", "tetra": "fig1_
                    "cantor": "cantor_third", "dirac_half": "dirac_half"}
 FIXTURES = ["leb2", "binom", "atom_pair", "quarter_pair", "density2d", "mixture"]
 MANY_TERMS = ["exp_decay", "mixed_ratio", "three_way_mixture"]
+# JSON atoms with float coordinates: 0.1, 0.3 and 1e-5 are binary fractions
+# with denominators 2^55, 2^54 and 2^69, so their exact cube indices take
+# Python integers long before the cube positions need more than 62 bits
+FLOAT_ATOMS = {
+    "float_atoms_1d": [[0.1], [0.3], [1e-5], [0.5]],
+    "float_atoms_2d": [[0.1, 0.3], [1e-5, 0.3], [0.3, 0.1], [0.75, 1e-5]],
+    "float_atoms_3d": [[0.1, 0.3, 1e-5], [0.3, 1e-5, 0.1], [0.5, 0.25, 0.1]],
+}
 
 
 def _many_terms(name):
@@ -51,10 +59,15 @@ def _spec(request, name):
         return lq.load_spec(DATA / f"{name[5:]}.json")
     if name in MANY_TERMS:
         return _many_terms(name)
+    if name in FLOAT_ATOMS:
+        points = FLOAT_ATOMS[name]
+        return lq.parse_spec({"type": "atomic", "atoms": [
+            {"point": pt, "weight": (i + 1) / (len(points) * (len(points) + 1) / 2)}
+            for i, pt in enumerate(points)]})
     return request.getfixturevalue(name)
 
 
-ALL = SHIPPED + FIXTURES + MANY_TERMS
+ALL = SHIPPED + FIXTURES + MANY_TERMS + list(FLOAT_ATOMS)
 
 
 def test_duplicate_fixtures_equal_shipped_specs(request):
@@ -131,6 +144,16 @@ def test_no_mass_beyond_the_attractor_hull():
         spec = lq.GeneralIFS1D(maps, (4 / 7, 3 / 7))
         for n in range(1, 11):
             assert all(Fraction(c.index[0], 2 ** n) < end for c in lq.support_cubes(spec, n))
+
+
+@pytest.mark.parametrize("name", list(FLOAT_ATOMS))
+def test_float_atoms_keep_int64_keys_while_they_fit(request, name):
+    # Python-integer keys would make the walks' membership tests and sorts
+    # run object by object; they are only needed past 62 position bits
+    spec = _spec(request, name)
+    for n in (0, 5, 62 // spec.dim):
+        assert measures._level_frontier(spec, n).keys.dtype == np.int64
+    assert measures._level_frontier(spec, 62 // spec.dim + 1).keys.dtype == object
 
 
 def test_deep_3d_atom_positions_stay_exact():

@@ -1,11 +1,11 @@
 """Mass invariants of the frontier engine on generated specs of every family.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
-type GeneralIFS1D, atoms on and off the dyadic grid, grid densities and
-mixtures of these.  With ``exact`` weights every weight, coefficient and
-density value is a multiple of 1/16, so at the levels checked here every
-mass of the exact families is a dyadic rational that floating point holds
-exactly, and additivity must hold to the bit.  With ``float`` weights the
+type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
+them), grid densities and mixtures of these.  With ``exact`` weights every
+weight, coefficient and density value is a multiple of 1/16, so at the
+levels checked here every mass of the exact families is a dyadic rational
+that floating point holds exactly, and additivity must hold to the bit.  With ``float`` weights the
 engine is compared with the cursor reference instead.
 """
 
@@ -72,7 +72,9 @@ def coordinate():
                        st.integers(1, 5), st.integers(0, 15)).filter(lambda x: x < 1)
     other = st.builds(lambda d, k: Fraction(k % (d - 1) + 1, d),
                       st.integers(3, 40), st.integers(0, 100))
-    return st.one_of(dyadic, other)
+    # a float is a binary fraction with a denominator up to 2^1074
+    binary = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(Fraction)
+    return st.one_of(dyadic, other, binary)
 
 
 @st.composite
