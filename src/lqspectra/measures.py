@@ -276,8 +276,9 @@ class DyadicIFS(MeasureSpec):
         if len(self.maps) != len(self.weights):
             out.append("maps and weights must have equal length")
             return out
-        if not self.maps:
-            out.append("at least one map is required")
+        if len(self.maps) < 2:
+            # the invariant measure of one map is a point mass at its fixed point
+            out.append("at least two maps are required (one map degenerates to a point mass)")
             return out
         out.extend(_check_weights(self.weights, "weights"))
         images = []
@@ -915,17 +916,47 @@ def cube_mass(spec: MeasureSpec, cube: DyadicCube) -> float:
     Exact (a finite sum of weight products) for Lebesgue, DyadicIFS, Atomic,
     DyadicDensity and mixtures thereof; within ``mass_tol`` for GeneralIFS1D.
     """
+    return float(_cube_masses(spec, [cube])[0])
+
+
+def _cube_masses(spec: MeasureSpec, cubes: Sequence[DyadicCube]) -> np.ndarray:
+    """nu of each of ``cubes`` (of any levels) from one level-synchronous
+    walk that follows the cubes' ancestors only; 0.0 where no branch reaches
+    a cube.  A frontier row's mass does not depend on the other rows, so
+    each mass is the one a walk to that cube alone gives."""
     ensure_valid(spec)
-    if cube.dim != spec.dim:
-        raise ValueError(f"cube dimension {cube.dim} != measure dimension {spec.dim}")
+    m = spec.dim
+    for cube in cubes:
+        if cube.dim != m:
+            raise ValueError(f"cube dimension {cube.dim} != measure dimension {m}")
+    out = np.zeros(len(cubes))
+    if not cubes:
+        return out
+    rows, keys = {}, {}
+    for i, cube in enumerate(cubes):
+        rows.setdefault(cube.level, []).append(i)
+    for level, at in rows.items():
+        coords = np.array([cubes[i].index for i in at], dtype=object).T
+        keys[level] = _morton(coords, level, m)
+    depth = max(rows)
+    # the keys of each level whose subtree holds a queried cube, deepest first
+    wanted, up = [], np.zeros(0, dtype=np.int64)
+    for level in range(depth, -1, -1):
+        here = np.unique(np.concatenate((up, keys.get(level, up[:0]))))
+        if m * level <= _KEY_BITS:
+            here = here.astype(np.int64)
+        wanted.append(here)
+        up = here >> m
     eng = _engine(spec)
     fr = eng.root()
-    key = 0
-    for sel in cube.selector_path():  # follow the cube's ancestors only
-        key = (key << spec.dim) | sel
-        fr = eng.expand(fr)
-        fr = eng.take([fr], [fr.keys == key])
-    return float(fr.masses.sum())  # 0.0 once no branch reaches the cube
+    for level, here in enumerate(reversed(wanted)):
+        fr = eng.take([fr], [_in_sorted(fr.keys, here)])
+        if level in rows:
+            hit = _in_sorted(keys[level], fr.keys)
+            out[np.asarray(rows[level])[hit]] = fr.masses[np.searchsorted(fr.keys, keys[level][hit])]
+        if level < depth:
+            fr = eng.expand(fr)
+    return out
 
 
 def support_with_masses(spec: MeasureSpec, n: int) -> tuple[list[DyadicCube], np.ndarray]:

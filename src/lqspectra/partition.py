@@ -15,8 +15,12 @@ Two independent routes to the same optimisation are provided:
   max J_a) state, giving upper bounds gamma_hat(n) for all budgets at once;
 * :func:`gamma_dyadic_oracle` computes the exact minimum of max J_a over
   all partitions into at most n dyadic cubes of bounded depth by dynamic
-  programming over the subdivision tree.  It is the test oracle for the
-  minimality of the adaptive partitions.
+  programming over the subdivision tree.  Each subtree's optimum is a
+  non-increasing vector over budgets, so two subtrees combine by merging
+  their breakpoint lists (one sort) instead of a quadratic min-max
+  convolution; measures made of ratio-1/2 copies of themselves take one
+  budget-indexed recursion over the known prefix instead of the tree.  It is
+  the test oracle for the minimality of the adaptive partitions.
 
 The partition entropy h_a is estimated as the log-log slope of the
 cardinality of the threshold-1/t partition against t over the tail half of
@@ -35,9 +39,9 @@ import numpy as np
 from .measures import (
     DyadicCube,
     MeasureSpec,
-    cube_mass,
     ensure_valid,
     _child_rows,
+    _cube_masses,
     _cubes,
     _depth_first,
     _empty_children,
@@ -78,9 +82,15 @@ class MaxDepthExceeded(RuntimeError):
 
 def j_weight(spec: MeasureSpec, cube: DyadicCube, a: float) -> float:
     """J_a(cube) = vol(cube)^a * nu(cube)."""
+    return float(_j_weights(spec, [cube], a)[0])
+
+
+def _j_weights(spec: MeasureSpec, cubes: Sequence[DyadicCube], a: float) -> np.ndarray:
+    """J_a of each of ``cubes``, from one engine walk for all of them."""
     if a <= 0:
         raise ValueError("a must be > 0")
-    return 2.0 ** (-cube.level * cube.dim * a) * cube_mass(spec, cube)
+    vols = np.array([2.0 ** (-cube.level * cube.dim * a) for cube in cubes])
+    return vols * _cube_masses(spec, cubes)
 
 
 @dataclass(eq=False)
@@ -148,8 +158,8 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
     if total != 1:
         out.append(f"volumes sum to {total}, not 1: the cubes do not tile the unit cube")
     if spec is not None:
-        for c, j in zip(part.cubes, part.j_values):
-            again = j_weight(spec, c, part.a)
+        recomputed = _j_weights(spec, part.cubes, part.a).tolist()
+        for c, j, again in zip(part.cubes, part.j_values, recomputed):
             if abs(again - j) > atol * max(1.0, abs(again)):
                 out.append(f"stored J for cube {c} is {j!r}, recomputed {again!r}")
                 break
@@ -326,14 +336,22 @@ def gamma_adaptive_profile(spec: MeasureSpec, a: float, budgets: Sequence[int],
 # Exact dyadic oracle (dynamic programming over the subdivision tree)
 # ---------------------------------------------------------------------------
 
-def _minmax_fold(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """out[k] = min over i+j=k (i, j >= 1) of max(A[i], B[j]); index 0 is inf."""
-    L = len(A)
-    out = np.full(L, np.inf)
-    for i in range(1, L - 1):
-        hi = L - i
-        cand = np.maximum(A[i], B[1:hi])
-        out[i + 1:] = np.minimum(out[i + 1:], cand)
+def _minmax_fold(A: np.ndarray, B: np.ndarray, size: int) -> np.ndarray:
+    """out[k] = min over i+j=k (i, j >= 1) of max(A[i], B[j]) for k < size,
+    inf where no such pair exists.  A[1:] and B[1:] must be non-increasing.
+
+    For such inputs out[k] = min{T : c_A(T) + c_B(T) <= k} over the values
+    T of A and B with T >= max(min A, min B), where
+    c_X(T) = min{i >= 1 : X[i] <= T} = 1 + #{i : X[i] > T}.  So
+    c_A(T) + c_B(T) = 2 + #{values of A and B above T}, and the least such T
+    is the (k-1)-th largest value of the merged breakpoint lists, raised to
+    max(min A, min B): one sort, and every output is an element of A or B."""
+    a, b = A[1:], B[1:]
+    out = np.full(size, np.inf)
+    n = min(size, len(a) + len(b) + 1)
+    if len(a) and len(b) and n > 2:
+        merged = np.sort(np.concatenate((a, b)))[::-1]
+        out[2:n] = np.maximum(merged[:n - 2], max(a[-1], b[-1]))
     return out
 
 
@@ -343,7 +361,9 @@ def _selfsimilar_gamma_vector(weights: Sequence[float], m: int, a: float,
     full rescaled copy of the measure (ratio-1/2 dyadic IFS, Lebesgue):
     v(subtree)[k] = mass * vol^a * V[k] with one budget-indexed recursion
     V[k] = min(1, best split of k-zeros among the child copies scaled by
-    p_i 2^(-ma)).  No depth cap is needed; the recursion is well founded in k."""
+    p_i 2^(-ma)).  No depth cap is needed; the recursion is well founded in k:
+    each copy gets at most k - 2^m + 1 cubes, so V[k] reads only the prefix
+    V[:k], which is already non-increasing."""
     size = k_max + 1
     nz = len(weights)
     zeros = (1 << m) - nz
@@ -352,14 +372,14 @@ def _selfsimilar_gamma_vector(weights: Sequence[float], m: int, a: float,
     if size > 1:
         V[1] = 1.0
     for k in range(2, size):
-        F = scale[0] * V
-        for i in range(1, nz):
-            F = _minmax_fold(F, scale[i] * V)
         idx = k - zeros
-        if 1 <= idx < size and np.isfinite(F[idx]):
-            V[k] = min(1.0, F[idx])
-        else:
+        if idx < 1:
             V[k] = 1.0
+            continue
+        F = scale[0] * V[:k]
+        for i in range(1, nz):
+            F = _minmax_fold(F, scale[i] * V[:k], idx + 1)
+        V[k] = min(1.0, F[idx])
     return V
 
 
@@ -367,11 +387,20 @@ def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
                         max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
     """vector v with v[k] = exact min over partitions of the unit cube into at
     most k dyadic cubes of depth <= max_depth of the max J_a, for k = 1..k_max
-    (v[0] = inf).  Budgets prune the recursion: a subtree handed k cubes can
-    split at most (k-1)/(2^m-1) more times, so the walk stays near-linear in
-    k_max for thin supports.  Full-support self-similar measures (Lebesgue,
-    dyadic IFS with all ratios 1/2) dispatch to an exact budget-indexed
-    recursion instead, for which max_depth never binds."""
+    (v[0] = inf).
+
+    A cube's vector is the smaller of its own J_a (one cube) and the fold of
+    its children's vectors, shifted by one cube for each zero-mass child.
+    These vectors are non-increasing in k, so each fold is the breakpoint
+    merge of :func:`_minmax_fold`: one sort of the two vectors' values,
+    O(k_max log k_max), and bit-equal to the pairwise min-max.  The subtree
+    walk splits every cube of a level or none, down to max_depth or to the
+    level L where k_max - L*(2^m - 1) cubes no longer allow a split, and
+    folds at every positive cube on the way: on a full-support measure that
+    is exponential in that depth.  Lebesgue and dyadic IFS with all ratios
+    1/2 dispatch to an exact budget-indexed recursion instead, which folds
+    the known prefix of one vector once per budget (O(k_max^2 log k_max) in
+    all) and for which max_depth never binds."""
     ensure_valid(spec)
     if a <= 0:
         raise ValueError("a must be > 0")
@@ -406,10 +435,12 @@ def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
             if hi > lo:
                 acc = vec(level + 1, lo)
                 for r in range(lo + 1, hi):
-                    acc = _minmax_fold(acc, vec(level + 1, r))
+                    acc = _minmax_fold(acc, vec(level + 1, r), size)
             else:
-                acc = np.full(size, np.inf)
-                acc[0] = 0.0  # zero-mass interior: resolved below by the shift
+                # a positive mass whose children all round to 0 (a subnormal
+                # mass, for instance): the shift below makes every k >= 2^m
+                # cost nothing
+                acc = np.zeros(size)
             zeros = nkids - (hi - lo)
             if zeros:
                 shifted = np.full(size, np.inf)

@@ -5,7 +5,9 @@ A cursor represents one dyadic cube together with just enough state to give
 its nu-mass and to produce the cursors of its 2^m children.  The mass
 queries and the partition walks below are the library's former versions,
 written on these cursors; ``tests/test_engine.py`` checks that the frontier
-engine reproduces them.
+engine reproduces them.  The oracle keeps its former O(L^2) min-max fold and
+the self-similar recursion that folds the whole vector for every budget, the
+reference for the breakpoint merge.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +35,6 @@ from lqspectra.partition import (
     DEFAULT_MAX_DEPTH,
     MaxDepthExceeded,
     Partition,
-    _minmax_fold,
-    _selfsimilar_gamma_vector,
 )
 
 
@@ -467,6 +468,43 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
                     j = 2.0 ** (-(level + 1) * m * a) * child.mass()
                     heapq.heappush(heap, (-j, next(counter), level + 1, idx, child))
     return np.asarray(states, dtype=float)
+
+
+def _minmax_fold(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """out[k] = min over i+j=k (i, j >= 1) of max(A[i], B[j]); index 0 is inf."""
+    L = len(A)
+    out = np.full(L, np.inf)
+    for i in range(1, L - 1):
+        hi = L - i
+        cand = np.maximum(A[i], B[1:hi])
+        out[i + 1:] = np.minimum(out[i + 1:], cand)
+    return out
+
+
+def _selfsimilar_gamma_vector(weights: Sequence[float], m: int, a: float,
+                              k_max: int) -> np.ndarray:
+    """Exact oracle vector for measures whose every positive cube carries a
+    full rescaled copy of the measure (ratio-1/2 dyadic IFS, Lebesgue):
+    v(subtree)[k] = mass * vol^a * V[k] with one budget-indexed recursion
+    V[k] = min(1, best split of k-zeros among the child copies scaled by
+    p_i 2^(-ma)).  No depth cap is needed; the recursion is well founded in k."""
+    size = k_max + 1
+    nz = len(weights)
+    zeros = (1 << m) - nz
+    scale = np.asarray(weights, dtype=float) * 2.0 ** (-m * a)
+    V = np.full(size, np.inf)
+    if size > 1:
+        V[1] = 1.0
+    for k in range(2, size):
+        F = scale[0] * V
+        for i in range(1, nz):
+            F = _minmax_fold(F, scale[i] * V)
+        idx = k - zeros
+        if 1 <= idx < size and np.isfinite(F[idx]):
+            V[k] = min(1.0, F[idx])
+        else:
+            V[k] = 1.0
+    return V
 
 
 def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,

@@ -48,6 +48,19 @@ def test_invalid_weights_named_in_error(tmp_path, capsys):
     assert "sum" in err and "1.1" in err
 
 
+def test_single_map_ifs_rejected(tmp_path, capsys):
+    bad = tmp_path / "one_map.json"
+    bad.write_text(json.dumps({
+        "type": "dyadic_ifs", "dimension": 1,
+        "maps": [{"ratio_log2": 1, "offset": [{"num": 0, "log2_den": 0}]}],
+        "weights": [1.0],
+    }))
+    code = run_cli("spectrum", "--measure", str(bad), "--out", str(tmp_path))
+    assert code == 1
+    assert "at least two maps" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_nan_mixture_coefficient_rejected(tmp_path, capsys):
     # NaN slips through "c < 0" and "|sum - 1| > tol"; it must not silently
     # drop its component and leave the other one's spectrum

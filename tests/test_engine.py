@@ -20,6 +20,8 @@ import lqspectra as lq
 from lqspectra import kreinfeller, measures, spectrum
 from lqspectra.measures import cube_containing
 
+from conftest import FIG1_WEIGHTS
+
 MAX_LEVEL = 12
 MAX_CUBES = 4096  # levels are compared while the support stays this small
 
@@ -112,12 +114,23 @@ def test_partition_walks_match_cursor_walks(request, name):
         got, want = lq.refinement_profile(spec, a, 40), ref.refinement_profile(spec, a, 40)
         assert np.array_equal(got[:, 0], want[:, 0])
         assert _same_masses(spec, got[:, 1], want[:, 1])
-    # wrapped in a mixture, every spec takes the oracle's subtree walk
-    walked = lq.Mixture(((1.0, spec),))
+    # wrapped in a mixture, every spec takes the oracle's subtree walk;
+    # unwrapped, Lebesgue and the ratio-1/2 IFS take the self-similar recursion
     k_max, depth = (12, 6) if spec.dim == 1 else (20, 2)
-    got = lq.gamma_dyadic_vector(walked, 1.0, k_max, max_depth=depth)
-    want = ref.gamma_dyadic_vector(walked, 1.0, k_max, max_depth=depth)
-    assert _same_masses(spec, got, want)
+    for oracle_spec in (lq.Mixture(((1.0, spec),)), spec):
+        got = lq.gamma_dyadic_vector(oracle_spec, 1.0, k_max, max_depth=depth)
+        want = ref.gamma_dyadic_vector(oracle_spec, 1.0, k_max, max_depth=depth)
+        assert _same_masses(spec, got, want)
+
+
+@pytest.mark.parametrize("spec, k_max", [(lq.binomial_ifs(0.7), 160), (lq.Lebesgue(2), 90),
+                                         (lq.sierpinski_tetrahedron(FIG1_WEIGHTS), 90)])
+def test_selfsimilar_oracle_matches_full_fold_recursion(spec, k_max):
+    # the breakpoint merge on the known prefix against the O(L^2) fold of the
+    # whole vector for every budget
+    for a in (0.6, 1.0, 1.9):
+        got = lq.gamma_dyadic_vector(spec, a, k_max)
+        assert np.array_equal(got, ref.gamma_dyadic_vector(spec, a, k_max)), a
 
 
 def test_max_depth_error_names_the_same_cube(tetra, dirac_half, leb2):

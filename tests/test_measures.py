@@ -238,6 +238,17 @@ def test_validate_mixture_dimension_mismatch():
     assert any("dimension" in v for v in lq.validate(spec))
 
 
+def test_single_map_dyadic_ifs_rejected():
+    # the invariant measure of x -> x/2 is the point mass at 0, outside (0, 1]
+    doc = {"type": "dyadic_ifs", "dimension": 1,
+           "maps": [{"ratio_log2": 1, "offset": [0]}], "weights": [1.0]}
+    spec = lq.parse_spec(doc)
+    assert lq.validate(spec) == [
+        "at least two maps are required (one map degenerates to a point mass)"]
+    with pytest.raises(lq.InvalidMeasureError, match="two maps"):
+        lq.support_masses(spec, 3)
+
+
 def test_invalid_spec_rejected_by_operations():
     bad = lq.Atomic(((Fraction(1, 2),),), (0.9,))
     with pytest.raises(lq.InvalidMeasureError):

@@ -151,9 +151,12 @@ def test_brute_force_enumeration_matches_oracle(binom, quarter_pair):
                     yield left + right
 
     for spec in (binom, quarter_pair):
+        # J of each of the 31 cubes of depth <= 4, computed once
+        J = {lq.DyadicCube(n, (i,)): lq.j_weight(spec, lq.DyadicCube(n, (i,)), 1.0)
+             for n in range(5) for i in range(1 << n)}
         best = {}
         for part in partitions(lq.unit_cube(1), 4):
-            maxj = max(lq.j_weight(spec, c, 1.0) for c in part)
+            maxj = max(J[c] for c in part)
             k = len(part)
             if k not in best or maxj < best[k]:
                 best[k] = maxj
@@ -180,6 +183,106 @@ def test_adaptive_minimality_random_atoms():
         k_min = lq.minimal_dyadic_cardinality(
             spec, a, t, k_cap=part.cardinality + 2, max_depth=part.max_level + 2)
         assert k_min == part.cardinality
+
+
+def _threshold_near(spec, a, budget, rng):
+    """A threshold inside the last gap, wider than rounding, of the adaptive
+    family's max J_a up to cardinality ``budget``: J values that differ only
+    in the order of their rounding stay on one side of it."""
+    j = lq.refinement_profile(spec, a, budget)[:, 1]
+    i = np.flatnonzero(j[1:] < j[:-1] * (1.0 - 1e-9))[-1]
+    lo, hi = np.log(j[i + 1]), np.log(j[i])
+    return float(np.exp(lo + rng.uniform(0.1, 0.9) * (hi - lo)))
+
+
+def _check_minimal(spec, a, t, max_depth=lq.partition.DEFAULT_MAX_DEPTH, rtol=0.0):
+    card = lq.adaptive_partition(spec, a, t).cardinality
+    k_min = lq.minimal_dyadic_cardinality(spec, a, t, k_cap=card + 2, max_depth=max_depth)
+    assert k_min == card, (spec, a, t)
+    # the oracle never loses to the adaptive family at any budget
+    v = lq.gamma_dyadic_vector(spec, a, card + 2, max_depth=max_depth)
+    profile = lq.gamma_adaptive_profile(spec, a, range(1, card + 3))
+    assert np.all(v[1:] <= profile * (1.0 + rtol)), (spec, a, t)
+
+
+def test_adaptive_minimality_random_selfsimilar():
+    # ratio-1/2 dyadic IFS take the oracle's self-similar recursion, so the
+    # budgets reach the thousands
+    rng = np.random.default_rng(41)
+    for m, budget in ((1, 3000), (1, 400), (1, 40), (2, 2000), (2, 300), (2, 30)):
+        nmaps = int(rng.integers(2, (1 << m) + 1))
+        corners = rng.choice(1 << m, size=nmaps, replace=False)
+        maps = tuple(lq.DyadicMap(1, tuple(Fraction((int(c) >> k) & 1, 2) for k in range(m)))
+                     for c in corners)
+        w = rng.dirichlet(np.ones(nmaps))
+        spec = lq.DyadicIFS(m, maps, tuple(float(x) for x in w / w.sum()))
+        a = float(rng.uniform(0.5, 2.0))
+        t = _threshold_near(spec, a, budget, rng)
+        # the recursion multiplies the weights in another order than the
+        # engine, so a J value may differ in the last bit
+        _check_minimal(spec, a, t, rtol=1e-12)
+
+
+def _thin_density(rng, m):
+    """A density on a few cells of the level-3 (1D) or level-2 (2D) grid."""
+    depth = 3 if m == 1 else 2
+    cells = 1 << (depth * m)
+    where = rng.choice(cells, size=int(rng.integers(1, 4)), replace=False)
+    values = np.zeros(cells)
+    values[where] = rng.dirichlet(np.ones(len(where))) * cells
+    return lq.DyadicDensity(depth, values.reshape((1 << depth,) * m))
+
+
+def _thin_part(rng, m):
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return _thin_density(rng, m)
+    if kind == 1:
+        n_atoms = int(rng.integers(1, 4))
+        nums = rng.choice(np.arange(1, 64), size=(n_atoms, m), replace=False)
+        points = tuple(tuple(Fraction(int(x), 64) for x in row) for row in nums)
+        w = rng.dirichlet(np.ones(n_atoms))
+        return lq.Atomic(points, tuple(float(x) for x in w / w.sum()))
+    # two maps of ratio 1/4 in opposite corners: a Cantor-type dyadic IFS
+    maps = tuple(lq.DyadicMap(2, tuple(Fraction(c, 4) for _ in range(m))) for c in (0, 3))
+    p = float(rng.uniform(0.2, 0.8))
+    return lq.DyadicIFS(m, maps, (p, 1.0 - p))
+
+
+def test_adaptive_minimality_random_thin_walks():
+    # densities and mixtures take the oracle's subtree walk, capped two levels
+    # below the adaptive partition's deepest cube as in the atomic criterion
+    rng = np.random.default_rng(43)
+    for case in range(12):
+        m = 1 if case < 8 else 2
+        if case % 2:
+            spec = _thin_density(rng, m)
+        else:
+            parts = [_thin_part(rng, m) for _ in range(int(rng.integers(2, 4)))]
+            c = rng.dirichlet(np.ones(len(parts)))
+            spec = lq.Mixture(tuple(zip((float(x) for x in c / c.sum()), parts)))
+        a = float(rng.uniform(0.5, 2.0))
+        t = _threshold_near(spec, a, 60 if m == 1 else 40, rng)
+        part = lq.adaptive_partition(spec, a, t)
+        _check_minimal(spec, a, t, max_depth=part.max_level + 2)
+
+
+def test_walk_folds_only_non_increasing_vectors(monkeypatch):
+    # the cube (1/2, 1] holds the mass 2^-1074 and its children's masses
+    # round to 0, so it has no child row in the engine; split into its two
+    # empty children it costs two cubes and J 0
+    spec = lq.DyadicDensity(1, np.array([2.0, math.ldexp(1.0, -1073)]))
+    assert lq.support_masses(spec, 1)[1] == math.ldexp(1.0, -1074)
+    assert len(lq.support_masses(spec, 2)) == 2
+    fold = lq.partition._minmax_fold
+
+    def checked(A, B, size):
+        assert np.all(np.diff(A[1:]) <= 0) and np.all(np.diff(B[1:]) <= 0)
+        return fold(A, B, size)
+
+    monkeypatch.setattr(lq.partition, "_minmax_fold", checked)
+    v = lq.gamma_dyadic_vector(spec, 0.01, 12)
+    assert np.all(np.diff(v[1:]) <= 0)
 
 
 def test_halving_inequality_small(leb1, binom):

@@ -1,4 +1,5 @@
-"""Mass invariants of the frontier engine on generated specs of every family.
+"""Mass invariants of the frontier engine on generated specs of every family,
+and the oracle's breakpoint merge on generated vectors.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
@@ -13,11 +14,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cursor_reference as ref
 import lqspectra as lq
+from lqspectra import partition
 
 MAX_CUBES = 256
 
@@ -44,6 +46,8 @@ def dyadic_ifs(draw, m, weights):
         path = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=3))
         if all(path[:len(p)] != p and p[:len(path)] != path for p in paths):
             paths.append(path)  # images are disjoint iff no path prefixes another
+    if len(paths) == 1:  # one map makes a point mass; its sibling image is disjoint
+        paths.append(paths[0][:-1] + [paths[0][-1] ^ 1])
     maps = []
     for path in paths:
         e = len(path)
@@ -172,3 +176,23 @@ def test_engine_matches_cursors_on_generated_specs(spec):
         # to its right, for instance
         got, exp = dict(zip(cubes, masses)), dict(zip(want_cubes, want))
         assert all(abs(got.get(c, 0.0) - exp.get(c, 0.0)) <= tol for c in got.keys() | exp.keys())
+
+
+@st.composite
+def oracle_vectors(draw):
+    """inf, then an optional run of inf, then non-increasing values with
+    ties (a few exact values, 0 among them, or any floats)."""
+    body = draw(st.lists(st.sampled_from([0.0, 0.125, 0.5, 1.0, 3.0]) | st.floats(0.0, 4.0),
+                         max_size=24))
+    head = [math.inf] * draw(st.integers(1, 4))
+    return np.array(head + sorted(body, reverse=True))
+
+
+@settings(max_examples=100)
+@given(oracle_vectors(), oracle_vectors(), st.integers(0, 60))
+def test_breakpoint_merge_equals_quadratic_fold(A, B, size):
+    got = partition._minmax_fold(A, B, size)
+    # the reference folds equal lengths: pad with inf, which no pair needs
+    n = max(size, len(A), len(B))
+    want = ref._minmax_fold(*(np.concatenate((X, np.full(n - len(X), np.inf))) for X in (A, B)))
+    assert np.array_equal(got, want[:size])
