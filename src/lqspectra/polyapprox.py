@@ -18,6 +18,17 @@ Errors in L^q of a measure nu use exact atom sums when nu is atomic and
 otherwise seeded Monte Carlo draws from nu (map compositions for IFS
 measures, cell selection for densities); singular measures admit no faithful
 grid quadrature, so a standard error accompanies every sampled value.
+
+The layer works on arrays.  A projection evaluates the oracle once per block
+of cubes, on the tensor Gauss nodes of all of them, and an evaluation finds
+each point's cube from integer keys: the point's cube index at the deepest
+level of the pieces, ceil(x 2^L) - 1 per axis (the right-closed cubes of the
+mass engine), read as a Morton key, lies in the key run of exactly the
+pieces that hold it.  Blocks hold about ``_BLOCK`` points or nodes, which
+bounds the temporaries.  Every number equals the one the per-cube loops give:
+the same elementwise operations produce the basis values, and each cube's
+contraction is one ``basis @ coeffs`` (or ``basis.T @ values``) over that
+cube's rows in their original order.
 """
 
 from __future__ import annotations
@@ -40,6 +51,9 @@ from .measures import (
     Lebesgue,
     MeasureSpec,
     Mixture,
+    _KEY_BITS,
+    _morton,
+    _shifted,
     ensure_valid,
 )
 from .partition import Partition, gamma_adaptive_profile, DEFAULT_MAX_DEPTH
@@ -62,6 +76,8 @@ __all__ = [
 ]
 
 BASIS_TAG = "shifted-legendre-orthonormal-v1"
+_BLOCK = 1 << 14  # points or quadrature nodes per block
+_OUTSIDE = "some points lie outside the partition (expected (0,1]^m)"
 
 
 def kappa(m: int, ell: int) -> int:
@@ -81,6 +97,10 @@ def multi_indices(m: int, ell: int) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class FunctionHandle:
     """Evaluation oracle u: points array of shape (npts, m) -> values (npts,).
+
+    The oracle must be pointwise: the value at a point may not depend on the
+    other rows of the array.  Projections evaluate it once per block of
+    cubes, on all their quadrature nodes together.
 
     ``smoothness`` is free-form metadata (e.g. a Sobolev order the caller
     believes in); nothing here verifies it.
@@ -106,63 +126,101 @@ def _eval_u(u, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-cube orthonormal basis and quadrature
+# Orthonormal bases and quadrature on blocks of cubes
 # ---------------------------------------------------------------------------
 
-def _cube_corner_side(cube: DyadicCube) -> tuple[np.ndarray, float]:
-    h = math.ldexp(1.0, -cube.level)
-    corner = np.array([l * h for l in cube.index])
-    return corner, h
+def _geometry(cubes: Sequence[DyadicCube]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corners (k, m), sides (k,) and basis normalisations h^(-m/2) (k,)."""
+    m = cubes[0].dim
+    levels = [c.level for c in cubes]
+    deep = max(levels) > _KEY_BITS
+    index = np.array([c.index for c in cubes], dtype=object if deep else np.int64)
+    side = np.ldexp(1.0, -np.asarray(levels))
+    norms = {level: math.ldexp(1.0, -level) ** (-0.5 * m) for level in set(levels)}
+    return index.astype(float) * side[:, None], side, np.array([norms[l] for l in levels])
 
 
-def _cube_quadrature(cube: DyadicCube, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre points (npts, m) and weights (npts,) on the cube."""
-    t, w = leggauss(n_nodes)
-    xi = 0.5 * (t + 1.0)
-    wu = 0.5 * w
-    corner, h = _cube_corner_side(cube)
-    m = cube.dim
-    axes = [corner[j] + h * xi for j in range(m)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    wmesh = np.meshgrid(*([h * wu] * m), indexing="ij")
-    weights = np.ones(pts.shape[0])
-    for g in wmesh:
-        weights = weights * g.ravel()
-    return pts, weights
-
-
-def _basis_values(cube: DyadicCube, ell: int, points: np.ndarray) -> np.ndarray:
-    """Orthonormal basis values, shape (npts, kappa)."""
-    corner, h = _cube_corner_side(cube)
-    m = cube.dim
-    xi = (points - corner) / h
+def _basis(points: np.ndarray, corner, side, norm, ell: int) -> np.ndarray:
+    """Orthonormal basis values, shape (npts, kappa), of the cube with the
+    given corner, side and normalisation; each may be one per point."""
+    m = points.shape[1]
+    xi = (points - corner) / side
     scale = np.sqrt(2.0 * np.arange(ell) + 1.0)
     vander = [legvander(2.0 * xi[:, j] - 1.0, ell - 1) * scale for j in range(m)]
-    cols = []
-    for k in multi_indices(m, ell):
+    indices = multi_indices(m, ell)
+    out = np.empty((points.shape[0], len(indices)))
+    for i, k in enumerate(indices):
         col = np.ones(points.shape[0])
         for j, kj in enumerate(k):
             col = col * vander[j][:, kj]
-        cols.append(col)
-    return np.stack(cols, axis=-1) * h ** (-0.5 * m)
+        out[:, i] = col
+    out *= norm
+    return out
+
+
+def _cube_basis(points: np.ndarray, geometry: tuple, rows: np.ndarray, ell: int) -> np.ndarray:
+    """Basis values at points[i] in the basis of the cube in row rows[i] of
+    the ``_geometry`` arrays."""
+    corner, side, norm = geometry
+    return _basis(points, corner[rows], side[rows, None], norm[rows, None], ell)
+
+
+def _nodes(corner: np.ndarray, side: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre points (b * n_nodes^m, m) and weights of b cubes,
+    cube after cube, each cube's nodes in C order of the axes."""
+    t, w = leggauss(n_nodes)
+    xi = 0.5 * (t + 1.0)
+    hw = side[:, None] * (0.5 * w)
+    b, m = corner.shape
+    grid = (b,) + (n_nodes,) * m
+    pts = np.empty(grid + (m,))
+    weights = np.ones(grid)
+    for j in range(m):
+        axis = (b,) + (1,) * j + (n_nodes,) + (1,) * (m - 1 - j)
+        pts[..., j] = (corner[:, j, None] + side[:, None] * xi).reshape(axis)
+        weights = weights * hw.reshape(axis)
+    return pts.reshape(-1, m), weights.reshape(-1)
+
+
+def _project(u, cubes: Sequence[DyadicCube], ell: int, q_extra: int) -> np.ndarray:
+    """Coefficients (k, kappa) of the projections of u on the cubes, one
+    oracle call per block of cubes."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    n_nodes = ell + q_extra
+    geometry = _geometry(cubes)
+    corner, side, _ = geometry
+    per = n_nodes ** cubes[0].dim
+    step = max(1, _BLOCK // per)
+    coeffs = np.empty((len(cubes), kappa(cubes[0].dim, ell)))
+    for s in range(0, len(cubes), step):
+        blk = slice(s, s + step)
+        pts, w = _nodes(corner[blk], side[blk], n_nodes)
+        vw = _eval_u(u, pts) * w
+        at = np.repeat(np.arange(s, min(s + step, len(cubes))), per)
+        basis = _cube_basis(pts, geometry, at, ell)
+        for i in range(len(at) // per):
+            rows = slice(i * per, (i + 1) * per)
+            coeffs[s + i] = basis[rows].T @ vw[rows]
+    return coeffs
 
 
 def project_poly(u, cube: DyadicCube, ell: int, q_extra: int = 4) -> np.ndarray:
     """Coefficients of the moment-matching projection of u on the cube, in
     the cube's orthonormal basis (length kappa(m, ell))."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    pts, w = _cube_quadrature(cube, ell + q_extra)
-    vals = _eval_u(u, pts)
-    basis = _basis_values(cube, ell, pts)
-    return basis.T @ (vals * w)
+    return _project(u, [cube], ell, q_extra)[0]
 
 
 def polynomial_values(cube: DyadicCube, ell: int, coeffs: np.ndarray,
                       points: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient vector in the cube's basis at given points."""
-    return _basis_values(cube, ell, points) @ np.asarray(coeffs)
+    corner, side, norm = _geometry([cube])
+    return _basis(points, corner[0], side[0], norm[0], ell) @ np.asarray(coeffs)
+
+
+def _cube_quadrature(cube: DyadicCube, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    corner, side, _ = _geometry([cube])
+    return _nodes(corner, side, n_nodes)
 
 
 def moment_residuals(u, cube: DyadicCube, ell: int, coeffs: np.ndarray,
@@ -200,6 +258,47 @@ def projection_l2_error(u, cube: DyadicCube, ell: int,
 # Piecewise projection
 # ---------------------------------------------------------------------------
 
+def _piece_runs(cubes: Sequence[DyadicCube]) -> tuple[int, np.ndarray, np.ndarray]:
+    """(depth, edges, owner): the deepest level of the pieces, the sorted
+    Morton keys at that level where a piece's key run starts or ends, and for
+    each run [edges[j], edges[j+1]) the row of the first piece holding it
+    (len(cubes) when none does, also for the last run)."""
+    m = cubes[0].dim
+    depth = max(c.level for c in cubes)
+    levels = np.array([c.level for c in cubes])
+    lo = np.empty(len(cubes), dtype=object if m * depth > _KEY_BITS else np.int64)
+    hi = np.empty_like(lo)
+    for level in np.unique(levels).tolist():
+        rows = np.flatnonzero(levels == level)
+        keys = _morton(np.array([cubes[i].index for i in rows], dtype=object).T, level, m)
+        lo[rows] = _shifted(keys, m * (depth - level), m * depth)
+        hi[rows] = _shifted(keys + 1, m * (depth - level), m * depth)
+    edges = np.unique(np.concatenate((lo, hi)))
+    first, stop = np.searchsorted(edges, lo), np.searchsorted(edges, hi)
+    count = stop - first
+    runs = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    owner = np.full(len(edges), len(cubes))
+    np.minimum.at(owner, runs, np.repeat(np.arange(len(cubes)), count))
+    return depth, edges, owner
+
+
+def _owners(points: np.ndarray, depth: int, edges: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Row of the first piece holding each point; raises unless every point
+    lies in a piece."""
+    if not np.all((points > 0.0) & (points <= 1.0)):
+        raise ValueError(_OUTSIDE)
+    # exact integers before the - 1: past 2^53 a float - 1.0 rounds back
+    index = np.ceil(np.ldexp(points, depth))
+    index = (index.astype(np.int64) if depth <= _KEY_BITS else np.frompyfunc(int, 1, 1)(index)) - 1
+    keys = _morton(index.T, depth, points.shape[1])
+    # a key below every edge reads owner[-1], the run past the last edge,
+    # which no piece holds
+    rows = owner[np.searchsorted(edges, keys, side="right") - 1]
+    if np.any(rows == owner[-1]):
+        raise ValueError(_OUTSIDE)
+    return rows
+
+
 @dataclass(eq=False)
 class PiecewisePoly:
     """Piecewise polynomial subordinate to a dyadic partition.
@@ -217,21 +316,42 @@ class PiecewisePoly:
         return self.cubes[0].dim
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at points in (0,1]^m; each point is resolved to the unique
-        half-open cube containing it (cube bounds are exact dyadic floats).
-        Linear scan over cubes: fine at the partition sizes used here."""
+        """Evaluate at points in (0,1]^m; each point takes the value of the
+        first listed cube that holds it, cubes being right-closed, so
+        x in (l 2^-L, (l+1) 2^-L] on every axis.  Points are located by
+        integer keys (see the module docstring) and evaluated in blocks of
+        about ``_BLOCK`` points; a point outside every cube, outside
+        (0,1]^m or NaN raises ValueError."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.full(points.shape[0], np.nan)
-        claimed = np.zeros(points.shape[0], dtype=bool)
-        for cube, coef in zip(self.cubes, self.coeffs):
-            corner, h = _cube_corner_side(cube)
-            inside = np.all((points > corner) & (points <= corner + h), axis=1)
-            inside &= ~claimed
-            if np.any(inside):
-                out[inside] = polynomial_values(cube, self.order, coef, points[inside])
-                claimed |= inside
-        if not np.all(claimed):
-            raise ValueError("some points lie outside the partition (expected (0,1]^m)")
+        n, k = points.shape[0], len(self.cubes)
+        if not n:
+            return np.zeros(0)
+        if not k:
+            raise ValueError(_OUTSIDE)
+        if points.shape[1] != self.dim:
+            raise ValueError(f"points have {points.shape[1]} coordinates, the cubes {self.dim}")
+        runs, geometry = _piece_runs(self.cubes), _geometry(self.cubes)
+        out = np.empty(n)
+        if self.order == 1:  # kappa = 1: the contraction is one product
+            for s in range(0, n, _BLOCK):
+                blk = slice(s, s + _BLOCK)
+                c = _owners(points[blk], *runs)
+                out[blk] = _cube_basis(points[blk], geometry, c, 1)[:, 0] * self.coeffs[c, 0]
+            return out
+        # one basis @ coeffs per cube over all its points in their order,
+        # as the sum order of a BLAS product may depend on the row count
+        at = np.concatenate([_owners(points[s:s + _BLOCK], *runs) for s in range(0, n, _BLOCK)])
+        rows = np.argsort(at, kind="stable")
+        starts = np.searchsorted(at[rows], np.arange(k + 1))
+        first = 0
+        while first < k:
+            last = max(first + 1, int(np.searchsorted(starts, starts[first] + _BLOCK, side="right")) - 1)
+            blk = rows[starts[first]:starts[last]]
+            basis = _cube_basis(points[blk], geometry, at[blk], self.order)
+            for i in range(first, last):
+                seg = slice(starts[i] - starts[first], starts[i + 1] - starts[first])
+                out[blk[seg]] = basis[seg] @ self.coeffs[i]
+            first = last
         return out
 
     def to_json_dict(self) -> dict:
@@ -255,24 +375,35 @@ class PiecewisePoly:
 
 def piecewise_project(u, partition: Union[Partition, Sequence[DyadicCube]],
                       ell: int, q_extra: int = 4) -> PiecewisePoly:
-    """Project u cube by cube over a partition."""
+    """Project u cube by cube over a partition, evaluating u once per block
+    of cubes."""
     cubes = list(partition.cubes) if isinstance(partition, Partition) else list(partition)
     if not cubes:
         raise ValueError("empty partition")
-    coeffs = np.stack([project_poly(u, c, ell, q_extra) for c in cubes])
-    return PiecewisePoly(order=ell, cubes=cubes, coeffs=coeffs)
+    return PiecewisePoly(order=ell, cubes=cubes, coeffs=_project(u, cubes, ell, q_extra))
 
 
 # ---------------------------------------------------------------------------
 # Sampling from a measure and empirical L^q errors
 # ---------------------------------------------------------------------------
 
+def _map_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """#{j : cdf_j <= u} for each u in [0, 1), one map at a time (cdf[-1] = 1)."""
+    pick = np.zeros(len(u), dtype=np.intp)
+    for c in cdf[:-1].tolist():
+        pick += u >= c
+    return pick
+
+
 def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points distributed by the measure, shape (n, m).
 
     IFS measures are sampled by composing ~55 independent weight-distributed
     maps (position error below 2^-50); atomic and density measures are
-    sampled exactly up to floating point.
+    sampled exactly up to floating point.  Each map step draws n uniforms u
+    and picks map #{j : cdf_j <= u}, counted one map at a time: the draws
+    and the stream use of ``rng.choice(len(p), size=n, p=p)``, whose
+    binary search costs more than the count for the few maps of an IFS.
     """
     ensure_valid(spec)
     m = spec.dim
@@ -285,13 +416,15 @@ def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.nd
         else:
             ratios = np.array([float(mp.ratio) for mp in spec.maps])
             offsets = np.array([[float(mp.offset)] for mp in spec.maps])
-        probs = np.asarray(spec.weights) / math.fsum(spec.weights)
+        cdf = np.cumsum(np.asarray(spec.weights) / math.fsum(spec.weights))
+        cdf /= cdf[-1]
         r_max = float(ratios.max())
         steps = int(math.ceil(52.0 * math.log(2.0) / -math.log(r_max))) + 3
         x = 1.0 - rng.random((n, m))
         for _ in range(steps):
-            pick = rng.choice(len(probs), size=n, p=probs)
-            x = x * ratios[pick, None] + offsets[pick]
+            pick = _map_index(cdf, rng.random(n))
+            x *= ratios.take(pick)[:, None]
+            x += offsets.take(pick, axis=0)
         return x
     if isinstance(spec, Atomic):
         pts = np.array([[float(c) for c in p] for p in spec.points])
@@ -323,10 +456,13 @@ def error_Lq(u, approx: PiecewisePoly, spec: MeasureSpec, q: float,
 
     Atomic measures are summed exactly (standard error 0); all other specs
     are integrated by seeded Monte Carlo, returning the delta-method standard
-    error of the q-th root.
+    error of the q-th root.  Requires a finite q >= 1 and n_samples >= 2
+    (a standard error needs two draws).
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1 (q={q})")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 (n_samples={n_samples})")
     ensure_valid(spec)
     if isinstance(spec, Atomic):
         pts = np.array([[float(c) for c in p] for p in spec.points])

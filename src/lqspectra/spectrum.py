@@ -46,12 +46,16 @@ BISECT_TOL = 1e-12
 MAX_BISECT = 200
 
 
-def _beta_from_masses(log2_masses: np.ndarray, n: int, s: float) -> float:
-    x = s * log2_masses
+def _beta_from_masses(log2_masses: np.ndarray, n: int, s: float,
+                      out: np.ndarray | None = None) -> float:
+    """beta_n(s) from the log2 masses; ``out``, shaped like them, is scratch
+    space that a caller evaluating many s can pass to every call."""
+    x = np.multiply(log2_masses, s, out=out)
     shift = float(x.max())
+    np.subtract(x, shift, out=x)
     with np.errstate(under="ignore"):
-        total = float(np.exp2(x - shift).sum())
-    return (shift + math.log2(total)) / n
+        np.exp2(x, out=x)
+    return (shift + math.log2(float(x.sum()))) / n
 
 
 def beta_n(spec: MeasureSpec, n: int, s: float) -> float:
@@ -87,7 +91,8 @@ def spectrum_curve(spec: MeasureSpec, n: int, s_grid: Sequence[float]) -> Spectr
     if n < 1:
         raise ValueError("level must be >= 1")
     logm = np.log2(support_masses(spec, n))
-    vals = np.array([_beta_from_masses(logm, n, float(si)) for si in s])
+    buf = np.empty_like(logm)
+    vals = np.array([_beta_from_masses(logm, n, float(si), buf) for si in s])
     return SpectrumCurve(n, s, vals)
 
 
@@ -105,8 +110,10 @@ def s_nb(spec: MeasureSpec, n: int, b: float) -> float:
 
 
 def _root_from_masses(log2_masses: np.ndarray, n: int, b: float) -> float:
+    buf = np.empty_like(log2_masses)
+
     def g(s):
-        return _beta_from_masses(log2_masses, n, s) - b * s
+        return _beta_from_masses(log2_masses, n, s, buf) - b * s
 
     if g(0.0) <= 0.0:
         return 0.0
@@ -259,6 +266,8 @@ class OrderParams:
     m: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise ValueError(f"p and q must be finite (p={self.p}, q={self.q})")
         if not self.p > 1:
             raise ValueError(f"standing assumption violated: p > 1 fails (p={self.p})")
         if not self.q >= self.p:

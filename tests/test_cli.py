@@ -166,6 +166,21 @@ def test_project_csv(tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "inf"], "finite"),
+    (["--p", "inf", "--q", "inf"], "finite"),
+    (["--samples", "1"], "n_samples must be >= 2"),
+    (["--samples", "0"], "n_samples must be >= 2"),
+])
+def test_project_rejects_bad_parameters(tmp_path, capsys, flags, message):
+    # these used to exit 0 with rows of 0.0 or NaN, or end in a traceback
+    code = run_cli("project", "--measure", "binomial_07_03", "--n-list", "2,4",
+                   *flags, "--out", str(tmp_path))
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "projection_errors.csv").exists()
+
+
 def test_eigen_sandwich(tmp_path):
     assert run_cli("eigen", "--measure", "binomial_07_03", "--level", "6",
                    "--cuts", "0.5", "--x-count", "25", "--out", str(tmp_path)) == 0

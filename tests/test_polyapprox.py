@@ -1,11 +1,22 @@
-"""Moment-matching projections, empirical L^q errors, width upper bounds."""
+"""Moment-matching projections, empirical L^q errors, width upper bounds.
 
+``polyapprox_reference`` holds the per-cube projection, the cube scan and the
+``rng.choice`` sampler the block layer replaced; the block layer must give the
+same coefficients, values and draws to the bit."""
+
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lqspectra as lq
+import polyapprox_reference as ref
+from lqspectra import polyapprox
 
 
 def poly_u(coeffs):
@@ -190,6 +201,12 @@ def test_error_requires_q_at_least_one(leb1, dirac_half):
     appr = lq.piecewise_project(poly_u([0.0, 1.0]), [lq.unit_cube(1)], 1)
     with pytest.raises(ValueError):
         lq.error_Lq(poly_u([0.0, 1.0]), appr, dirac_half, 0.5)
+    for q in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            lq.error_Lq(poly_u([0.0, 1.0]), appr, leb1, q)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="n_samples"):
+            lq.error_Lq(poly_u([0.0, 1.0]), appr, leb1, 2.0, n_samples=n)
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +276,179 @@ def test_error_tracks_bound_with_one_constant(leb1, binom):
         ratios = np.asarray(ratios)
         assert ratios.max() <= 1.0
         assert ratios.max() / ratios.min() <= 3.0
+
+
+# ---------------------------------------------------------------------------
+# the block layer against the per-cube loops it replaced
+# ---------------------------------------------------------------------------
+
+DATA = Path(lq.__file__).parent / "data"
+SHIPPED = sorted(p.stem for p in DATA.glob("*.json"))
+# leb1, leb3, tetra, cantor and dirac_half equal shipped specs
+# (tests/test_engine.py checks this) and are covered by them
+FIXTURES = ["leb2", "binom", "atom_pair", "quarter_pair", "density2d", "mixture"]
+DIFF_POINTS = 20_000  # more than one block of points
+
+
+def _diff_spec(request, name):
+    return lq.load_spec(DATA / f"{name}.json") if name in SHIPPED else request.getfixturevalue(name)
+
+
+def _uniform_points(rng, n, m):
+    return 1.0 - rng.random((n, m))
+
+
+@pytest.mark.parametrize("block", [polyapprox._BLOCK, 97])
+@pytest.mark.parametrize("name", SHIPPED + FIXTURES)
+def test_blocks_match_per_cube_loops(request, monkeypatch, name, block):
+    # bit-equal coefficients, values and draws; block 97 puts block
+    # boundaries inside the node grids and the point sets of single cubes
+    monkeypatch.setattr(polyapprox, "_BLOCK", block)
+    spec = _diff_spec(request, name)
+    m = spec.dim
+    u = lambda pts: np.exp(pts.sum(axis=1)) + np.sin(7.0 * pts[:, 0])
+    part = lq.adaptive_partition(spec, 1.0, 10.0 ** -min(1.0 + m, 3.0))
+    rng = np.random.default_rng(SHIPPED.index(name) if name in SHIPPED else 50 + FIXTURES.index(name))
+    for seed in (0, 1):
+        got = lq.sample_measure(spec, DIFF_POINTS, np.random.default_rng(seed))
+        want = ref.sample_measure(spec, DIFF_POINTS, np.random.default_rng(seed))
+        assert np.array_equal(got, want), (name, seed)
+    # measure draws crowd into few cubes; uniform points reach every cube
+    pts = np.concatenate((got, _uniform_points(rng, DIFF_POINTS // 4, m)))
+    for ell in (1, 2, 3):
+        pp = lq.piecewise_project(u, part, ell)
+        coeffs = ref.piecewise_coeffs(u, part.cubes, ell)
+        assert np.array_equal(pp.coeffs, coeffs), (name, ell)
+        assert np.array_equal(pp.evaluate(pts), ref.scan_evaluate(ell, part.cubes, coeffs, pts)), \
+            (name, ell)
+    cube = part.cubes[len(part.cubes) // 2]
+    for ell in (1, 3):
+        coeffs = lq.project_poly(u, cube, ell)
+        assert np.array_equal(coeffs, ref.project_poly(u, cube, ell))
+        assert np.array_equal(lq.polynomial_values(cube, ell, coeffs, pts[:50]),
+                              ref.polynomial_values(cube, ell, coeffs, pts[:50]))
+
+
+def test_error_lq_draws_match_choice_sampler(binom, tetra, cantor, mixture):
+    # error_Lq consumes the rng stream exactly as the choice sampler did
+    u = lambda pts: np.exp(pts.sum(axis=1))
+    for spec in (binom, tetra, cantor, mixture):
+        part = lq.budget_partition(spec, 1.0, 40)
+        pp = lq.piecewise_project(u, part, 2)
+        pts = ref.sample_measure(spec, 5000, np.random.default_rng(11))
+        diff = np.abs(u(pts) - ref.scan_evaluate(2, part.cubes, pp.coeffs, pts)) ** 2.0
+        want = float(diff.mean()) ** 0.5
+        assert lq.error_Lq(u, pp, spec, 2.0, n_samples=5000, seed=11)[0] == want
+
+
+def test_deep_3d_keys_take_python_integers():
+    # pieces down to level 23 in 3-D: 69 key bits, past int64
+    point = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))
+    atom = lq.Atomic((point,), (1.0,))
+    part = lq.adaptive_partition(atom, 1.0, 2.0 ** -68)
+    assert part.max_level >= 22
+    depth, edges, _ = polyapprox._piece_runs(part.cubes)
+    assert 3 * depth > 62 and edges.dtype == object
+    u = lambda pts: np.cos(pts @ np.array([1.0, 2.0, 3.0]))
+    rng = np.random.default_rng(4)
+    # the atom, points beside it in its deepest cubes, and uniform points
+    deep = part.cubes[-1]
+    near = (np.array(deep.index) + rng.random((200, 3))) * 2.0 ** -deep.level
+    pts = np.concatenate(([[float(c) for c in point]], near, _uniform_points(rng, 500, 3)))
+    for ell in (1, 2):
+        pp = lq.piecewise_project(u, part, ell)
+        coeffs = ref.piecewise_coeffs(u, part.cubes, ell)
+        assert np.array_equal(pp.coeffs, coeffs)
+        assert np.array_equal(pp.evaluate(pts), ref.scan_evaluate(ell, part.cubes, coeffs, pts))
+
+
+@pytest.mark.parametrize("bits", [58, 70])
+def test_deep_cube_indices_locate_exactly(bits):
+    # pieces down to level 59 or 71 around the float nearest 1/3: past 2^53
+    # the cube indices leave the float grid, past 2^62 int64 too, and the
+    # float cube bounds the scan compares with are no longer exact, so exact
+    # membership is the reference
+    x = 1.0 / 3.0
+    atom = lq.Atomic(((Fraction(x),),), (1.0,))
+    part = lq.adaptive_partition(atom, 1.0, 2.0 ** -bits, max_depth=80)
+    assert part.max_level == bits + 1
+    pts = np.array([[x], [np.nextafter(x, 0.0)], [np.nextafter(x, 1.0)],
+                    [x + 2.0 ** -60], [x - 2.0 ** -60], [0.2], [1.0]])
+    rows = polyapprox._owners(pts, *polyapprox._piece_runs(part.cubes))
+    want = [next(i for i, c in enumerate(part.cubes) if c.contains_point((Fraction(p),)))
+            for p in pts[:, 0]]
+    assert rows.tolist() == want
+
+
+def test_piecewise_json_roundtrip_is_lossless(binom, tetra):
+    u = lambda pts: np.exp(pts.sum(axis=1)) / 3.0
+    for spec, ell in ((binom, 3), (tetra, 2)):
+        pp = lq.piecewise_project(u, lq.budget_partition(spec, 1.0, 60), ell)
+        back = lq.PiecewisePoly.from_json_dict(json.loads(json.dumps(pp.to_json_dict())))
+        assert back.order == pp.order and back.cubes == pp.cubes
+        assert back.coeffs.dtype == pp.coeffs.dtype and np.array_equal(back.coeffs, pp.coeffs)
+        pts = _uniform_points(np.random.default_rng(2), 300, spec.dim)
+        assert np.array_equal(back.evaluate(pts), pp.evaluate(pts))
+
+
+def test_evaluate_rejects_points_of_the_wrong_dimension(leb2):
+    pp = lq.piecewise_project(poly_u([1.0]), [lq.unit_cube(1)], 1)
+    with pytest.raises(ValueError, match="coordinates"):
+        pp.evaluate(np.full((3, 2), 0.5))
+    for ell in (1, 2):
+        pp = lq.piecewise_project(poly_u([1.0]), [lq.unit_cube(1)], ell)
+        assert pp.evaluate(np.zeros((0, 1))).shape == (0,)
+
+
+@st.composite
+def pieces(draw):
+    """1-8 cubes of one dimension, overlapping or not, in any order."""
+    m = draw(st.integers(1, 3))
+    top = {1: 40, 2: 32, 3: 22}[m]  # 64 and 66 key bits in 2-D and 3-D
+    cubes = []
+    for _ in range(draw(st.integers(1, 8))):
+        level = draw(st.sampled_from([0, 1, 2, 3, 5, top]))
+        cubes.append(lq.DyadicCube(level, tuple(
+            draw(st.integers(0, (1 << level) - 1)) for _ in range(m))))
+    return m, cubes
+
+
+@st.composite
+def probe_points(draw, m, cubes):
+    """Points in or on the faces of the pieces; unless ``inside``, also points
+    on lower faces, anywhere, and at 0, 1, > 1, < 0 and NaN."""
+    inside = draw(st.booleans())
+    special = st.sampled_from([0.0, 1.0, 1.5, 1.0 + 2.0 ** -52, -0.25, math.nan, 2.0 ** -1074])
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        cube = draw(st.sampled_from(cubes))
+        point = []
+        for l in cube.index:  # (l + f) 2^-L, f on a face (0 or 1) or a dyadic step inside
+            bits = draw(st.integers(0, 4))
+            f = draw(st.integers(int(inside), 1 << bits)) / (1 << bits)
+            point.append(math.ldexp(l + f, -cube.level))
+        kind = 2 if inside else draw(st.integers(0, 3))
+        if kind == 0:
+            point[draw(st.integers(0, m - 1))] = draw(special)
+        elif kind == 1:
+            point = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=m, max_size=m))
+        points.append(point)
+    return np.array(points)
+
+
+@given(st.data())
+def test_key_location_matches_scan(data):
+    m, cubes = data.draw(pieces())
+    ell = data.draw(st.integers(1, 2))
+    coeffs = np.array(data.draw(st.lists(
+        st.lists(st.floats(-4.0, 4.0), min_size=lq.kappa(m, ell), max_size=lq.kappa(m, ell)),
+        min_size=len(cubes), max_size=len(cubes))))
+    pts = data.draw(probe_points(m, cubes))
+    pp = lq.PiecewisePoly(ell, cubes, coeffs)
+    try:
+        want = ref.scan_evaluate(ell, cubes, coeffs, pts)
+    except ValueError:
+        with pytest.raises(ValueError, match="outside"):
+            pp.evaluate(pts)
+    else:
+        assert np.array_equal(pp.evaluate(pts), want)

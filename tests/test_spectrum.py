@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import lqspectra as lq
+from lqspectra import spectrum
 
 from conftest import FIG1_WEIGHTS
 
@@ -215,6 +216,9 @@ def test_order_params_standing_assumption():
         lq.OrderParams(1, 2, 1, 1)
     with pytest.raises(ValueError, match="q >= p"):
         lq.OrderParams(3, 2, 2, 1)
+    for p, q in ((2, math.inf), (math.inf, math.inf), (2, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            lq.OrderParams(p, q, 1, 1)
 
 
 def test_order_bound_never_beats_classical():
@@ -230,3 +234,37 @@ def test_order_bound_rejects_inconsistent_s_rho():
         lq.order_bound(lq.OrderParams(2, 2, 1, 1), 0.9)
     with pytest.raises(ValueError, match="s_rho"):
         lq.order_bound(lq.OrderParams(2, 2, 1, 1), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the bisection's scratch buffer
+# ---------------------------------------------------------------------------
+
+def _beta_from_masses_fresh(log2_masses, n, s, out=None):
+    """The formula before the scratch buffer: three fresh temporaries."""
+    x = s * log2_masses
+    shift = float(x.max())
+    with np.errstate(under="ignore"):
+        total = float(np.exp2(x - shift).sum())
+    return (shift + math.log2(total)) / n
+
+
+def test_scratch_buffer_keeps_beta_and_roots_bit_identical(monkeypatch, binom, tetra, cantor):
+    # one buffer reused across many s (and across underflowing terms) must
+    # give every value and root of the fresh-temporaries formula
+    cases = [(binom, 14), (tetra, 5), (cantor, 12), (lq.exp_decay_atoms(40), 10)]
+    s_grid = [0.0, 1e-3, 0.37, 0.5, 1.0, 1.9, 7.3, 64.0]
+    for spec, n in cases:
+        logm = np.log2(lq.support_masses(spec, n))
+        buf = np.empty_like(logm)
+        for s in s_grid:
+            want = _beta_from_masses_fresh(logm, n, s)
+            assert spectrum._beta_from_masses(logm, n, s) == want
+            assert spectrum._beta_from_masses(logm, n, s, buf) == want
+    got = [(lq.s_nb(spec, n, b), lq.spectrum_curve(spec, n, s_grid).values)
+           for spec, n in cases for b in (0.4, 1.0, 3.0)]
+    monkeypatch.setattr(spectrum, "_beta_from_masses", _beta_from_masses_fresh)
+    want = [(lq.s_nb(spec, n, b), lq.spectrum_curve(spec, n, s_grid).values)
+            for spec, n in cases for b in (0.4, 1.0, 3.0)]
+    for (root, curve), (root_want, curve_want) in zip(got, want):
+        assert root == root_want and np.array_equal(curve, curve_want)
