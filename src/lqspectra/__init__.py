@@ -69,10 +69,13 @@ from .partition import (
     refinement_profile,
 )
 from .polyapprox import (
+    ErrorSample,
     FunctionHandle,
     PiecewisePoly,
     WidthBounds,
     error_Lq,
+    error_from_sample,
+    error_sample,
     kappa,
     moment_residuals,
     multi_indices,

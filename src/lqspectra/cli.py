@@ -24,12 +24,13 @@ from . import measures
 from .kreinfeller import discretize, order_fit, solve_eigen, split_counting_check
 from .measures import InvalidMeasureError, MeasureSpec, load_spec
 from .partition import (
+    MaxDepthExceeded,
     adaptive_partition,
     budget_partition,
     entropy_estimate,
     gamma_adaptive_profile,
 )
-from .polyapprox import FunctionHandle, error_Lq, kappa, piecewise_project
+from .polyapprox import FunctionHandle, error_from_sample, error_sample, kappa, piecewise_project
 from .spectrum import (
     OrderParams,
     s_b_estimate,
@@ -202,12 +203,21 @@ def _cmd_project(args) -> None:
     u = FunctionHandle(_TEST_FUNCTIONS[args.function])
     a = params.rho / params.m
     kap = kappa(params.m, params.ell)
+    # one sample for every budget: error_Lq with this seed draws the same
+    # points for each of them
+    sample = error_sample(u, spec, args.q, n_samples=args.samples, seed=args.seed)
     rows = []
     for n in budgets:
-        part = budget_partition(spec, a, n, max_depth=args.max_depth)
+        try:
+            part = budget_partition(spec, a, n, max_depth=args.max_depth)
+        except MaxDepthExceeded as exc:
+            raise ParameterError(
+                f"budget {n} needs cubes deeper than --max-depth {args.max_depth} "
+                f"(a cube at depth {exc.cube.level} still has J_a = {exc.j_value!r}); "
+                "raise --max-depth or lower the budget"
+            ) from exc
         approx = piecewise_project(u, part, args.ell)
-        err, se = error_Lq(u, approx, spec, args.q, n_samples=args.samples,
-                           seed=args.seed)
+        err, se = error_from_sample(sample, approx)
         bound = part.max_j ** (1.0 / args.q)
         rows.append((kap * n, part.max_j, bound, err, se))
     _write_csv(Path(args.out) / "projection_errors.csv",

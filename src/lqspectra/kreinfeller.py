@@ -13,8 +13,15 @@ In the hat basis the problem is the symmetric generalized pencil
 W u = lambda K u with W = diag(w) and the tridiagonal stiffness matrix K
 built from inverse gap lengths (gaps against the Dirichlet endpoints
 included).   Dividing by sqrt(w) on both sides turns it into a symmetric
-*tridiagonal* standard problem C y = mu y with mu = 1/lambda, which LAPACK
-solves in O(N^2); N = 4096 atoms stay comfortably at desk scale.
+*tridiagonal* standard problem C y = mu y with mu = 1/lambda, whose N
+eigenvalues scipy's ``eigh_tridiagonal`` computes in O(N^2); N = 4096
+atoms stay comfortably at desk scale.  scipy is imported on the first
+solve, so importing this module loads numpy only.
+
+Counting needs no solve: by Sylvester's law of inertia the number of
+eigenvalues lambda >= x is the number of negative pivots in the LDL^T
+factorisation of the tridiagonal K - W/x, an O(N) recurrence per x
+(``split_counting_check``).
 
 Eigenvalues are reported in decreasing order; sqrt(lambda_(n+1)) equals the
 Kolmogorov n-width of the Dirichlet-space unit ball in L^2 of the atomic
@@ -28,7 +35,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .measures import Atomic, MeasureSpec, ensure_valid, support_with_masses
 from .spectrum import _check_levels, _fixed_point, s_b_estimate
@@ -148,6 +154,8 @@ class EigenSystem:
 
 
 def _solve_string(points, weights, lo, hi, want_vectors):
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = stiffness_tridiagonal(points, lo, hi)
     w = np.asarray(weights, dtype=float)
     sw = np.sqrt(w)
@@ -188,6 +196,8 @@ def solve_eigen(atoms: AtomicApprox, eigenvectors: bool = False) -> EigenSystem:
     vectors = None
     residuals = None
     if eigenvectors:
+        from scipy.linalg import solve_banded
+
         u = y / sw[:, None]
         residuals = _pencil_residuals(lam, u, diag, off, w)
         mu = 1.0 / lam
@@ -358,14 +368,55 @@ class SplitCountReport:
         return bool(np.all(g >= 0) and np.all(g <= len(self.cuts)))
 
 
+_ROW_BLOCK = 1024  # rows of K - W/x that _inertia_counts holds at once
+
+
+def _inertia_counts(diag: np.ndarray, off: np.ndarray, weights: np.ndarray,
+                    xs: np.ndarray) -> np.ndarray:
+    """#{lambda >= x} for each x, for the pencil W u = lambda K u with K the
+    tridiagonal matrix (``diag``, ``off``) and W = diag(``weights``).
+
+    Counts the negative pivots of the LDL^T recurrence of K - W/x: a Python
+    loop over the rows, each step vectorised over x.  A pivot smaller in
+    magnitude than pivmin = tiny * max(1, max off^2) is replaced by -pivmin,
+    LAPACK dstebz's rule: it keeps every division finite, and it counts an
+    eigenvalue equal to x as >= x, since an exactly singular K - W/x ends in
+    a zero pivot.
+    """
+    off2 = np.concatenate(([0.0], off * off))  # row j is coupled to row j-1 by off[j-1]
+    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max()))
+    count = np.zeros(len(xs), dtype=np.int64)
+    prev = np.ones(len(xs))
+    step = np.empty(len(xs))
+    for s in range(0, len(diag), _ROW_BLOCK):
+        rows = slice(s, s + _ROW_BLOCK)
+        piv = diag[rows, None] - weights[rows, None] / xs
+        for row, o2 in zip(piv, off2[rows]):
+            np.divide(o2, prev, out=step)
+            row -= step
+            row[np.abs(row) < pivmin] = -pivmin
+            prev = row
+        count += np.count_nonzero(piv < 0, axis=0)
+    return count
+
+
 def split_counting_check(spec: MeasureSpec, level: int | None,
                          cuts: Sequence[float], x_grid: Sequence[float]
                          ) -> SplitCountReport:
-    """Solve the eigenproblem on the full interval and on every piece between
-    consecutive cut points (Dirichlet conditions at the cuts, using only the
-    atoms strictly inside), then compare counting functions on the grid.
+    """Count the eigenvalues >= x on the full interval and on every piece
+    between consecutive cut points (Dirichlet conditions at the cuts, using
+    only the atoms strictly inside), and compare the counts on the grid.
 
-    The cuts must carry no mass: an atom exactly at a cut is rejected.
+    No eigenvalue is computed: N(x) = #{lambda >= x} is the number of
+    negative pivots of the LDL^T recurrence of K - W/x (Sylvester's law of
+    inertia), O(N |x_grid|) for N atoms, a Python loop over the rows with
+    all x at once.  A pivot of magnitude below pivmin = tiny * max(1, max
+    off-diagonal^2) becomes -pivmin (LAPACK dstebz's rule), so no division
+    overflows and an eigenvalue exactly at x counts as >= x.  The pieces
+    form one block-diagonal string whose couplings across the cuts are
+    zero, so the recurrence restarts at each cut and counts all pieces in
+    one pass.  The cuts must carry no mass: an atom exactly at a cut is
+    rejected.
     """
     atoms = discretize(spec, level if level is not None else 0)
     cuts = tuple(sorted(float(c) for c in cuts))
@@ -380,23 +431,16 @@ def split_counting_check(spec: MeasureSpec, level: int | None,
     if len(xs) == 0 or np.any(xs <= 0):
         raise ValueError("x_grid must contain positive values")
 
-    full = solve_eigen(atoms).eigenvalues
+    pts, w = atoms.points, atoms.weights
+    n_full = _inertia_counts(*stiffness_tridiagonal(pts), w, xs)
     boundaries = (0.0,) + cuts + (1.0,)
-    piece_eigs = []
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        inside = (atoms.points > lo) & (atoms.points < hi)
-        if not np.any(inside):
-            piece_eigs.append(np.zeros(0))
-            continue
-        lam, _, _ = _solve_string(atoms.points[inside], atoms.weights[inside],
-                                  lo, hi, want_vectors=False)
-        piece_eigs.append(lam)
-
-    def count(arr, x):
-        asc = arr[::-1]
-        return int(len(asc) - np.searchsorted(asc, x, side="left"))
-
-    n_full = np.array([count(full, x) for x in xs])
-    n_sum = np.array([sum(count(p, x) for p in piece_eigs) for x in xs])
+    diags, offs = [], []
+    for piece, lo, hi in zip(np.split(pts, np.searchsorted(pts, cuts)),
+                             boundaries, boundaries[1:]):
+        if len(piece):
+            d, e = stiffness_tridiagonal(piece, lo, hi)
+            diags.append(d)
+            offs.append(np.append(e, 0.0))
+    n_sum = _inertia_counts(np.concatenate(diags), np.concatenate(offs)[:-1], w, xs)
     return SplitCountReport(level=level, cuts=cuts, x_grid=xs,
                             n_full=n_full, n_split_sum=n_sum)

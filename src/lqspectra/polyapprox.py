@@ -70,6 +70,9 @@ __all__ = [
     "PiecewisePoly",
     "piecewise_project",
     "error_Lq",
+    "ErrorSample",
+    "error_sample",
+    "error_from_sample",
     "sample_measure",
     "WidthBounds",
     "width_upper_sequence",
@@ -450,6 +453,63 @@ def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.nd
     raise ValueError(f"no sampler for measure spec {type(spec).__name__}")
 
 
+@dataclass(frozen=True)
+class ErrorSample:
+    """The points an L^q_nu error is summed over, with the oracle's values
+    on them.
+
+    ``weights`` holds the atom masses of an atomic measure, whose error is
+    an exact sum; it is None for a seeded Monte Carlo draw, whose error is a
+    sample mean with a standard error.
+    """
+
+    q: float
+    points: np.ndarray
+    values: np.ndarray
+    weights: np.ndarray | None
+
+
+def error_sample(u, spec: MeasureSpec, q: float, n_samples: int = 100_000,
+                 seed: int = 0) -> ErrorSample:
+    """The atoms of an atomic ``spec``, or ``n_samples`` points drawn from it
+    by ``default_rng(seed)``, with u evaluated on them: the sample
+    ``error_Lq`` integrates over.  One sample serves any number of
+    approximations of the same u (``error_from_sample``).
+
+    Requires a finite q >= 1 and n_samples >= 2 (a standard error needs two
+    draws).
+    """
+    if not 1 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1 (q={q})")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 (n_samples={n_samples})")
+    ensure_valid(spec)
+    if isinstance(spec, Atomic):
+        pts = np.array([[float(c) for c in p] for p in spec.points])
+        weights = np.asarray(spec.weights)
+    else:
+        pts = sample_measure(spec, n_samples, np.random.default_rng(seed))
+        weights = None
+    return ErrorSample(q=q, points=pts, values=_eval_u(u, pts), weights=weights)
+
+
+def error_from_sample(sample: ErrorSample, approx: PiecewisePoly) -> tuple[float, float]:
+    """|| u - approx ||_{L^q_nu} and its standard error on ``sample``: the
+    exact atom sum (standard error 0), or the Monte Carlo mean with the
+    delta-method standard error of its q-th root."""
+    q = sample.q
+    diff = np.abs(sample.values - approx.evaluate(sample.points))
+    if sample.weights is not None:
+        return float(np.sum(sample.weights * diff ** q) ** (1.0 / q)), 0.0
+    powers = diff ** q
+    mean = float(powers.mean())
+    if mean == 0.0:
+        return 0.0, 0.0
+    se_mean = float(powers.std(ddof=1)) / math.sqrt(len(powers))
+    value = mean ** (1.0 / q)
+    return value, se_mean * value / (q * mean)
+
+
 def error_Lq(u, approx: PiecewisePoly, spec: MeasureSpec, q: float,
              n_samples: int = 100_000, seed: int = 0) -> tuple[float, float]:
     """|| u - approx ||_{L^q_nu} with an error bar.
@@ -459,26 +519,7 @@ def error_Lq(u, approx: PiecewisePoly, spec: MeasureSpec, q: float,
     error of the q-th root.  Requires a finite q >= 1 and n_samples >= 2
     (a standard error needs two draws).
     """
-    if not 1 <= q < math.inf:
-        raise ValueError(f"q must be finite and >= 1 (q={q})")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2 (n_samples={n_samples})")
-    ensure_valid(spec)
-    if isinstance(spec, Atomic):
-        pts = np.array([[float(c) for c in p] for p in spec.points])
-        w = np.asarray(spec.weights)
-        diff = np.abs(_eval_u(u, pts) - approx.evaluate(pts))
-        return float(np.sum(w * diff ** q) ** (1.0 / q)), 0.0
-    rng = np.random.default_rng(seed)
-    pts = sample_measure(spec, n_samples, rng)
-    diff = np.abs(_eval_u(u, pts) - approx.evaluate(pts))
-    powers = diff ** q
-    mean = float(powers.mean())
-    if mean == 0.0:
-        return 0.0, 0.0
-    se_mean = float(powers.std(ddof=1)) / math.sqrt(n_samples)
-    value = mean ** (1.0 / q)
-    return value, se_mean * value / (q * mean)
+    return error_from_sample(error_sample(u, spec, q, n_samples, seed), approx)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,55 @@ def test_project_rejects_bad_parameters(tmp_path, capsys, flags, message):
     assert not (tmp_path / "projection_errors.csv").exists()
 
 
+def test_project_beyond_the_depth_limit_exits_1(tmp_path, capsys):
+    # a budget of 64 on a point mass needs a partition 63 levels deep
+    code = run_cli("project", "--measure", "dirac_half", "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "budget 64" in err and "--max-depth 60" in err
+    assert not (tmp_path / "projection_errors.csv").exists()
+
+
+def _rows_per_budget(spec, ell, q, max_depth, samples, seed):
+    """The projection table from one ``error_Lq`` call, one draw, per budget."""
+    params = lq.OrderParams(p=2.0, q=q, ell=ell, m=spec.dim)
+    u = lq.FunctionHandle(cli._TEST_FUNCTIONS["expsum"])
+    rows = []
+    for n in [2, 4, 8, 16, 32, 64]:
+        part = lq.budget_partition(spec, params.rho / params.m, n, max_depth=max_depth)
+        approx = lq.piecewise_project(u, part, ell)
+        err, se = lq.error_Lq(u, approx, spec, q, n_samples=samples, seed=seed)
+        rows.append((lq.kappa(spec.dim, ell) * n, part.max_j, part.max_j ** (1.0 / q), err, se))
+    return rows
+
+
+@pytest.mark.parametrize("name, ell, q, max_depth", [
+    ("binomial_07_03", 1, 2.0, 60),
+    ("binomial_07_03", 2, 2.0, 60),
+    ("fig1_tetraeder", 2, 2.0, 60),
+    ("cantor_third", 2, 2.0, 60),  # GeneralIFS1D
+    ("density2d", 2, 2.0, 60),
+    ("mixture", 1, 3.0, 60),  # Lebesgue + binomial
+    ("dirac_half", 1, 2.0, 70),  # exact atom sum
+])
+def test_project_single_draw_matches_one_draw_per_budget(request, tmp_path, name, ell, q,
+                                                         max_depth):
+    if name in ("density2d", "mixture"):
+        spec = request.getfixturevalue(name)
+        measure = str(tmp_path / f"{name}.json")
+        lq.save_spec(spec, measure)
+    else:
+        spec, measure = cli._resolve_measure(name), name
+    assert run_cli("project", "--measure", measure, "--ell", str(ell), "--q", repr(q),
+                   "--max-depth", str(max_depth), "--samples", "5000", "--seed", "7",
+                   "--out", str(tmp_path / "cli")) == 0
+    cli._write_csv(tmp_path / "ref" / "projection_errors.csv",
+                   ["n", "max_J_a", "bound", "measured_error", "stderr"],
+                   _rows_per_budget(spec, ell, q, max_depth, 5000, 7))
+    assert (tmp_path / "cli" / "projection_errors.csv").read_bytes() == \
+        (tmp_path / "ref" / "projection_errors.csv").read_bytes()
+
+
 def test_eigen_sandwich(tmp_path):
     assert run_cli("eigen", "--measure", "binomial_07_03", "--level", "6",
                    "--cuts", "0.5", "--x-count", "25", "--out", str(tmp_path)) == 0

@@ -1,11 +1,18 @@
 """Stieltjes-string eigenproblems: exact small cases, classical limits, counting."""
 
 import math
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import kreinfeller_reference
 import lqspectra as lq
+from lqspectra import kreinfeller
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +227,118 @@ def test_split_empty_piece_is_fine(quarter_pair):
     report = lq.split_counting_check(quarter_pair, None, [0.4, 0.6],
                                      [0.001, 0.05, 0.2])
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# inertia counts against the eigen-solve reference
+# ---------------------------------------------------------------------------
+
+DATA = Path(lq.__file__).parent / "data"
+SHIPPED_1D = sorted(p.stem for p in DATA.glob("*.json") if lq.load_spec(p).dim == 1)
+# leb1, cantor and dirac_half equal shipped specs (tests/test_engine.py checks this)
+FIXTURES_1D = ["binom", "atom_pair", "quarter_pair", "mixture"]
+REL_GAP = 1e-9  # no grid point comes closer than this to an eigenvalue
+
+
+def _all_eigenvalues(atoms, cuts):
+    """The full string's eigenvalues and those of every piece between cuts."""
+    bounds = (0.0, *cuts, 1.0)
+    out = [lq.solve_eigen(atoms).eigenvalues]
+    for lo, hi in zip(bounds, bounds[1:]):
+        inside = (atoms.points > lo) & (atoms.points < hi)
+        if inside.any():
+            out.append(kreinfeller._solve_string(atoms.points[inside], atoms.weights[inside],
+                                                 lo, hi, want_vectors=False)[0])
+    return np.unique(np.concatenate(out))
+
+
+def _grid_off_eigenvalues(lam):
+    """Geometric means of neighbouring eigenvalues, one x below and one above
+    them all, without the x within REL_GAP of an eigenvalue."""
+    xs = np.concatenate(([lam[0] / 2], np.sqrt(lam[:-1] * lam[1:]), [lam[-1] * 2]))
+    i = np.searchsorted(lam, xs)
+    below = lam[np.maximum(i - 1, 0)]
+    above = lam[np.minimum(i, len(lam) - 1)]
+    rel = np.minimum(np.abs(xs / below - 1), np.abs(xs / above - 1))
+    return xs[rel >= REL_GAP]
+
+
+def _assert_counts_match_reference(spec, level, cuts):
+    atoms = lq.discretize(spec, level if level is not None else 0)
+    xs = _grid_off_eigenvalues(_all_eigenvalues(atoms, sorted(cuts)))
+    got = lq.split_counting_check(spec, level, cuts, xs)
+    want = kreinfeller_reference.split_counting_check(spec, level, cuts, xs)
+    np.testing.assert_array_equal(got.n_full, want.n_full)
+    np.testing.assert_array_equal(got.n_split_sum, want.n_split_sum)
+    assert got.passed == want.passed
+
+
+@pytest.mark.parametrize("cuts", [(0.55,), (0.3, 0.55, 0.8)])
+@pytest.mark.parametrize("name", SHIPPED_1D + FIXTURES_1D)
+def test_inertia_counts_match_eigen_solve(request, name, cuts):
+    if name in SHIPPED_1D:
+        spec = lq.load_spec(DATA / f"{name}.json")
+    else:
+        spec = request.getfixturevalue(name)
+    _assert_counts_match_reference(spec, None if isinstance(spec, lq.Atomic) else 10, cuts)
+
+
+@pytest.mark.parametrize("block", [kreinfeller._ROW_BLOCK, 97])
+def test_inertia_counts_carry_across_row_blocks(monkeypatch, binom, block):
+    monkeypatch.setattr(kreinfeller, "_ROW_BLOCK", block)
+    _assert_counts_match_reference(binom, 9, (0.3, 0.55, 0.8))
+
+
+@st.composite
+def strings(draw):
+    """Atomic 1-D strings with 1-3 cuts strictly between atoms: equal-weight
+    lattices, whose congruent pieces tie exactly, or scattered atoms with
+    log-normal weights spread over several decades."""
+    n = draw(st.integers(1, 48))
+    if draw(st.booleans()):
+        den = n + 1
+        points = [Fraction(k, den) for k in range(1, n + 1)]
+        weights = [1.0 / n] * n
+        cut_pool = st.integers(0, n).map(lambda k: Fraction(2 * k + 1, 2 * den))
+    else:
+        ks = draw(st.lists(st.integers(1, (1 << 20) - 1), min_size=n, max_size=n, unique=True))
+        points = [Fraction(k, 1 << 20) for k in sorted(ks)]
+        sigma = draw(st.floats(0.5, 3.0))
+        z = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+        raw = np.exp(sigma * z)
+        weights = (raw / raw.sum()).tolist()
+        cut_pool = st.integers(0, (1 << 20) - 1).map(lambda k: Fraction(2 * k + 1, 1 << 21))
+    cuts = draw(st.lists(cut_pool, min_size=1, max_size=3, unique=True))
+    spec = lq.Atomic(tuple((p,) for p in points), tuple(weights))
+    return spec, [float(c) for c in cuts]
+
+
+@given(strings())
+def test_inertia_counts_match_eigen_solve_on_generated_strings(case):
+    spec, cuts = case
+    _assert_counts_match_reference(spec, None, cuts)
+
+
+def test_zero_pivot_is_counted_without_warnings():
+    # atoms 1/4 and 3/4: K = [[6, -2], [-2, 6]], W = diag(3/4, 1/4).  At
+    # x = 1/8 the first pivot 6 - (3/4)/(1/8) is exactly 0; K - 8W has one
+    # negative eigenvalue, so one lambda (0.1479) lies above x
+    spec = lq.Atomic(((Fraction(1, 4),), (Fraction(3, 4),)), (0.75, 0.25))
+    diag, off = lq.stiffness_tridiagonal(np.array([0.25, 0.75]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(kreinfeller._inertia_counts(diag, off, np.array([0.75, 0.25]),
+                                                np.array([0.125]))) == [1]
+        report = lq.split_counting_check(spec, None, [0.5], [0.125])
+    lam = lq.solve_eigen(lq.discretize(spec, 0)).eigenvalues
+    assert lam[0] > 0.125 > lam[1]
+    assert (report.n_full[0], report.n_split_sum[0]) == (1, 0)
+
+
+def test_singular_pencil_counts_the_eigenvalue_at_x(dirac_half):
+    # one atom at 1/2: K = 4, W = 1, lambda = 1/4; at x = 1/4 the only pivot
+    # is exactly 0 and N(x) = #{lambda >= x} = 1, as the eigen solve counts
+    report = lq.split_counting_check(dirac_half, None, [0.25], [0.25])
+    want = kreinfeller_reference.split_counting_check(dirac_half, None, [0.25], [0.25])
+    assert (report.n_full[0], report.n_split_sum[0]) == (1, 0)
+    assert (want.n_full[0], want.n_split_sum[0]) == (1, 0)
