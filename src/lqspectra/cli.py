@@ -161,8 +161,7 @@ def _cmd_partition(args) -> None:
         rows.append((t, part.cardinality, part.max_j, part.max_level))
     _write_csv(Path(args.out) / "partition_stats.csv",
                ["t", "cardinality", "max_J_a", "depth_max"], rows)
-    if args.dump:
-        part = adaptive_partition(spec, args.a, thresholds[-1], max_depth=args.max_depth)
+    if args.dump:  # the partition of the last threshold
         out = Path(args.out) / "partition.json"
         out.write_text(json.dumps(part.to_records(), indent=1) + "\n", encoding="utf-8")
 
@@ -234,7 +233,7 @@ def _cmd_eigen(args) -> None:
         cuts = _parse_floats(args.cuts)
         lam = eigs.eigenvalues
         xs = np.geomspace(lam[-1] * 0.9, lam[0] * 1.1, args.x_count)
-        report = split_counting_check(spec, args.level, cuts, xs)
+        report = split_counting_check(atoms, args.level, cuts, xs)
         _write_csv(Path(args.out) / "sandwich.csv",
                    ["x", "N_full", "N_split_sum", "gap"],
                    zip(report.x_grid, report.n_full, report.n_split_sum, report.gaps))

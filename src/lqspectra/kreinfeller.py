@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import Atomic, MeasureSpec, ensure_valid, support_with_masses
+from .measures import Atomic, MeasureSpec, ensure_valid, _support
 from .spectrum import _check_levels, _fixed_point, s_b_estimate
 
 __all__ = [
@@ -113,8 +113,9 @@ def _discretize(spec: MeasureSpec, n: int) -> tuple[AtomicApprox, np.ndarray | N
                             provenance="atomic passthrough"), None
     if n < 0:
         raise ValueError("level must be >= 0")
-    cubes, masses = support_with_masses(spec, n)
-    pts = np.array([(2 * c.index[0] + 1) * math.ldexp(1.0, -(n + 1)) for c in cubes])
+    keys, masses = _support(spec, n)
+    # a 1D key is the cube's index l; the midpoint is (2l + 1) 2^-(n+1)
+    pts = np.asarray((2 * keys + 1) * math.ldexp(1.0, -(n + 1)), dtype=float)
     total = math.fsum(masses)
     return AtomicApprox(pts, masses / total,
                         provenance=f"level-{n} midpoint discretization"), masses
@@ -400,12 +401,14 @@ def _inertia_counts(diag: np.ndarray, off: np.ndarray, weights: np.ndarray,
     return count
 
 
-def split_counting_check(spec: MeasureSpec, level: int | None,
+def split_counting_check(spec: MeasureSpec | AtomicApprox, level: int | None,
                          cuts: Sequence[float], x_grid: Sequence[float]
                          ) -> SplitCountReport:
     """Count the eigenvalues >= x on the full interval and on every piece
     between consecutive cut points (Dirichlet conditions at the cuts, using
     only the atoms strictly inside), and compare the counts on the grid.
+    ``spec`` is discretized at ``level``; an :class:`AtomicApprox` (such as
+    ``discretize(spec, level)``, already at hand) is used as it is.
 
     No eigenvalue is computed: N(x) = #{lambda >= x} is the number of
     negative pivots of the LDL^T recurrence of K - W/x (Sylvester's law of
@@ -418,7 +421,7 @@ def split_counting_check(spec: MeasureSpec, level: int | None,
     one pass.  The cuts must carry no mass: an atom exactly at a cut is
     rejected.
     """
-    atoms = discretize(spec, level if level is not None else 0)
+    atoms = spec if isinstance(spec, AtomicApprox) else discretize(spec, level or 0)
     cuts = tuple(sorted(float(c) for c in cuts))
     if not cuts:
         raise ValueError("at least one cut point is required")

@@ -552,10 +552,12 @@ def _child_rows(parents: np.ndarray, kids: np.ndarray, m: int) -> tuple[np.ndarr
     return order[np.searchsorted(parents[order], kids >> m)], (kids & ((1 << m) - 1)).astype(np.intp)
 
 
-def _empty_children(parents: np.ndarray, kids: np.ndarray, level: int, m: int) -> np.ndarray:
-    """Keys of the children of ``parents`` that are not among ``kids``."""
+def _empty_children(parents: np.ndarray, kids: np.ndarray, rows: np.ndarray, level: int,
+                    m: int) -> np.ndarray:
+    """Keys of the children of ``parents`` that are not among ``kids``, whose
+    parents are the rows ``rows`` of ``parents``."""
     empty = np.ones((len(parents), 1 << m), dtype=bool)
-    empty[_child_rows(parents, kids, m)] = False
+    empty[rows, (kids & ((1 << m) - 1)).astype(np.intp)] = False
     return _all_children(parents, level, m)[empty.ravel()]
 
 
@@ -600,6 +602,37 @@ def _morton(coords: np.ndarray, level: int, m: int) -> np.ndarray:
 
 def _cubes(level: int, keys: np.ndarray, m: int) -> list[DyadicCube]:
     return [DyadicCube(level, idx) for idx in zip(*(c.tolist() for c in _coords(keys, level, m)))]
+
+
+def _by_level(levels: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(level, rows) for each level present in ``levels``, ascending."""
+    return [(level, np.flatnonzero(levels == level)) for level in np.unique(levels).tolist()]
+
+
+def _level_keys(keys: np.ndarray, level: int, m: int) -> np.ndarray:
+    """Keys of one level as int64 where they fit (62 bits), else Python integers."""
+    return keys.astype(object if m * level > _KEY_BITS else np.int64)
+
+
+def _cube_keys(cubes: Sequence[DyadicCube], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, Morton keys) of ``cubes``; the keys are int64 unless some
+    cube needs more than 62 bits."""
+    levels = np.array([c.level for c in cubes], dtype=np.intp)
+    keys = np.zeros(len(cubes), dtype=object)
+    for level, rows in _by_level(levels):
+        keys[rows] = _morton(np.array([cubes[i].index for i in rows.tolist()], dtype=object).T,
+                             level, m)
+    return levels, _level_keys(keys, int(levels.max()) if len(levels) else 0, m)
+
+
+def _cube_indices(levels: np.ndarray, keys: np.ndarray, m: int) -> list[tuple[int, ...]]:
+    """The index tuple of each cube given by level and Morton key."""
+    out = [None] * len(levels)
+    for level, rows in _by_level(levels):
+        coords = _coords(_level_keys(keys[rows], level, m), level, m)
+        for row, idx in zip(rows.tolist(), zip(*(c.tolist() for c in coords))):
+            out[row] = idx
+    return out
 
 
 def _exact_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -920,52 +953,59 @@ def cube_mass(spec: MeasureSpec, cube: DyadicCube) -> float:
 
 
 def _cube_masses(spec: MeasureSpec, cubes: Sequence[DyadicCube]) -> np.ndarray:
-    """nu of each of ``cubes`` (of any levels) from one level-synchronous
-    walk that follows the cubes' ancestors only; 0.0 where no branch reaches
-    a cube.  A frontier row's mass does not depend on the other rows, so
-    each mass is the one a walk to that cube alone gives."""
+    """nu of each of ``cubes`` (of any levels); see :func:`_key_masses`."""
     ensure_valid(spec)
     m = spec.dim
     for cube in cubes:
         if cube.dim != m:
             raise ValueError(f"cube dimension {cube.dim} != measure dimension {m}")
-    out = np.zeros(len(cubes))
-    if not cubes:
+    return _key_masses(spec, *_cube_keys(cubes, m))
+
+
+def _key_masses(spec: MeasureSpec, levels: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """nu of the cubes with the given levels and Morton keys, from one
+    level-synchronous walk that follows the cubes' ancestors only; 0.0 where
+    no branch reaches a cube.  A frontier row's mass does not depend on the
+    other rows, so each mass is the one a walk to that cube alone gives."""
+    m = spec.dim
+    out = np.zeros(len(levels))
+    if not len(levels):
         return out
-    rows, keys = {}, {}
-    for i, cube in enumerate(cubes):
-        rows.setdefault(cube.level, []).append(i)
-    for level, at in rows.items():
-        coords = np.array([cubes[i].index for i in at], dtype=object).T
-        keys[level] = _morton(coords, level, m)
+    rows = dict(_by_level(levels))
+    at = {level: _level_keys(keys[r], level, m) for level, r in rows.items()}
     depth = max(rows)
     # the keys of each level whose subtree holds a queried cube, deepest first
     wanted, up = [], np.zeros(0, dtype=np.int64)
     for level in range(depth, -1, -1):
-        here = np.unique(np.concatenate((up, keys.get(level, up[:0]))))
-        if m * level <= _KEY_BITS:
-            here = here.astype(np.int64)
-        wanted.append(here)
+        here = np.unique(np.concatenate((up, at.get(level, up[:0]))))
+        wanted.append(_level_keys(here, level, m))
         up = here >> m
     eng = _engine(spec)
     fr = eng.root()
     for level, here in enumerate(reversed(wanted)):
         fr = eng.take([fr], [_in_sorted(fr.keys, here)])
         if level in rows:
-            hit = _in_sorted(keys[level], fr.keys)
-            out[np.asarray(rows[level])[hit]] = fr.masses[np.searchsorted(fr.keys, keys[level][hit])]
+            hit = _in_sorted(at[level], fr.keys)
+            out[rows[level][hit]] = fr.masses[np.searchsorted(fr.keys, at[level][hit])]
         if level < depth:
             fr = eng.expand(fr)
     return out
+
+
+def _support(spec: MeasureSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Morton keys and masses of the level-n cubes of positive mass, in
+    depth-first order."""
+    fr = _level_frontier(spec, n)
+    keep = fr.masses > 0.0
+    return fr.keys[keep], fr.masses[keep]
 
 
 def support_with_masses(spec: MeasureSpec, n: int) -> tuple[list[DyadicCube], np.ndarray]:
     """All level-n cubes of positive mass (depth-first selector order) with
     their masses.  The descent prunes zero-mass subtrees, so thin supports
     never cost 2^(nm) work."""
-    fr = _level_frontier(spec, n)
-    keep = fr.masses > 0.0
-    return _cubes(n, fr.keys[keep], spec.dim), fr.masses[keep]
+    keys, masses = _support(spec, n)
+    return _cubes(n, keys, spec.dim), masses
 
 
 def support_cubes(spec: MeasureSpec, n: int) -> list[DyadicCube]:

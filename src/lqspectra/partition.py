@@ -8,6 +8,20 @@ Zero-mass cubes have J_a = 0 and are emitted immediately, so partitions
 always cover the whole unit cube while positive-mass enumeration stays
 pruned.
 
+A child never outweighs its parent (J_a(child) <= J_a(parent)), so the bad
+cubes form an ancestor-closed set and
+
+    card(t) = 1 + (2^m - 1) * #{Q : J_a(Q) >= t}.
+
+The whole adaptive family therefore follows from one sorted array of J_a
+values, collected by one level-synchronous engine walk: the entropy fit
+and :func:`counting_N` count in it, :func:`refinement_profile` reads every
+state off it, and :func:`budget_partition` and
+:func:`gamma_adaptive_profile` read the profile.  Only
+:func:`adaptive_partition` needs the cubes themselves, and it keeps them as
+(level, Morton key) arrays: a :class:`Partition` builds its DyadicCube
+objects when ``cubes`` is first read, which costs several times the walk.
+
 Two independent routes to the same optimisation are provided:
 
 * :func:`refinement_profile` runs the adaptive family greedily (always
@@ -29,10 +43,10 @@ a geometric t-grid; no extrapolation beyond the sampled range is attempted.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,12 +54,16 @@ from .measures import (
     DyadicCube,
     MeasureSpec,
     ensure_valid,
+    _by_level,
     _child_rows,
-    _cube_masses,
+    _cube_indices,
+    _cube_keys,
     _cubes,
     _depth_first,
     _empty_children,
     _engine,
+    _key_masses,
+    _shifted,
 )
 
 __all__ = [
@@ -65,6 +83,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 60
+_TINY = math.ulp(0.0)  # the least positive float: J_a >= _TINY means J_a > 0
 
 
 class MaxDepthExceeded(RuntimeError):
@@ -82,15 +101,54 @@ class MaxDepthExceeded(RuntimeError):
 
 def j_weight(spec: MeasureSpec, cube: DyadicCube, a: float) -> float:
     """J_a(cube) = vol(cube)^a * nu(cube)."""
-    return float(_j_weights(spec, [cube], a)[0])
+    ensure_valid(spec)
+    if cube.dim != spec.dim:
+        raise ValueError(f"cube dimension {cube.dim} != measure dimension {spec.dim}")
+    return float(_key_j(spec, *_cube_keys([cube], spec.dim), a)[0])
 
 
-def _j_weights(spec: MeasureSpec, cubes: Sequence[DyadicCube], a: float) -> np.ndarray:
-    """J_a of each of ``cubes``, from one engine walk for all of them."""
+def _key_j(spec: MeasureSpec, levels: np.ndarray, keys: np.ndarray, a: float) -> np.ndarray:
+    """J_a of the cubes with the given levels and Morton keys, from one
+    engine walk for all of them."""
     if a <= 0:
         raise ValueError("a must be > 0")
-    vols = np.array([2.0 ** (-cube.level * cube.dim * a) for cube in cubes])
-    return vols * _cube_masses(spec, cubes)
+    m = spec.dim
+    vols = np.empty(len(levels))
+    for level, rows in _by_level(levels):
+        vols[rows] = 2.0 ** (-level * m * a)
+    return vols * _key_masses(spec, levels, keys)
+
+
+class _CubeKeys(NamedTuple):
+    """Cubes given as arrays: per-cube level and Morton key, and the dimension."""
+
+    levels: np.ndarray
+    keys: np.ndarray
+    dim: int
+
+
+class _CubeField:
+    """The ``cubes`` field of :class:`Partition`.
+
+    The walks hand a partition its cubes as :class:`_CubeKeys`; the
+    DyadicCube objects are built on the first read of ``cubes`` and kept (a
+    list to read, not to change).  A list of cubes is kept as given, and
+    the arrays are derived from it whenever they are read."""
+
+    def __get__(self, part, owner=None):
+        if part is None:
+            raise AttributeError("cubes")  # no class default: the field is required
+        if part._cubes is None:
+            levels, keys, dim = part._arrays
+            part._cubes = [DyadicCube(level, idx) for level, idx
+                           in zip(levels.tolist(), _cube_indices(levels, keys, dim))]
+        return part._cubes
+
+    def __set__(self, part, cubes):
+        if isinstance(cubes, _CubeKeys):
+            part._cubes, part._arrays = None, cubes
+        else:
+            part._cubes, part._arrays = list(cubes), None
 
 
 @dataclass(eq=False)
@@ -100,6 +158,11 @@ class Partition:
     Attributes
     ----------
     cubes : list[DyadicCube]
+        Built on first read: a partition from the adaptive walks holds its
+        cubes as (level, Morton key) arrays, which is all that
+        ``cardinality``, ``max_level``, ``level_histogram``, ``to_records``
+        and :func:`partition_violations` read.  Building the objects costs
+        about 1 ms per 1,000 cubes, several times the walk itself.
     masses, j_values : np.ndarray
         Per-cube nu-mass and J_a weight, aligned with ``cubes``.
     a : float
@@ -108,35 +171,41 @@ class Partition:
         The t the adaptive algorithm was run with, if any.
     """
 
-    cubes: list[DyadicCube]
+    cubes: list[DyadicCube] = _CubeField()
     masses: np.ndarray
     j_values: np.ndarray
     a: float
     threshold: float | None = None
 
+    def _key_arrays(self) -> _CubeKeys:
+        if self._arrays is not None:
+            return self._arrays
+        dim = self._cubes[0].dim if self._cubes else 0
+        return _CubeKeys(*_cube_keys(self._cubes, dim), dim)
+
     @property
     def cardinality(self) -> int:
-        return len(self.cubes)
+        return len(self._key_arrays().levels)
 
     @property
     def max_j(self) -> float:
-        return float(self.j_values.max()) if len(self.cubes) else 0.0
+        return float(self.j_values.max()) if self.cardinality else 0.0
 
     @property
     def max_level(self) -> int:
-        return max(c.level for c in self.cubes)
+        return int(self._key_arrays().levels.max())
 
     def level_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for c in self.cubes:
-            hist[c.level] = hist.get(c.level, 0) + 1
-        return dict(sorted(hist.items()))
+        levels, counts = np.unique(self._key_arrays().levels, return_counts=True)
+        return dict(zip(levels.tolist(), counts.tolist()))
 
     def to_records(self) -> list[dict]:
         """JSON-ready dump: one {level, index, mass, J} object per cube."""
+        levels, keys, dim = self._key_arrays()
         return [
-            {"level": c.level, "index": list(c.index), "mass": float(m), "J": float(j)}
-            for c, m, j in zip(self.cubes, self.masses, self.j_values)
+            {"level": level, "index": list(idx), "mass": float(m), "J": float(j)}
+            for level, idx, m, j in zip(levels.tolist(), _cube_indices(levels, keys, dim),
+                                        self.masses, self.j_values)
         ]
 
 
@@ -144,59 +213,128 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
                          atol: float = 1e-9) -> list[str]:
     """Check the partition invariants: pairwise disjointness, exact cover of
     the unit cube, and (when ``spec`` is given) stored J values matching
-    recomputation."""
+    recomputation.  Reads the cubes' (level, key) arrays only."""
     out = []
-    if not part.cubes:
+    levels, keys, m = part._key_arrays()
+    if not len(levels):
         return ["empty partition"]
-    m = part.cubes[0].dim
-    paths = sorted(tuple(c.selector_path()) for c in part.cubes)
-    for p1, p2 in zip(paths, paths[1:]):
-        if p2[: len(p1)] == p1:
-            out.append(f"cubes overlap (path {p1} is an ancestor of {p2})")
-            break
-    total = sum(c.volume_fraction() for c in part.cubes)
+    depth = int(levels.max())
+    lv = levels.astype(keys.dtype)  # Python-integer shifts for Python-integer keys
+    # ordered by first descendant at the deepest level, ancestors first (the
+    # order of the selector paths), two cubes overlap only if two neighbours do
+    order = np.argsort(levels, kind="stable")
+    order = order[np.argsort(_shifted(keys, m * (depth - lv), m * depth)[order], kind="stable")]
+    lo, hi = order[:-1], order[1:]
+    up = np.flatnonzero(levels[lo] <= levels[hi])
+    hit = up[(keys[hi[up]] >> (m * (lv[hi[up]] - lv[lo[up]]))) == keys[lo[up]]]
+    if len(hit):
+        i, j = (_cubes(int(levels[r]), keys[r:r + 1], m)[0] for r in (lo[hit[0]], hi[hit[0]]))
+        out.append(f"cubes overlap (path {tuple(i.selector_path())} is an ancestor of "
+                   f"{tuple(j.selector_path())})")
+    ls, counts = np.unique(levels, return_counts=True)
+    total = Fraction(sum(c << (m * (depth - l)) for l, c in zip(ls.tolist(), counts.tolist())),
+                     1 << (m * depth))
     if total != 1:
         out.append(f"volumes sum to {total}, not 1: the cubes do not tile the unit cube")
     if spec is not None:
-        recomputed = _j_weights(spec, part.cubes, part.a).tolist()
-        for c, j, again in zip(part.cubes, part.j_values, recomputed):
-            if abs(again - j) > atol * max(1.0, abs(again)):
-                out.append(f"stored J for cube {c} is {j!r}, recomputed {again!r}")
-                break
+        ensure_valid(spec)
+        if m != spec.dim:
+            raise ValueError(f"cube dimension {m} != measure dimension {spec.dim}")
+        again = _key_j(spec, levels, keys, part.a)
+        bad = np.flatnonzero(np.abs(again - part.j_values) > atol * np.maximum(1.0, np.abs(again)))
+        if len(bad):
+            r = int(bad[0])
+            cube = _cubes(int(levels[r]), keys[r:r + 1], m)[0]
+            out.append(f"stored J for cube {cube} is {part.j_values[r]!r}, "
+                       f"recomputed {float(again[r])!r}")
     return out
 
 
 # ---------------------------------------------------------------------------
-# Adaptive threshold partitions
+# The adaptive family: one walk, one sorted multiset of J values
 # ---------------------------------------------------------------------------
 
-def _scan(spec: MeasureSpec, a: float, t: float, max_depth: int) -> list[tuple]:
-    """Shared level-synchronous walk: emit good cubes (J_a < t), split bad
-    ones.  Returns the good cubes as (level, keys, masses, J_a) per level."""
+class _Level(NamedTuple):
+    """The cubes of one level that a walk visited, in key order."""
+
+    level: int
+    keys: np.ndarray
+    masses: np.ndarray
+    j: np.ndarray       # J_a
+    eff: np.ndarray     # the least J_a on the path from the root to the cube
+    parent: np.ndarray  # row of the parent in the previous level
+    split: np.ndarray   # whether the walk split the cube
+
+
+def _walk(spec: MeasureSpec, a: float, cut: float, max_depth: int,
+          top: int = 0) -> tuple[list[_Level], float]:
+    """The one engine walk behind the adaptive family.
+
+    Visits the root and the children of every cube it splits, one level at a
+    time, and splits the cubes whose effective weight (the least J_a on the
+    path from the root) is >= the cut and that lie above ``max_depth``.
+    When no child outweighs its parent, as the masses of every family
+    guarantee, the effective weight is J_a itself.  With ``top`` > 0 the cut
+    rises to the top-th largest effective weight met so far, ties included:
+    a cube below it cannot be among the ``top`` heaviest, nor can its
+    descendants.  Returns the visited levels and the final cut."""
     ensure_valid(spec)
     if a <= 0:
         raise ValueError("a must be > 0")
-    if not (t > 0):
+    if not (cut > 0):
         raise ValueError("threshold t must be > 0")
     m = spec.dim
     eng = _engine(spec)
     fr = eng.root()
-    leaves = []
+    parent, above = np.zeros(1, dtype=np.intp), np.array([np.inf])
+    best = np.zeros(0)
+    levels = []
     while True:
         level = fr.level
-        jvals = 2.0 ** (-level * m * a) * fr.masses
-        good = jvals < t
-        leaves.append((level, fr.keys[good], fr.masses[good], jvals[good]))
-        if good.all():
-            return leaves
-        if level >= max_depth:
-            i = int(np.argmin(good))  # the first bad cube in depth-first order
-            raise MaxDepthExceeded(_cubes(level, fr.keys[i:i + 1], m)[0], float(jvals[i]), t)
-        parents = eng.take([fr], [~good])
+        j = 2.0 ** (-level * m * a) * fr.masses
+        eff = np.minimum(j, above[parent])
+        if top:
+            best = np.concatenate((best, eff[eff >= cut]))
+            if len(best) >= top:
+                cut = float(np.partition(best, len(best) - top)[len(best) - top])
+                best = best[best >= cut]
+        split = eff >= cut
+        levels.append(_Level(level, fr.keys, fr.masses, j, eff, parent, split))
+        if level >= max_depth or not split.any():
+            return levels, cut
+        rows = np.flatnonzero(split)
+        parents = eng.take([fr], [split])
         fr = eng.expand(parents)
-        # children that hold no branch have mass 0, so they are good at once
-        zero = _empty_children(parents.keys, fr.keys, level, m)
-        leaves.append((level + 1, zero, np.zeros(len(zero)), np.zeros(len(zero))))
+        parent, above = rows[np.searchsorted(parents.keys, fr.keys >> m)], eff
+
+
+def _check_depth(levels: list[_Level], m: int, thresholds: Sequence[float]) -> None:
+    """Raise if a threshold walk stopped at max_depth with bad cubes left:
+    for the first of ``thresholds`` that leaves one, name the first such
+    cube in depth-first order."""
+    last = levels[-1]
+    if last.split.any():
+        for t in thresholds:
+            bad = last.eff >= t
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise MaxDepthExceeded(_cubes(last.level, last.keys[i:i + 1], m)[0],
+                                       float(last.j[i]), t)
+
+
+def _bad_weights(spec: MeasureSpec, a: float, thresholds: Sequence[float],
+                 max_depth: int) -> np.ndarray:
+    """The sorted effective weights of the cubes that are bad at the least of
+    ``thresholds`` (a multiset: #{w >= t} of them are bad at t)."""
+    levels, _ = _walk(spec, a, min(thresholds), max_depth)
+    _check_depth(levels, spec.dim, thresholds)
+    return np.sort(np.concatenate([lv.eff[lv.split] for lv in levels]))
+
+
+def _cards(bad: np.ndarray, thresholds, m: int) -> np.ndarray:
+    """card(t) = 1 + (2^m - 1) #{bad weights >= t}: bad cubes form an
+    ancestor-closed set, and splitting one adds 2^m - 1 cubes."""
+    return 1 + ((1 << m) - 1) * (len(bad) - np.searchsorted(bad, thresholds))
 
 
 def adaptive_partition(spec: MeasureSpec, a: float, t: float,
@@ -207,14 +345,25 @@ def adaptive_partition(spec: MeasureSpec, a: float, t: float,
     cube has a bad parent; by that characterisation the result has minimal
     cardinality among dyadic partitions meeting the threshold.  Terminates
     because J_a(cube) <= 2^(-level*m*a) -> 0; ``max_depth`` only guards
-    against inconsistent inputs.
+    against inconsistent inputs.  The cubes stay (level, key) arrays until
+    ``cubes`` is read.
     """
-    leaves = _scan(spec, a, t, max_depth)
+    levels, _ = _walk(spec, a, t, max_depth)
     m = spec.dim
+    _check_depth(levels, m, [t])
+    leaves = []
+    for lv, below in zip(levels, levels[1:] + [None]):
+        good = ~lv.split
+        leaves.append((lv.level, lv.keys[good], lv.masses[good], lv.j[good]))
+        if below is not None:
+            # children that hold no branch have mass 0, so they are good at once
+            rank = np.cumsum(lv.split) - 1  # row among the split cubes
+            zero = _empty_children(lv.keys[lv.split], below.keys, rank[below.parent], lv.level, m)
+            leaves.append((lv.level + 1, zero, np.zeros(len(zero)), np.zeros(len(zero))))
     order = _depth_first([(level, keys) for level, keys, _, _ in leaves], m)
-    cubes = [c for level, keys, _, _ in leaves for c in _cubes(level, keys, m)]
     return Partition(
-        cubes=[cubes[i] for i in order.tolist()],
+        cubes=_CubeKeys(np.concatenate([np.full(len(leaf[1]), leaf[0]) for leaf in leaves])[order],
+                        np.concatenate([leaf[1] for leaf in leaves])[order], m),
         masses=np.concatenate([leaf[2] for leaf in leaves])[order],
         j_values=np.concatenate([leaf[3] for leaf in leaves])[order],
         a=float(a),
@@ -229,21 +378,93 @@ def counting_N(spec: MeasureSpec, a: float, t: float,
     for the unconstrained partition problem over arbitrary subcubes."""
     if not (t > 0):
         raise ValueError("t must be > 0")
-    return sum(len(keys) for _, keys, _, _ in _scan(spec, a, 1.0 / t, max_depth))
+    threshold = 1.0 / t
+    return int(_cards(_bad_weights(spec, a, [threshold], max_depth), threshold, spec.dim))
 
 
 # ---------------------------------------------------------------------------
-# Greedy refinement profile (all adaptive partitions in one sweep)
+# Refinement profile (all adaptive partitions from one sorted multiset)
 # ---------------------------------------------------------------------------
+
+class _Tree(NamedTuple):
+    """The cubes a walk visited, all levels in one row space."""
+
+    level: np.ndarray
+    key: np.ndarray
+    j: np.ndarray
+    eff: np.ndarray
+    tie: np.ndarray     # how many ancestors in a row share the cube's eff
+    parent: np.ndarray  # row of the parent, -1 for the root
+
+
+def _tree(levels: list[_Level]) -> _Tree:
+    """The levels of a walk as one :class:`_Tree`."""
+    ties, parents, start = [np.zeros(1, dtype=np.intp)], [np.full(1, -1)], 0
+    for up, lv in zip(levels, levels[1:]):
+        ties.append(np.where(lv.eff == up.eff[lv.parent], ties[-1][lv.parent] + 1, 0))
+        parents.append(lv.parent + start)
+        start += len(up.keys)
+    return _Tree(np.concatenate([np.full(len(lv.keys), lv.level) for lv in levels]),
+                 np.concatenate([lv.keys for lv in levels]),
+                 np.concatenate([lv.j for lv in levels]),
+                 np.concatenate([lv.eff for lv in levels]),
+                 np.concatenate(ties), np.concatenate(parents))
+
+
+def _cube(tree: _Tree, i: int, m: int) -> DyadicCube:
+    return _cubes(int(tree.level[i]), tree.key[i:i + 1], m)[0]
+
+
+def _first_split(tree: _Tree, rows: np.ndarray, m: int) -> int:
+    """Of ``rows``, which share one (J_a, tie) pair, the cube the adaptive
+    family splits first when it splits tied cubes in the order they arose:
+    by their parents' split order, then by selector.  Unrolled, that
+    compares the (-J_a, tie) pairs up the ancestor chains, then the
+    selectors down them."""
+    def order(i):
+        up, down = [], []
+        while i >= 0:
+            up.append((-float(tree.eff[i]), int(tree.tie[i])))
+            down.append(int(tree.key[i]) & ((1 << m) - 1))
+            i = int(tree.parent[i])
+        return up, down[::-1]
+    return min(rows.tolist(), key=order)
+
+
+def _zero_top(tree: _Tree, split: np.ndarray, m: int) -> float:
+    """The largest J_a once every positive cube is split: a zero, signed as
+    the first zero-weight child in split order has it (-0.0 for a child that
+    holds no branch, 0.0 for a visited one whose J_a underflowed)."""
+    nkids = 1 << m
+    kids = np.bincount(tree.parent[1:], minlength=len(tree.eff))
+    zero_kid = np.bincount(tree.parent[1:], weights=tree.j[1:] == 0.0, minlength=len(tree.eff))
+    cand = split[(kids[split] < nkids) | (zero_kid[split] > 0)]
+    cand = cand[np.lexsort((tree.tie[cand], -tree.eff[cand]))]
+    lead = cand[(tree.eff[cand] == tree.eff[cand[0]]) & (tree.tie[cand] == tree.tie[cand[0]])]
+    rows = np.flatnonzero(tree.parent == _first_split(tree, lead, m))
+    sels = (tree.key[rows] & (nkids - 1)).tolist()
+    empty = min(set(range(nkids)) - set(sels), default=nkids)
+    underflow = min((s for s, j in zip(sels, tree.j[rows].tolist()) if j == 0.0), default=nkids)
+    return -0.0 if empty < underflow else 0.0
+
 
 def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
                        max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
     """States (cardinality, max J_a) of the adaptive family, coarse to fine.
 
-    Repeatedly splits every cube tied at the current largest J_a; each
-    recorded state equals the adaptive partition for thresholds t in
-    (next max, current max].  Stops once the cardinality exceeds
-    ``budget_cap`` or everything remaining is zero-weight.
+    Each state splits every cube tied at the current largest J_a; it equals
+    the adaptive partition for thresholds t in (next max, current max].
+    Stops once the cardinality exceeds ``budget_cap`` or everything
+    remaining is zero-weight.
+
+    Bad cubes form an ancestor-closed set (J_a of a child never exceeds its
+    parent's), so state k has cardinality 1 + (2^m - 1) * #{cubes split
+    before it}, and the states are read off one sorted array: one walk keeps
+    the K = floor((budget_cap - 1) / (2^m - 1)) + 1 largest J_a values,
+    ties included, and records the largest one it pruned, which is the max
+    J_a of the state after them.  A cube whose J_a equals its parent's is
+    split one state after it.  Sorting costs O(K log K) on top of a walk over
+    those cubes and their children.
     """
     ensure_valid(spec)
     if a <= 0:
@@ -251,51 +472,34 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
     if budget_cap < 1:
         raise ValueError("budget_cap must be >= 1")
     m = spec.dim
-    nkids = 1 << m
-    eng = _engine(spec)
-    pools = [eng.root()]  # the root, then the children of each split group
-    heap = [(-float(pools[0].masses[0]), 0, 0, 0)]  # (-J, counter, pool, row)
-    counter = 1
-    states = []
-    while heap:
-        j_top = -heap[0][0]
-        card = len(heap)
-        states.append((card, j_top))
-        if card > budget_cap or j_top <= 0.0:
-            break
-        batch = []
-        while heap and -heap[0][0] == j_top:
-            batch.append(heapq.heappop(heap))
-        for _, _, pool, row in batch:
-            if pools[pool].level >= max_depth:
-                cube = _cubes(pools[pool].level, pools[pool].keys[row:row + 1], m)[0]
-                raise MaxDepthExceeded(cube, j_top, 0.0)
-        # children take the heap counters in batch order, then selector order;
-        # the cubes of one level are gathered from their pools and split at
-        # once, and their children form a new pool
-        first, groups = {}, {}
-        for i, (_, _, pool, row) in enumerate(batch):
-            first[pool, row] = counter + nkids * i
-            groups.setdefault(pools[pool].level, {}).setdefault(pool, []).append(row)
-        counter += nkids * len(batch)
-        for group in groups.values():
-            masks = [np.zeros(len(pools[pool].keys), dtype=bool) for pool in group]
-            for mask, rows in zip(masks, group.values()):
-                mask[rows] = True
-            parents = eng.take([pools[pool] for pool in group], masks)
-            kids = eng.expand(parents)
-            pools.append(kids)
-            counters = np.array([first[pool, row] for pool, mask in zip(group, masks)
-                                 for row in np.flatnonzero(mask).tolist()])
-            counters = counters[:, None] + np.arange(nkids)
-            slot = _child_rows(parents.keys, kids.keys, m)
-            jvals = 2.0 ** (-kids.level * m * a) * kids.masses
-            for row, (c, j) in enumerate(zip(counters[slot].tolist(), jvals.tolist())):
-                heapq.heappush(heap, (-j, c, len(pools) - 1, row))
-            counters[slot] = -1
-            for c in counters[counters >= 0].tolist():  # children without a branch
-                heapq.heappush(heap, (0.0, c, -1, -1))
-    return np.asarray(states, dtype=float)
+    k = (1 << m) - 1
+    levels, cut = _walk(spec, a, _TINY, max_depth, top=(budget_cap - 1) // k + 1)
+    tree = _tree(levels)
+    split = np.flatnonzero(tree.eff >= cut)
+    split = split[np.lexsort((tree.tie[split], -tree.eff[split]))]
+    eff, tie = tree.eff[split], tree.tie[split]
+    first = np.ones(len(split), dtype=bool)
+    first[1:] = (eff[1:] != eff[:-1]) | (tie[1:] != tie[:-1])
+    starts = np.flatnonzero(first)
+    cards = 1 + k * starts
+    over = np.flatnonzero(cards > budget_cap)
+    stop = int(over[0]) + 1 if len(over) else len(starts)
+    deep = np.flatnonzero(tree.level[split] >= max_depth)
+    if len(deep):
+        g = int(np.searchsorted(starts, deep[0], side="right")) - 1
+        if cards[g] <= budget_cap:  # the family splits a cube at max_depth
+            end = starts[g + 1] if g + 1 < len(starts) else len(split)
+            rows = split[starts[g]:end]
+            i = _first_split(tree, rows[tree.level[rows] >= max_depth], m)
+            raise MaxDepthExceeded(_cube(tree, i, m), float(eff[starts[g]]), 0.0)
+    states = np.column_stack((cards[:stop], eff[starts[:stop]])).astype(float)
+    if len(over):
+        return states
+    pruned = tree.eff[tree.eff < cut]
+    j_next = float(pruned.max()) if len(pruned) else 0.0
+    if j_next == 0.0:
+        j_next = _zero_top(tree, split, m)
+    return np.vstack((states, [[1 + k * len(split), j_next]]))
 
 
 def budget_partition(spec: MeasureSpec, a: float, budget: int,
@@ -498,11 +702,19 @@ class EntropyFit:
 def entropy_estimate(spec: MeasureSpec, a: float, t_grid: Sequence[float],
                      max_depth: int = DEFAULT_MAX_DEPTH) -> EntropyFit:
     """Fit the partition-entropy exponent over a geometric grid of t values
-    (increasing t means shrinking threshold 1/t)."""
+    (increasing t means shrinking threshold 1/t).
+
+    One walk collects the J_a values of the cubes that are bad at the least
+    threshold 1/t_max and sorts them; every cardinality is then card(1/t) =
+    1 + (2^m - 1) #{J_a >= 1/t}, a binary search, so the fit costs about one
+    adaptive partition at 1/t_max instead of one per grid point."""
     t = np.asarray(list(t_grid), dtype=float)
     if len(t) < 4 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
         raise ValueError("degenerate grid: need >= 4 strictly increasing positive t values")
-    cards = np.array([counting_N(spec, a, float(ti), max_depth) for ti in t], dtype=float)
+    # one walk to the least threshold; every card reads the same sorted weights
+    thresholds = 1.0 / t
+    bad = _bad_weights(spec, a, thresholds.tolist(), max_depth)
+    cards = _cards(bad, thresholds, spec.dim).astype(float)
     tail = len(t) // 2
     x = np.log(t[tail:])
     y = np.log(cards[tail:])

@@ -5,7 +5,9 @@ A cursor represents one dyadic cube together with just enough state to give
 its nu-mass and to produce the cursors of its 2^m children.  The mass
 queries and the partition walks below are the library's former versions,
 written on these cursors; ``tests/test_engine.py`` checks that the frontier
-engine reproduces them.  The oracle keeps its former O(L^2) min-max fold and
+engine reproduces them.  The adaptive family keeps its former heap of cubes
+tied at the largest J_a and its one scan per threshold, the reference for
+the sorted J multiset.  The oracle keeps its former O(L^2) min-max fold and
 the self-similar recursion that folds the whole vector for every budget, the
 reference for the breakpoint merge.
 """
@@ -468,6 +470,29 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
                     j = 2.0 ** (-(level + 1) * m * a) * child.mass()
                     heapq.heappush(heap, (-j, next(counter), level + 1, idx, child))
     return np.asarray(states, dtype=float)
+
+
+def budget_partition(spec: MeasureSpec, a: float, budget: int,
+                     max_depth: int = DEFAULT_MAX_DEPTH) -> Partition:
+    """The adaptive-family partition of largest cardinality <= budget."""
+    states = refinement_profile(spec, a, int(budget), max_depth=max_depth)
+    k = int(np.searchsorted(states[:, 0], budget, side="right")) - 1
+    return adaptive_partition(spec, a, float(np.nextafter(states[k, 1], np.inf)),
+                              max_depth=max_depth)
+
+
+def gamma_adaptive_profile(spec: MeasureSpec, a: float, budgets: Sequence[int],
+                           max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
+    """gamma_hat(n): the max J_a of the best adaptive state of cardinality <= n."""
+    states = refinement_profile(spec, a, max(budgets), max_depth=max_depth)
+    rows = np.searchsorted(states[:, 0], budgets, side="right") - 1
+    return states[rows, 1]
+
+
+def entropy_cards(spec: MeasureSpec, a: float, t_grid: Sequence[float],
+                  max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
+    """The cardinalities of an entropy fit: one scan per t."""
+    return np.array([counting_N(spec, a, float(t), max_depth) for t in t_grid], dtype=float)
 
 
 def _minmax_fold(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -123,6 +123,72 @@ def test_partition_walks_match_cursor_walks(request, name):
         assert _same_masses(spec, got, want)
 
 
+def _outcome(walk, *args):
+    """The result of a walk, or what its MaxDepthExceeded names."""
+    try:
+        return walk(*args)
+    except lq.MaxDepthExceeded as exc:
+        return exc.cube, exc.j_value, exc.threshold
+
+
+def _same_states(spec, got, want):
+    """Equal cardinalities, and max J_a equal to the bit (the sign of a zero
+    included) or, for GeneralIFS1D, within mass_tol; or the same error."""
+    if isinstance(want, tuple):
+        return got == want
+    if isinstance(spec, lq.GeneralIFS1D):
+        return np.array_equal(got[:, 0], want[:, 0]) and _same_masses(spec, got[:, 1], want[:, 1])
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_adaptive_family_matches_heap_and_scans(request, name):
+    # the sorted J multiset against the former heap and one scan per t; the
+    # cursors of GeneralIFS1D recurse on Fractions, so they get a shorter run
+    spec = _spec(request, name)
+    k = (1 << spec.dim) - 1
+    slow = isinstance(spec, lq.GeneralIFS1D)
+    grid = np.geomspace(1e2, 1e3 if slow else 1e5, 7)
+    for a in (0.5, 1.0, 1.7):
+        assert np.array_equal(lq.entropy_estimate(spec, a, grid).cards,
+                              ref.entropy_cards(spec, a, grid)), a
+        # a depth guard that binds for some grid points: the first t raises
+        got = _outcome(lambda: lq.entropy_estimate(spec, a, grid, max_depth=5).cards)
+        want = _outcome(ref.entropy_cards, spec, a, grid, 5)
+        assert got == want if isinstance(want, tuple) else np.array_equal(got, want), a
+        # caps around the cardinalities 1 + k, 1 + 2k, ...: states that end
+        # on every kind of overflow row, tied ones among them
+        for cap in (1, k, k + 1, 2 * k + 2, 10 * k, 10 * k + 1, 64) + (() if slow else (600,)):
+            got = _outcome(lq.refinement_profile, spec, a, cap)
+            assert _same_states(spec, got, _outcome(ref.refinement_profile, spec, a, cap)), (a, cap)
+        budgets = list(range(1, 70 if slow else 200, 3))
+        got, want = (_outcome(f.gamma_adaptive_profile, spec, a, budgets) for f in (lq, ref))
+        assert got == want if isinstance(want, tuple) else _same_masses(spec, got, want)
+        for budget in (1, 17, 60):
+            got, want = (_outcome(f.budget_partition, spec, a, budget) for f in (lq, ref))
+            if isinstance(want, tuple):
+                assert got == want, (a, budget)
+                continue
+            assert got.cubes == want.cubes, (a, budget)
+            assert _same_masses(spec, got.j_values, want.j_values)
+    # past the smallest normal J_a the weights underflow: the profile ends on
+    # a zero row, whose sign records the first zero-weight child split off
+    # (-0.0 for a child without mass, 0.0 for one that underflowed)
+    for a in () if slow else (30.0, 600.0):
+        got = _outcome(lq.refinement_profile, spec, a, 4000)
+        assert _same_states(spec, got, _outcome(ref.refinement_profile, spec, a, 4000)), a
+
+
+def test_profile_ties_between_parent_and_child(dirac_half, binom, quarter_pair):
+    # with 2^(-m a) rounding to 1, a child can tie its parent: the heap split
+    # it one state later, and so must the multiset
+    for spec in (dirac_half, binom, quarter_pair):
+        for a in (1e-17, 3e-16):
+            got, want = lq.refinement_profile(spec, a, 60), ref.refinement_profile(spec, a, 60)
+            assert got.tobytes() == want.tobytes(), (spec, a)
+    assert lq.refinement_profile(dirac_half, 1e-17, 4).tolist() == [[c, 1.0] for c in range(1, 6)]
+
+
 @pytest.mark.parametrize("spec, k_max", [(lq.binomial_ifs(0.7), 160), (lq.Lebesgue(2), 90),
                                          (lq.sierpinski_tetrahedron(FIG1_WEIGHTS), 90)])
 def test_selfsimilar_oracle_matches_full_fold_recursion(spec, k_max):
@@ -205,12 +271,16 @@ def test_order_fit_single_sweep_is_bit_identical(monkeypatch, spec, levels):
             return impl(spec, n)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(kreinfeller, "support_with_masses", lq.support_with_masses)
+    def cursor_support(spec, n):  # 1D keys are the cube indices
+        cubes, masses = ref.support_with_masses(spec, n)
+        return np.array([c.index[0] for c in cubes], dtype=np.int64), masses
+
+    counted(kreinfeller, "_support", measures._support)
     counted(spectrum, "support_masses", lq.support_masses)
     fit = lq.order_fit(spec, levels)
-    assert calls == [("support_with_masses", n) for n in levels]
+    assert calls == [("_support", n) for n in levels]
     # the former route: cursor masses, swept twice (discretize, then s_b_estimate)
-    counted(kreinfeller, "support_with_masses", ref.support_with_masses)
+    counted(kreinfeller, "_support", cursor_support)
     counted(spectrum, "support_masses", ref.support_masses)
     before = lq.order_fit(spec, levels, reference_levels=levels)
     assert len(calls) == 3 * len(levels)

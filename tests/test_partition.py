@@ -1,5 +1,6 @@
 """Adaptive partitions, the exact oracle, and partition-entropy fits."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -64,6 +65,55 @@ def test_adaptive_partition_invariants(leb2, binom, tetra, cantor, dirac_half):
             for cube in part.cubes:
                 if cube.level > 0:
                     assert lq.j_weight(spec, cube.parent(), a) >= t
+
+
+def test_partition_builds_its_cubes_only_when_read(tetra):
+    part = lq.adaptive_partition(tetra, 0.5, 1e-4)
+    records = part.to_records()
+    assert (part.cardinality, part.max_level) == (len(records), max(r["level"] for r in records))
+    assert lq.partition_violations(part, tetra) == []
+    assert part._cubes is None  # nothing above needed a DyadicCube
+    assert part.cubes is part.cubes  # built once, then kept
+    assert [(c.level, list(c.index)) for c in part.cubes] == [(r["level"], r["index"])
+                                                               for r in records]
+
+
+def test_partition_from_a_cube_list(binom):
+    # a partition given as a list reads that list: the perturbed copies of
+    # dataclasses.replace, for one
+    part = lq.adaptive_partition(binom, 1.0, 1e-3)
+    cut = dataclasses.replace(part, cubes=part.cubes[:-1], masses=part.masses[:-1],
+                              j_values=part.j_values[:-1])
+    assert cut.cardinality == part.cardinality - 1
+    level = part.cubes[-1].level
+    assert cut.level_histogram().get(level, 0) == part.level_histogram()[level] - 1
+    assert lq.partition_violations(cut, binom) == [
+        f"volumes sum to {1 - part.cubes[-1].volume_fraction()}, not 1: the cubes do not tile "
+        "the unit cube"]
+    empty = lq.Partition([], np.zeros(0), np.zeros(0), 1.0)
+    assert lq.partition_violations(empty) == ["empty partition"]
+
+
+def test_partition_violations_name_the_first_fault(binom):
+    part = lq.adaptive_partition(binom, 1.0, 1e-3)
+    cubes = part.cubes + [part.cubes[0].parent()]
+    bad = lq.Partition(cubes, np.zeros(len(cubes)), np.append(part.j_values, 7.0), part.a)
+    overlap, gap, j = lq.partition_violations(bad, binom)
+    assert overlap == ("cubes overlap (path (0, 0, 0, 0, 0, 0) is an ancestor of "
+                       "(0, 0, 0, 0, 0, 0, 0))")
+    assert gap == "volumes sum to 65/64, not 1: the cubes do not tile the unit cube"
+    assert j.startswith("stored J for cube DyadicCube(level=6, index=(0,)) is ")
+    assert j.endswith(f"recomputed {lq.j_weight(binom, cubes[-1], 1.0)!r}")
+    # a repeated cube, with 62-bit (1D) and Python-integer (2D, 66-bit) keys
+    for atom, t in ((lq.dirac([Fraction(1, 3)]), 2.0 ** -61.5),
+                    (lq.Atomic(((Fraction(1, 3), Fraction(2, 7)),), (1.0,)), 2.0 ** -65.5)):
+        part = lq.adaptive_partition(atom, 1.0, t, max_depth=70)
+        assert lq.partition_violations(part, atom) == []
+        twice = lq.Partition(part.cubes + [part.cubes[-1]], np.zeros(part.cardinality + 1),
+                             np.zeros(part.cardinality + 1), 1.0)
+        sel = (1 << atom.dim) - 1
+        assert lq.partition_violations(twice)[0] == (f"cubes overlap (path ({sel},) is an "
+                                                     f"ancestor of ({sel},))")
 
 
 def test_max_depth_guard_reports_cube(dirac_half):

@@ -1,5 +1,6 @@
 """Mass invariants of the frontier engine on generated specs of every family,
-and the oracle's breakpoint merge on generated vectors.
+the adaptive family's card(t) identity on the same specs, and the oracle's
+breakpoint merge on generated vectors.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
@@ -196,3 +197,61 @@ def test_breakpoint_merge_equals_quadratic_fold(A, B, size):
     n = max(size, len(A), len(B))
     want = ref._minmax_fold(*(np.concatenate((X, np.full(n - len(X), np.inf))) for X in (A, B)))
     assert np.array_equal(got, want[:size])
+
+
+# ---------------------------------------------------------------------------
+# The adaptive family: J monotone down the tree, card(t) from the J multiset
+# ---------------------------------------------------------------------------
+
+def _j_levels(spec, a, t):
+    """J_a of the positive cubes of each level, down to the first level whose
+    J_a all fall below t, or None once a level holds more than MAX_CUBES."""
+    out = []
+    for n in range(64):
+        masses = lq.support_masses(spec, n)
+        if len(masses) > MAX_CUBES:
+            return None
+        out.append(2.0 ** (-n * spec.dim * a) * masses)
+        if out[-1].max() < t:
+            return out
+    return None
+
+
+@given(specs(float_weights), st.sampled_from([0.5, 1.0, 1.7]), st.floats(1e-4, 0.3))
+def test_children_never_outweigh_their_parents(spec, a, t):
+    levels, _ = partition._walk(spec, a, t, 40)
+    for up, lv in zip(levels, levels[1:]):
+        assert np.all(up.split[lv.parent])
+        assert np.all(lv.j <= up.j[lv.parent])
+        assert np.array_equal(lv.eff, lv.j)  # so the effective weight is J_a itself
+
+
+@given(specs(float_weights), st.sampled_from([0.5, 1.0, 1.7]), st.floats(1e-4, 0.3))
+def test_cardinality_is_one_plus_split_cubes_times_fanout(spec, a, t):
+    # card(t) = 1 + (2^m - 1) #{Q : J_a(Q) >= t}, counted here level by level
+    # from the support masses
+    levels = _j_levels(spec, a, t)
+    if levels is None:
+        return
+    card = 1 + ((1 << spec.dim) - 1) * sum(int(np.sum(j >= t)) for j in levels)
+    part = lq.adaptive_partition(spec, a, t)
+    assert part.cardinality == card == lq.counting_N(spec, a, 1.0 / t)
+    assert lq.partition_violations(part, spec) == []
+    # the same cubes as a list: the arrays derived from it read the same
+    listed = partition.Partition(part.cubes, part.masses, part.j_values, part.a)
+    assert listed.to_records() == part.to_records()
+    assert listed.level_histogram() == part.level_histogram()
+    assert lq.partition_violations(listed, spec) == []
+
+
+@given(specs(float_weights), st.sampled_from([0.5, 1.0, 1.7]), st.integers(1, 60))
+def test_profile_states_are_threshold_partitions(spec, a, cap):
+    # state k is the adaptive partition for thresholds in (j_k, j_(k-1)]
+    states = lq.refinement_profile(spec, a, cap)
+    assert np.all(np.diff(states[:, 0]) > 0) and np.all(np.diff(states[:, 1]) < 0)
+    for (_, j_up), (card, j) in zip(states, states[1:]):
+        part = lq.adaptive_partition(spec, a, j_up)
+        assert (part.cardinality, part.max_j) == (card, j)
+    part = lq.budget_partition(spec, a, cap)
+    assert part.cardinality <= cap
+    assert lq.partition_violations(part, spec) == []

@@ -10,14 +10,20 @@ the package (``parent``), alternating the two trees on every repetition so
 that a slow spell of the host falls on both, and writes ``BENCH_<n>.json``
 at the root of this checkout.  Every row is
 
-    {"layer", "case", "size", "median_s": {"parent", "change"}, "reps"}
+    {"layer", "case", "size", "median_s": {"parent", "change"},
+     "units_per_s": {"parent", "change"} or null, "reps"}
 
 with one row for ``import lqspectra`` (time inside a fresh interpreter),
 one per ``lqspectra`` subcommand at the arguments of the ``cli`` workload of
 ``perfbench`` (wall time of a fresh interpreter, as that workload times
-it), and one for ``split_counting_check`` at level 12 (in-process, after
-one untimed call).  The children run single-threaded BLAS, as perfbench's
-do.
+it), one for ``split_counting_check`` at level 12 (in-process, after one
+untimed call), and four for the partition layer at the sizes of the
+``partitions`` workload (in-process, the median of five calls after one
+untimed call): ``adaptive_partition`` on the binomial and the tetrahedron,
+``gamma_adaptive_profile`` of the tetrahedron to 32,768 cubes and
+``entropy_estimate`` of the binomial.  Rows with a count of work also carry
+``units`` and ``units_per_s`` (cubes or atoms per second of the median).
+The children run single-threaded BLAS, as perfbench's do.
 """
 
 from __future__ import annotations
@@ -38,6 +44,25 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
 from jobs import cli_jobs  # noqa: E402
 from specs import make_inputs  # noqa: E402
+
+# one in-process partition case: prints its work units and the median time
+PARTITION_CHILD = """
+import statistics
+import time
+import numpy as np
+import lqspectra as lq
+
+spec = lq.{call}(*{args!r})
+{setup}
+run = lambda: {run}
+run()
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    result = run()
+    times.append(time.perf_counter() - start)
+print({units}, statistics.median(times))
+"""
 
 IMPORT_CHILD = """
 import time
@@ -93,11 +118,54 @@ def _child_seconds(tree: Path, code: str) -> float:
     return float(out.split()[-1])
 
 
+def _child_units(tree: Path, code: str) -> tuple[float, int]:
+    """(seconds, work units) printed by a child as ``units seconds``."""
+    out = subprocess.run([sys.executable, "-c", code], env=_env(tree), check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    units, seconds = out.split()[-2:]
+    return float(seconds), int(float(units))
+
+
 def _cli_seconds(tree: Path, argv: list[str], out: Path) -> float:
     start = time.perf_counter()
     subprocess.run([sys.executable, "-m", "lqspectra.cli", *argv, "--out", str(out)],
                    env=_env(tree), check=True, stdout=subprocess.DEVNULL, timeout=300)
     return time.perf_counter() - start
+
+
+def partition_cases(seed: int) -> list[tuple[str, str]]:
+    """(case, child code) of the partition rows, at the sizes of the
+    ``partitions`` workload with this seed."""
+    inputs = make_inputs("partitions", seed)
+    specs, prm = inputs["specs"], inputs["params"]
+    adaptive = {item["spec"]: item for item in prm["adaptive"]}
+    ent = next(item for item in prm["entropy"] if item["spec"] == "binomial")
+    wd = prm["widths"]
+    cases = []
+
+    def add(case, name, run, units, setup=""):
+        entry = specs[name]
+        cases.append((case, PARTITION_CHILD.format(call=entry["call"], args=entry["args"],
+                                                   setup=setup, run=run, units=units)))
+
+    for name in ("binomial", "tetra"):
+        a, t = adaptive[name]["a"], adaptive[name]["t"]
+        add(f"adaptive_partition({name}, a={a}, t={t:.4g}); cubes", name,
+            f"lq.adaptive_partition(spec, {a!r}, {t!r})", "result.cardinality")
+    # width_upper_sequence's call: budgets kappa * 2^k, a = rho / m
+    add(f"gamma_adaptive_profile({wd['spec']}, kappa * 2^k for k = 1..{wd['log2_n_max']}); "
+        "cubes of the finest state", wd["spec"],
+        "lq.gamma_adaptive_profile(spec, a, budgets)",
+        "int(lq.refinement_profile(spec, a, max(budgets))[-1, 0])",
+        f"params = lq.OrderParams({wd['p']!r}, {wd['q']!r}, {wd['ell']}, spec.dim)\n"
+        "a = params.rho / params.m\n"
+        f"budgets = [lq.kappa(spec.dim, {wd['ell']}) * 2 ** k "
+        f"for k in range(1, {wd['log2_n_max'] + 1})]")
+    add(f"entropy_estimate(binomial, a={ent['a']}, geomspace(1e2, {ent['t_max']:.4g}, 11)); "
+        "cubes of the 11 partitions", "binomial",
+        f"lq.entropy_estimate(spec, {ent['a']!r}, np.geomspace(1e2, {ent['t_max']!r}, 11))",
+        "int(result.cards.sum())")
+    return cases
 
 
 def main() -> None:
@@ -106,7 +174,8 @@ def main() -> None:
                         help="root of the parent checkout (holds src/lqspectra)")
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
     parser.add_argument("--reps", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the cli workload inputs")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the cli and partitions workload inputs")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     for tree in trees.values():
@@ -116,21 +185,26 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         argv = bench_cli_arguments(work, args.seed)
+        # each measure returns (seconds, work units or None)
         cases = [("import", "import lqspectra", None,
-                  lambda tree: _child_seconds(tree, IMPORT_CHILD))]
+                  lambda tree: (_child_seconds(tree, IMPORT_CHILD), None))]
         for name, cmd in argv.items():
             cases.append(("cli", name, " ".join(cmd).replace(str(work), "<tmp>"),
-                          lambda tree, cmd=cmd: _cli_seconds(tree, cmd, work / "out")))
+                          lambda tree, cmd=cmd: (_cli_seconds(tree, cmd, work / "out"), None)))
         cases.append(("kreinfeller",
-                      "split_counting_check(binomial_ifs(0.7), 12, cuts [0.25, 0.75], 50 x)",
-                      4096, lambda tree: _child_seconds(tree, SPLIT_CHILD)))
+                      "split_counting_check(binomial_ifs(0.7), 12, cuts [0.25, 0.75], 50 x); atoms",
+                      4096, lambda tree: (_child_seconds(tree, SPLIT_CHILD), 4096)))
+        for case, code in partition_cases(args.seed):
+            cases.append(("partition", case, None, lambda tree, code=code: _child_units(tree, code)))
 
         times = {(case[1], side): [] for case in cases for side in trees}
+        units = {}
         for rep in range(args.reps):
             order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
             for _, case, _, measure in cases:
                 for side in order:
-                    times[case, side].append(measure(trees[side]))
+                    seconds, units[case] = measure(trees[side])
+                    times[case, side].append(seconds)
             print(f"rep {rep + 1}/{args.reps} done", file=sys.stderr)
 
     import numpy
@@ -141,12 +215,16 @@ def main() -> None:
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": numpy.__version__, "scipy": scipy.__version__,
                  "machine": platform.machine()},
-        "rows": [{"layer": layer, "case": case, "size": size,
-                  "median_s": {side: round(statistics.median(times[case, side]), 4)
-                               for side in trees},
-                  "reps": args.reps}
-                 for layer, case, size, _ in cases],
+        "rows": [],
     }
+    for layer, case, size, _ in cases:
+        median = {side: statistics.median(times[case, side]) for side in trees}
+        doc["rows"].append({
+            "layer": layer, "case": case, "size": size if size is not None else units[case],
+            "median_s": {side: round(median[side], 4) for side in trees},
+            "units_per_s": None if units[case] is None else
+            {side: round(units[case] / median[side]) for side in trees},
+            "reps": args.reps})
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for row in doc["rows"]:
