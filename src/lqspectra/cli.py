@@ -71,9 +71,13 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ParameterError("geometric grids are written start,factor,count")
     start, factor, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if start <= 0 or factor <= 1 or count < 2:
-        raise ParameterError("need start > 0, factor > 1, count >= 2")
-    return start * factor ** np.arange(count)
+    if not (0 < start < math.inf and 1 < factor < math.inf and count >= 2):
+        raise ParameterError("need finite start > 0, finite factor > 1, count >= 2")
+    with np.errstate(over="ignore"):
+        grid = start * factor ** np.arange(count)
+    if not np.all(np.isfinite(grid)):
+        raise ParameterError(f"the grid {text!r} overflows to inf")
+    return grid
 
 
 def _parse_sgrid(text: str) -> np.ndarray:
@@ -81,7 +85,10 @@ def _parse_sgrid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError("s grids are written start:stop:count")
-    return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+    start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParameterError(f"s grid {text!r}: start and stop must be finite values")
+    return np.linspace(start, stop, int(parts[2]))
 
 
 def _resolve_measure(name: str) -> MeasureSpec:
@@ -227,13 +234,14 @@ def _cmd_eigen(args) -> None:
     spec = _resolve_measure(args.measure)
     atoms = discretize(spec, args.level)
     eigs = solve_eigen(atoms)
-    rows = [(i + 1, lam, math.sqrt(lam)) for i, lam in enumerate(eigs.eigenvalues)]
-    _write_csv(Path(args.out) / "eigen.csv", ["n", "lambda_n", "sqrt_lambda"], rows)
-    if args.cuts:
+    if args.cuts:  # checked before any file is written
         cuts = _parse_floats(args.cuts)
         lam = eigs.eigenvalues
         xs = np.geomspace(lam[-1] * 0.9, lam[0] * 1.1, args.x_count)
         report = split_counting_check(atoms, args.level, cuts, xs)
+    rows = [(i + 1, lam, math.sqrt(lam)) for i, lam in enumerate(eigs.eigenvalues)]
+    _write_csv(Path(args.out) / "eigen.csv", ["n", "lambda_n", "sqrt_lambda"], rows)
+    if args.cuts:
         _write_csv(Path(args.out) / "sandwich.csv",
                    ["x", "N_full", "N_split_sum", "gap"],
                    zip(report.x_grid, report.n_full, report.n_split_sum, report.gaps))

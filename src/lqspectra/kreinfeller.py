@@ -322,7 +322,7 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
     finest_slope = slopes[-1][1]
     drift = max(abs(s - finest_slope) for _, s in slopes)
     if reference_levels is None and not isinstance(spec, Atomic):
-        s1 = _fixed_point(1.0, _check_levels(levels), raw).s_hat
+        s1 = _fixed_point(1.0, _check_levels(levels), map(np.log2, raw)).s_hat
     else:
         ref_levels = list(reference_levels) if reference_levels is not None else levels
         s1 = s_b_estimate(spec, 1.0, ref_levels).s_hat
@@ -425,7 +425,7 @@ def split_counting_check(spec: MeasureSpec | AtomicApprox, level: int | None,
     cuts = tuple(sorted(float(c) for c in cuts))
     if not cuts:
         raise ValueError("at least one cut point is required")
-    if cuts[0] <= 0.0 or cuts[-1] >= 1.0 or len(set(cuts)) != len(cuts):
+    if not all(0.0 < c < 1.0 for c in cuts) or len(set(cuts)) != len(cuts):
         raise ValueError("cuts must be distinct points strictly inside (0, 1)")
     for c in cuts:
         if np.any(atoms.points == c):

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -932,14 +932,21 @@ def _engine(spec: MeasureSpec) -> _Engine:
 # Mass queries
 # ---------------------------------------------------------------------------
 
-def _level_frontier(spec: MeasureSpec, n: int) -> _Frontier:
+def _frontiers(spec: MeasureSpec, levels: Sequence[int]) -> Iterator[_Frontier]:
+    """The frontier at each of the non-decreasing ``levels``, from one walk."""
     ensure_valid(spec)
-    if n < 0:
+    if levels and levels[0] < 0:
         raise ValueError("level must be >= 0")
     eng = _engine(spec)
     fr = eng.root()
-    for _ in range(n):
-        fr = eng.expand(fr)
+    for n in levels:
+        while fr.level < n:
+            fr = eng.expand(fr)
+        yield fr
+
+
+def _level_frontier(spec: MeasureSpec, n: int) -> _Frontier:
+    fr, = _frontiers(spec, [n])
     return fr
 
 
@@ -1016,7 +1023,20 @@ def support_cubes(spec: MeasureSpec, n: int) -> list[DyadicCube]:
 def support_masses(spec: MeasureSpec, n: int) -> np.ndarray:
     """Masses of the positive level-n cubes, in the depth-first order of
     :func:`support_with_masses`."""
-    masses = _level_frontier(spec, n).masses
+    masses, = _support_masses_at(spec, [n])
+    return masses
+
+
+def _support_masses_at(spec: MeasureSpec, levels: Sequence[int]) -> Iterator[np.ndarray]:
+    """:func:`support_masses` at each of the non-decreasing ``levels``, from
+    one walk.  Only the walk holds a frontier, so a caller that keeps no more
+    than it needs of each level's masses keeps nothing else."""
+    walk = _frontiers(spec, levels)
+    for _ in levels:
+        yield _positive(next(walk).masses)
+
+
+def _positive(masses: np.ndarray) -> np.ndarray:
     return masses if masses.all() else masses[masses > 0.0]
 
 

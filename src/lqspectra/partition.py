@@ -110,8 +110,8 @@ def j_weight(spec: MeasureSpec, cube: DyadicCube, a: float) -> float:
 def _key_j(spec: MeasureSpec, levels: np.ndarray, keys: np.ndarray, a: float) -> np.ndarray:
     """J_a of the cubes with the given levels and Morton keys, from one
     engine walk for all of them."""
-    if a <= 0:
-        raise ValueError("a must be > 0")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be finite and > 0 (a={a!r})")
     m = spec.dim
     vols = np.empty(len(levels))
     for level, rows in _by_level(levels):
@@ -279,10 +279,10 @@ def _walk(spec: MeasureSpec, a: float, cut: float, max_depth: int,
     a cube below it cannot be among the ``top`` heaviest, nor can its
     descendants.  Returns the visited levels and the final cut."""
     ensure_valid(spec)
-    if a <= 0:
-        raise ValueError("a must be > 0")
-    if not (cut > 0):
-        raise ValueError("threshold t must be > 0")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be finite and > 0 (a={a!r})")
+    if not 0 < cut < math.inf:
+        raise ValueError(f"threshold t must be finite and > 0 (t={cut!r})")
     m = spec.dim
     eng = _engine(spec)
     fr = eng.root()
@@ -467,8 +467,8 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
     those cubes and their children.
     """
     ensure_valid(spec)
-    if a <= 0:
-        raise ValueError("a must be > 0")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be finite and > 0 (a={a!r})")
     if budget_cap < 1:
         raise ValueError("budget_cap must be >= 1")
     m = spec.dim
@@ -606,8 +606,8 @@ def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
     the known prefix of one vector once per budget (O(k_max^2 log k_max) in
     all) and for which max_depth never binds."""
     ensure_valid(spec)
-    if a <= 0:
-        raise ValueError("a must be > 0")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be finite and > 0 (a={a!r})")
     if k_max < 1:
         raise ValueError("infeasible budget: k_max must be >= 1")
     m = spec.dim
@@ -709,8 +709,8 @@ def entropy_estimate(spec: MeasureSpec, a: float, t_grid: Sequence[float],
     1 + (2^m - 1) #{J_a >= 1/t}, a binary search, so the fit costs about one
     adaptive partition at 1/t_max instead of one per grid point."""
     t = np.asarray(list(t_grid), dtype=float)
-    if len(t) < 4 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("degenerate grid: need >= 4 strictly increasing positive t values")
+    if len(t) < 4 or not np.all(np.isfinite(t)) or np.any(t <= 0) or np.any(np.diff(t) <= 0):
+        raise ValueError("degenerate grid: need >= 4 strictly increasing positive finite t values")
     # one walk to the least threshold; every card reads the same sorted weights
     thresholds = 1.0 / t
     bad = _bad_weights(spec, a, thresholds.tolist(), max_depth)

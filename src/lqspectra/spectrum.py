@@ -8,25 +8,64 @@ a convex, non-increasing function of s >= 0 with beta_n(1) = 0.  Sums are
 evaluated in log space with a max shift, so skewed weights at depth (cube
 masses around 1e-300) do not underflow.  For s = 0 the sum counts the
 positive-mass cubes, i.e. zero-mass cubes are excluded rather than given
-the value 0^0 = 1.
+the value 0^0 = 1.  The shift is s * max_i l_i for the log2 masses l_i:
+rounding is monotone, so for s >= 0 it equals the largest rounded product
+s * l_i, and no pass over the products is needed to find it.
 
-Fixed points: for b > 0 the function s -> beta_n(s) - b*s is continuous and
-strictly decreasing wherever it matters, non-negative at 0 and negative at
-1, so it has a unique root s_{n,b} in [0, 1]; bisection finds it without any
-smoothness assumptions.  The limit behaviour in n is estimated by the max
-of the roots over the tail half of the requested levels, and the whole
-sequence is reported because no convergence rate is available in general.
+Fixed points: for b > 0 the function g(s) = beta_n(s) - b*s is continuous
+and strictly decreasing wherever it matters, non-negative at 0 and negative
+at 1, so it has a unique root s_{n,b} in [0, 1].  Bisection on [0, 1] finds
+it, halving down to a width below 1e-14 (47 midpoints); the sign of the
+computed g at each midpoint decides the step.
+
+Most of those signs are certain before they are computed.  Let g~ be g as
+an exact function of the computed log2 masses l_i, and g^ the computed g.
+If max l_i <= 0, g~ is strictly decreasing (g~' = sum_i w_i l_i / n - b <=
+-b with weights w_i >= 0), and an a-priori bound E >= |g^ - g~| on [0, 1]
+turns two evaluations into a certified bracket (a, c): once g^(a) > 2E, every
+s <= a has g^(s) >= g~(s) - E >= g~(a) - E >= g^(a) - 2E > 0, and once
+g^(c) < -2E every s >= c has g^(s) < 0.  The bisection then takes the step
+of a midpoint outside (a, c) without evaluating g there, and the steps, the
+iterates and the returned root are exactly those of evaluating every
+midpoint.  A few Newton steps from s = 0, which approach the root from the
+left because g is convex and decreasing, put a and c a few E/|g'| either
+side of it; a check that fails widens the bracket a few times and then
+gives it up, and the bisection evaluates every midpoint.
+
+The bound E, for N cubes, M = -min l_i, L = log2 N and u = 2^-53, follows
+the evaluation step by step for s in [0, 1]:
+
+- the products s*l_i and the differences from the shift err by at most
+  2.01 u s M in the exponents, which moves the log2 of the sum by as much
+  (the rounding of the shift itself cancels: the same computed shift is
+  added back);
+- exp2 errs by about one ulp per term, terms that underflow lose at most
+  2^-1075 each against a sum >= 1 (its largest term is 2^0), and numpy's
+  pairwise sum errs by at most (L + 16) u in relative terms, all positive
+  terms; log2 turns a relative error e into at most e / ln 2;
+- log2 of the sum, which lies in [1, N], errs by about u L, and adding the
+  shift back by u (s M + L);
+- dividing by n errs by u |beta_n|, with |beta_n| <= (L + M) / n on
+  [0, 1], and b*s and the final difference by u b and u (|beta_n| + b).
+
+Together E0 = u ((4M + 5L + 32) / n + 2 (L + M) / n + 2b) <= u ((6M + 7L +
+32) / n + 2b), and the code uses E = 64 E0: the factor covers exp2 and log2
+implementations up to tens of ulps off.  The bound needs a finite b.
+
+The limit behaviour in n is estimated by the max of the roots over the tail
+half of the requested levels, and the whole sequence is reported because no
+convergence rate is available in general.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .measures import MeasureSpec, ensure_valid, support_masses
+from .measures import MeasureSpec, _support_masses_at, ensure_valid, support_masses
 
 __all__ = [
     "SpectrumCurve",
@@ -42,30 +81,68 @@ __all__ = [
     "order_bound",
 ]
 
-BISECT_TOL = 1e-12
+BISECT_WIDTH = 1e-14
 MAX_BISECT = 200
+CERT_SAFETY = 64.0  # the factor of E over the step-by-step rounding bound E0
+NEWTON_STEPS = 12
+NEWTON_TOL = 1e-7  # the next iterate is then off by about g''/(2|g'|) * 1e-14
+WIDENINGS = 4
 
 
-def _beta_from_masses(log2_masses: np.ndarray, n: int, s: float,
-                      out: np.ndarray | None = None) -> float:
-    """beta_n(s) from the log2 masses; ``out``, shaped like them, is scratch
-    space that a caller evaluating many s can pass to every call."""
+def _bisect(positive: Callable[[float], bool], lo: float, hi: float, relative: bool = False,
+            certified: tuple[float, float] = (-math.inf, math.inf)) -> float:
+    """Midpoint of the final bracket of a bisection on [lo, hi] that moves
+    ``lo`` up to every midpoint where ``positive`` holds and ``hi`` down to
+    the others, until the width falls below 1e-14 (times max(1, |mid|) if
+    ``relative``).  ``positive`` is taken as true at midpoints <= a and as
+    false at midpoints >= c, for ``certified`` = (a, c), without a call."""
+    a, c = certified
+    for _ in range(MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < BISECT_WIDTH * (max(1.0, abs(mid)) if relative else 1.0):
+            break
+        if mid <= a or (mid < c and positive(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _log2_moment(log2_masses: np.ndarray, s: float, lmax: float,
+                 out: np.ndarray | None = None) -> tuple[float, float]:
+    """(shift, total) with sum_i 2^(s*l_i) = 2^shift * total, for s >= 0 and
+    lmax = max_i l_i; ``out``, shaped like the l_i, is left holding the
+    terms 2^(s*l_i - shift)."""
     x = np.multiply(log2_masses, s, out=out)
-    shift = float(x.max())
+    shift = s * lmax
     np.subtract(x, shift, out=x)
     with np.errstate(under="ignore"):
         np.exp2(x, out=x)
-    return (shift + math.log2(float(x.sum()))) / n
+    return shift, float(x.sum())
+
+
+def _beta_from_masses(log2_masses: np.ndarray, n: int, s: float, lmax: float,
+                      out: np.ndarray | None = None) -> float:
+    """beta_n(s) from the log2 masses and their max; ``out``, shaped like
+    them, is scratch space that a caller evaluating many s can pass to every
+    call."""
+    shift, total = _log2_moment(log2_masses, s, lmax, out)
+    return (shift + math.log2(total)) / n
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0 ({name}={value!r})")
 
 
 def beta_n(spec: MeasureSpec, n: int, s: float) -> float:
-    """Level-n L^q-spectrum beta_n(s); requires n >= 1 and s >= 0."""
+    """Level-n L^q-spectrum beta_n(s); requires n >= 1 and finite s >= 0."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    masses = support_masses(spec, n)
-    return _beta_from_masses(np.log2(masses), n, s)
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be finite and >= 0 (s={s!r})")
+    logm = np.log2(support_masses(spec, n))
+    return _beta_from_masses(logm, n, s, float(logm.max()))
 
 
 @dataclass(frozen=True)
@@ -84,25 +161,27 @@ class SpectrumCurve:
 def spectrum_curve(spec: MeasureSpec, n: int, s_grid: Sequence[float]) -> SpectrumCurve:
     """Evaluate beta_n on a strictly increasing grid, reusing one mass sweep."""
     s = np.asarray(list(s_grid), dtype=float)
-    if s.ndim != 1 or len(s) < 1 or np.any(np.diff(s) <= 0):
+    if s.ndim != 1 or len(s) < 1 or not np.all(np.isfinite(s)):
+        raise ValueError("s_grid must be a nonempty list of finite values")
+    if np.any(np.diff(s) <= 0):
         raise ValueError("s_grid must be strictly increasing")
     if s[0] < 0:
         raise ValueError("s must be >= 0")
     if n < 1:
         raise ValueError("level must be >= 1")
     logm = np.log2(support_masses(spec, n))
+    lmax = float(logm.max())
     buf = np.empty_like(logm)
-    vals = np.array([_beta_from_masses(logm, n, float(si), buf) for si in s])
+    vals = np.array([_beta_from_masses(logm, n, float(si), lmax, buf) for si in s])
     return SpectrumCurve(n, s, vals)
 
 
 def s_nb(spec: MeasureSpec, n: int, b: float) -> float:
-    """Unique root in [0, 1] of beta_n(s) = b*s, by bisection to ~1e-12.
+    """Unique root in [0, 1] of beta_n(s) = b*s, by bisection to ~1e-14.
 
     Returns 0 when beta_n(0) <= 0 already (single-cube support).
     """
-    if b <= 0:
-        raise ValueError("b must be > 0")
+    _check_positive("b", b)
     if n < 1:
         raise ValueError("level must be >= 1")
     logm = np.log2(support_masses(spec, n))
@@ -110,23 +189,52 @@ def s_nb(spec: MeasureSpec, n: int, b: float) -> float:
 
 
 def _root_from_masses(log2_masses: np.ndarray, n: int, b: float) -> float:
+    if len(log2_masses) == 1:
+        return 0.0  # beta_n(0) = log2(1) / n = 0: the root is 0
+    lmax = float(log2_masses.max())
     buf = np.empty_like(log2_masses)
 
     def g(s):
-        return _beta_from_masses(log2_masses, n, s, buf) - b * s
+        return _beta_from_masses(log2_masses, n, s, lmax, buf) - b * s
 
-    if g(0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-14:
+    certified = (-math.inf, math.inf)
+    if lmax <= 0.0:  # g~ strictly decreasing: a bracket can be certified
+        certified = _certified_bracket(g, log2_masses, n, b, lmax, buf)
+    return _bisect(lambda s: g(s) > 0.0, 0.0, 1.0, certified=certified)
+
+
+def _certified_bracket(g: Callable[[float], float], log2_masses: np.ndarray, n: int, b: float,
+                       lmax: float, buf: np.ndarray) -> tuple[float, float]:
+    """(a, c) with g(a) > 2E and g(c) < -2E for the bound E of the module
+    docstring, or an infinite end where no such point was found in (0, 1)."""
+    count = len(log2_masses)
+    spread = -float(log2_masses.min())
+    err = CERT_SAFETY * 2.0 ** -53 * ((6.0 * spread + 7.0 * math.log2(count) + 32.0) / n + 2.0 * b)
+    # Newton from s = 0, where g = log2(count) / n and g' = mean(l) / n - b
+    s, value = 0.0, math.log2(count) / n
+    slope = float(log2_masses.sum()) / (count * n) - b
+    for _ in range(NEWTON_STEPS):
+        step = -value / slope
+        s += step
+        if abs(step) < NEWTON_TOL:
             break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        shift, total = _log2_moment(log2_masses, s, lmax, buf)
+        value = (shift + math.log2(total)) / n - b * s
+        slope = float(np.dot(buf, log2_masses)) / (total * n) - b
+    half_width = 4.0 * err / -slope
+
+    def end(sign):
+        width = half_width
+        for _ in range(WIDENINGS):
+            t = s + sign * width
+            if not 0.0 < t < 1.0:
+                break  # no midpoint lies beyond t
+            if sign * g(t) < -2.0 * err:
+                return t
+            width *= 8.0
+        return sign * math.inf
+
+    return end(-1.0), end(1.0)
 
 
 @dataclass(frozen=True)
@@ -147,9 +255,12 @@ class FixedPoint:
 
 def s_b_estimate(spec: MeasureSpec, b: float, levels: Sequence[int]) -> FixedPoint:
     """Roots at every requested level and the tail-half max as the estimate."""
+    _check_positive("b", b)
     levels = _check_levels(levels)
     ensure_valid(spec)
-    return _fixed_point(b, levels, (support_masses(spec, n) for n in levels))
+    # one walk to the deepest level, keeping each level's log2 masses; the
+    # roots are solved after it, when no frontier is left
+    return _fixed_point(b, levels, list(map(np.log2, _support_masses_at(spec, levels))))
 
 
 def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
@@ -161,15 +272,17 @@ def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
     return levels
 
 
-def _fixed_point(b: float, levels: tuple[int, ...], masses: Iterable[np.ndarray]) -> FixedPoint:
-    """s_b_estimate from the positive cube masses of each level, as
-    :func:`support_masses` returns them."""
+def _fixed_point(b: float, levels: tuple[int, ...],
+                 log2_masses: Iterable[np.ndarray]) -> FixedPoint:
+    """s_b_estimate from the log2 of the positive cube masses of each level,
+    as :func:`support_masses` returns them."""
     roots = []
     residuals = []
-    for n, logm in zip(levels, map(np.log2, masses)):
+    for n, logm in zip(levels, log2_masses):
         r = _root_from_masses(logm, n, b)
         roots.append(r)
-        residuals.append(abs(_beta_from_masses(logm, n, r) - b * r) if r > 0.0 else 0.0)
+        residuals.append(abs(_beta_from_masses(logm, n, r, float(logm.max())) - b * r)
+                         if r > 0.0 else 0.0)
     tail = (len(levels) + 1) // 2
     return FixedPoint(
         b=float(b),
@@ -199,8 +312,8 @@ def _check_ifs_data(weights, ratios):
 def selfsimilar_beta(weights: Sequence[float], ratios: Sequence[float], s: float) -> float:
     """Spectrum value beta(s) of a self-similar measure: the unique root in
     beta of sum_i p_i^s r_i^beta = 1 (strictly decreasing in beta)."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be finite and >= 0 (s={s!r})")
     w, r = _check_ifs_data(weights, ratios)
     logw = np.log(w)
     logr = np.log(r)
@@ -214,40 +327,18 @@ def selfsimilar_beta(weights: Sequence[float], ratios: Sequence[float], s: float
         lo *= 2.0
     while f(hi) > 0.0:
         hi *= 2.0
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-14 * max(1.0, abs(mid)):
-            break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda beta: f(beta) > 0.0, lo, hi, relative=True)
 
 
 def selfsimilar_s_rho(weights: Sequence[float], ratios: Sequence[float], rho: float) -> float:
     """Fixed point of the self-similar spectrum against the line rho*s: the
     unique root in (0, 1) of sum_i (p_i r_i^rho)^s = 1."""
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+    _check_positive("rho", rho)
     w, r = _check_ifs_data(weights, ratios)
     if len(w) == 1:
         return 0.0  # single-map system: point mass, degenerate fixed point
     logc = np.log(w) + rho * np.log(r)
-
-    def g(s):
-        return float(np.exp(s * logc).sum()) - 1.0
-
-    lo, hi = 0.0, 1.0
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-14:
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda s: float(np.exp(s * logc).sum()) > 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,30 @@ def test_nan_mixture_coefficient_rejected(tmp_path, capsys):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fixedpoint", "--levels", "4..6", "--b", "nan"], "b must be finite"),
+    (["fixedpoint", "--levels", "4..6", "--b", "inf"], "b must be finite"),
+    (["spectrum", "--levels", "4..6", "--s-grid", "0:nan:3"], "finite values"),
+    (["spectrum", "--levels", "4..6", "--s-grid", "0:inf:3"], "finite values"),
+    (["partition", "--a", "nan", "--t", "1e-3"], "a must be finite"),
+    (["partition", "--a", "inf", "--t", "1e-3"], "a must be finite"),
+    (["partition", "--a", "1", "--t", "nan"], "t must be finite"),
+    (["partition", "--a", "1", "--t", "inf"], "t must be finite"),
+    (["partition", "--a", "1", "--t-grid", "1e-3,nan,3"], "finite factor"),
+    (["partition", "--a", "1", "--t-grid", "nan,2,3"], "finite start"),
+    (["entropy", "--a", "nan"], "a must be finite"),
+    (["entropy", "--t-grid", "100,inf,7"], "finite factor"),
+    (["entropy", "--t-grid", "1e300,1e10,7"], "overflows"),
+    (["eigen", "--level", "6", "--cuts", "nan"], "cuts must be"),
+    (["eigen", "--level", "6", "--cuts", "0.5,inf"], "cuts must be"),
+])
+def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--measure", "binomial_07_03", "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json")

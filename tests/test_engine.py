@@ -271,17 +271,23 @@ def test_order_fit_single_sweep_is_bit_identical(monkeypatch, spec, levels):
             return impl(spec, n)
         monkeypatch.setattr(module, name, wrapper)
 
+    def counted_levels(impl):  # s_b_estimate's masses, one call for all levels
+        def wrapper(spec, levels):
+            calls.extend(("support_masses", n) for n in levels)
+            return impl(spec, levels)
+        monkeypatch.setattr(spectrum, "_support_masses_at", wrapper)
+
     def cursor_support(spec, n):  # 1D keys are the cube indices
         cubes, masses = ref.support_with_masses(spec, n)
         return np.array([c.index[0] for c in cubes], dtype=np.int64), masses
 
     counted(kreinfeller, "_support", measures._support)
-    counted(spectrum, "support_masses", lq.support_masses)
+    counted_levels(measures._support_masses_at)
     fit = lq.order_fit(spec, levels)
     assert calls == [("_support", n) for n in levels]
     # the former route: cursor masses, swept twice (discretize, then s_b_estimate)
     counted(kreinfeller, "_support", cursor_support)
-    counted(spectrum, "support_masses", ref.support_masses)
+    counted_levels(lambda spec, levels: [ref.support_masses(spec, n) for n in levels])
     before = lq.order_fit(spec, levels, reference_levels=levels)
     assert len(calls) == 3 * len(levels)
     assert _fields(fit) == _fields(before)

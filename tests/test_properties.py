@@ -1,6 +1,7 @@
 """Mass invariants of the frontier engine on generated specs of every family,
-the adaptive family's card(t) identity on the same specs, and the oracle's
-breakpoint merge on generated vectors.
+the adaptive family's card(t) identity and the shape of the spectra and
+their certified roots on the same specs, and the oracle's breakpoint merge
+on generated vectors.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import cursor_reference as ref
 import lqspectra as lq
+import spectrum_reference as spectrum_ref
 from lqspectra import partition
 
 MAX_CUBES = 256
@@ -255,3 +257,58 @@ def test_profile_states_are_threshold_partitions(spec, a, cap):
     part = lq.budget_partition(spec, a, cap)
     assert part.cardinality <= cap
     assert lq.partition_violations(part, spec) == []
+
+
+# ---------------------------------------------------------------------------
+# Spectra: beta_n and the certified roots s_{n,b}
+# ---------------------------------------------------------------------------
+
+S_GRID = np.linspace(0.0, 3.0, 13)
+
+
+def _spectrum_levels(spec):
+    """(level, support masses) from level 1 while the support stays small."""
+    out = []
+    for n in range(1, 9):
+        masses = lq.support_masses(spec, n)
+        if len(masses) > MAX_CUBES:
+            break
+        out.append((n, masses))
+    return out
+
+
+@given(specs(float_weights), st.sampled_from([0.01, 0.3, 1.0, 2.5, 8.0]))
+def test_spectrum_shape_and_certified_roots(spec, b):
+    # beta_n(1) = log2(total mass) / n, which truncation may move off 0
+    tol = 1e-12 + 2 * _truncated(spec)
+    levels = _spectrum_levels(spec)
+    fp = lq.s_b_estimate(spec, b, [n for n, _ in levels])
+    for (n, masses), root, residual in zip(levels, fp.roots, fp.residuals):
+        values = lq.spectrum_curve(spec, n, S_GRID).values
+        assert values[0] == math.log2(len(masses)) / n
+        assert abs(values[S_GRID.tolist().index(1.0)]) <= tol
+        assert np.all(np.diff(values) <= 1e-12)
+        assert np.all(np.diff(values, 2) >= -1e-9)
+        assert 0.0 <= root <= 1.0 and residual <= 1e-10
+        assert root == spectrum_ref.root_from_masses(np.log2(masses), n, b)
+
+
+@st.composite
+def half_ratio_ifs(draw):
+    """A dyadic IFS whose maps all have ratio 1/2: distinct children of the
+    unit cube, at least two."""
+    m = draw(st.integers(1, 2))
+    cells = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=2, max_size=1 << m,
+                          unique=True))
+    maps = tuple(lq.DyadicMap(1, tuple(Fraction((c >> k) & 1, 2) for k in range(m)))
+                 for c in sorted(cells))
+    return lq.DyadicIFS(m, maps, tuple(draw(float_weights(len(maps)))))
+
+
+@given(half_ratio_ifs())
+def test_half_ratio_spectrum_is_the_closed_form_at_every_level(spec):
+    ratios = [0.5] * len(spec.weights)
+    want = [lq.selfsimilar_beta(spec.weights, ratios, float(s)) for s in S_GRID]
+    for n, _ in _spectrum_levels(spec):
+        got = lq.spectrum_curve(spec, n, S_GRID).values
+        assert np.all(np.abs(got - want) <= 1e-12)

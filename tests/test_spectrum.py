@@ -240,8 +240,9 @@ def test_order_bound_rejects_inconsistent_s_rho():
 # the bisection's scratch buffer
 # ---------------------------------------------------------------------------
 
-def _beta_from_masses_fresh(log2_masses, n, s, out=None):
-    """The formula before the scratch buffer: three fresh temporaries."""
+def _beta_from_masses_fresh(log2_masses, n, s, lmax=None, out=None):
+    """The formula before the scratch buffer: three fresh temporaries, and
+    the max shift found by a pass (``lmax`` is not used)."""
     x = s * log2_masses
     shift = float(x.max())
     with np.errstate(under="ignore"):
@@ -257,10 +258,11 @@ def test_scratch_buffer_keeps_beta_and_roots_bit_identical(monkeypatch, binom, t
     for spec, n in cases:
         logm = np.log2(lq.support_masses(spec, n))
         buf = np.empty_like(logm)
+        lmax = float(logm.max())
         for s in s_grid:
             want = _beta_from_masses_fresh(logm, n, s)
-            assert spectrum._beta_from_masses(logm, n, s) == want
-            assert spectrum._beta_from_masses(logm, n, s, buf) == want
+            assert spectrum._beta_from_masses(logm, n, s, lmax) == want
+            assert spectrum._beta_from_masses(logm, n, s, lmax, buf) == want
     got = [(lq.s_nb(spec, n, b), lq.spectrum_curve(spec, n, s_grid).values)
            for spec, n in cases for b in (0.4, 1.0, 3.0)]
     monkeypatch.setattr(spectrum, "_beta_from_masses", _beta_from_masses_fresh)

@@ -21,8 +21,13 @@ untimed call), and four for the partition layer at the sizes of the
 ``partitions`` workload (in-process, the median of five calls after one
 untimed call): ``adaptive_partition`` on the binomial and the tetrahedron,
 ``gamma_adaptive_profile`` of the tetrahedron to 32,768 cubes and
-``entropy_estimate`` of the binomial.  Rows with a count of work also carry
-``units`` and ``units_per_s`` (cubes or atoms per second of the median).
+``entropy_estimate`` of the binomial; and four for the spectrum layer at the
+sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
+binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
+the binomial at levels 14, 16 and 18, and ``spectrum_curve`` of the binomial
+at level 18 on the workload's 20-point s grid.  Rows with a count of work
+also carry ``units`` and ``units_per_s`` (cubes, atoms, roots or s-grid
+points per second of the median).
 The children run single-threaded BLAS, as perfbench's do.
 """
 
@@ -45,8 +50,8 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 from jobs import cli_jobs  # noqa: E402
 from specs import make_inputs  # noqa: E402
 
-# one in-process partition case: prints its work units and the median time
-PARTITION_CHILD = """
+# one in-process case: prints its work units and the median time
+CASE_CHILD = """
 import statistics
 import time
 import numpy as np
@@ -133,6 +138,36 @@ def _cli_seconds(tree: Path, argv: list[str], out: Path) -> float:
     return time.perf_counter() - start
 
 
+def _case_code(entry: dict, run: str, units: str, setup: str = "") -> str:
+    """Child code timing ``run`` on the spec built by a workload's spec entry."""
+    return CASE_CHILD.format(call=entry["call"], args=entry["args"], setup=setup, run=run,
+                             units=units)
+
+
+def spectrum_cases(seed: int) -> list[tuple[str, str]]:
+    """(case, child code) of the spectrum rows, at the sizes of the ``levels``
+    workload with this seed."""
+    inputs = make_inputs("levels", seed)
+    specs, prm = inputs["specs"], inputs["params"]
+    binomial, tetra = prm["binomial"], prm["tetra"]
+    p = specs["binomial"]["args"][0]
+    n_bin, n_tet, levels = binomial["nb_level"], tetra["nb_level"], binomial["est_levels"]
+    n_curve, grid = binomial["curve_level"], binomial["s_grid"]
+    return [
+        (f"s_nb(binomial_ifs({p:.4g}), {n_bin}, b={binomial['b_nb']}); roots",
+         _case_code(specs["binomial"], f"lq.s_nb(spec, {n_bin}, {binomial['b_nb']!r})", "1")),
+        (f"s_nb(tetra, {n_tet}, b={tetra['b_nb']}); roots",
+         _case_code(specs["tetra"], f"lq.s_nb(spec, {n_tet}, {tetra['b_nb']!r})", "1")),
+        (f"s_b_estimate(binomial_ifs({p:.4g}), b={binomial['b_est']}, {levels}); roots",
+         _case_code(specs["binomial"], f"lq.s_b_estimate(spec, {binomial['b_est']!r}, {levels})",
+                    str(len(levels)))),
+        (f"spectrum_curve(binomial_ifs({p:.4g}), {n_curve}, {len(grid)}-point s grid); "
+         "s-grid points",
+         _case_code(specs["binomial"], f"lq.spectrum_curve(spec, {n_curve}, {grid!r})",
+                    str(len(grid)))),
+    ]
+
+
 def partition_cases(seed: int) -> list[tuple[str, str]]:
     """(case, child code) of the partition rows, at the sizes of the
     ``partitions`` workload with this seed."""
@@ -144,9 +179,7 @@ def partition_cases(seed: int) -> list[tuple[str, str]]:
     cases = []
 
     def add(case, name, run, units, setup=""):
-        entry = specs[name]
-        cases.append((case, PARTITION_CHILD.format(call=entry["call"], args=entry["args"],
-                                                   setup=setup, run=run, units=units)))
+        cases.append((case, _case_code(specs[name], run, units, setup)))
 
     for name in ("binomial", "tetra"):
         a, t = adaptive[name]["a"], adaptive[name]["t"]
@@ -175,7 +208,7 @@ def main() -> None:
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
     parser.add_argument("--reps", type=int, default=7)
     parser.add_argument("--seed", type=int, default=1,
-                        help="seed of the cli and partitions workload inputs")
+                        help="seed of the cli, partitions and levels workload inputs")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     for tree in trees.values():
@@ -194,8 +227,10 @@ def main() -> None:
         cases.append(("kreinfeller",
                       "split_counting_check(binomial_ifs(0.7), 12, cuts [0.25, 0.75], 50 x); atoms",
                       4096, lambda tree: (_child_seconds(tree, SPLIT_CHILD), 4096)))
-        for case, code in partition_cases(args.seed):
-            cases.append(("partition", case, None, lambda tree, code=code: _child_units(tree, code)))
+        for layer, layer_cases in (("partition", partition_cases), ("spectrum", spectrum_cases)):
+            for case, code in layer_cases(args.seed):
+                cases.append((layer, case, None,
+                              lambda tree, code=code: _child_units(tree, code)))
 
         times = {(case[1], side): [] for case in cases for side in trees}
         units = {}
