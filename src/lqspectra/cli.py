@@ -5,7 +5,8 @@ rendered.  Every table carries a header naming the emitted quantities, and
 identical configuration plus seed produces byte-identical files.
 
 Exit codes: 0 on success, 1 on parameter errors (bad flags, malformed or
-invalid measure files), 2 on failed internal assertions.
+invalid measure files, a partition deeper than --max-depth), 2 on failed
+internal assertions.
 """
 
 from __future__ import annotations
@@ -54,11 +55,22 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _parse_levels(text: str) -> list[int]:
-    """'4..8' or '4,6,8' -> list of ints."""
+    """'4..8' or '4,6,8' -> nonempty list of ints."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x]
+        out = list(range(int(lo), int(hi) + 1))
+    else:
+        out = [int(x) for x in text.split(",") if x]
+    if not out:
+        raise ParameterError(f"the list {text!r} is empty")
+    return out
+
+
+def _max_depth(text: str) -> int:
+    depth = int(text)
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {depth})")
+    return depth
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -313,7 +325,7 @@ def _build_parser() -> _Parser:
                            help="measure spec JSON path, or a shipped name like lebesgue_1d")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-depth", type=int, default=60)
+        p.add_argument("--max-depth", type=_max_depth, default=60)
 
     p = sub.add_parser("spectrum", help="level spectra beta_n over an s grid")
     common(p)
@@ -386,6 +398,11 @@ def main(argv=None) -> int:
     except (ParameterError, InvalidMeasureError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MaxDepthExceeded as exc:
+        print(f"error: a cube at depth {exc.cube.level} still has J_a = {exc.j_value!r} "
+              f">= t = {exc.threshold!r}; raise --max-depth (now {args.max_depth}) "
+              "or loosen the threshold", file=sys.stderr)
         return 1
     except (AssertionError, RuntimeError) as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

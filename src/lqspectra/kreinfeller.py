@@ -431,8 +431,8 @@ def split_counting_check(spec: MeasureSpec | AtomicApprox, level: int | None,
         if np.any(atoms.points == c):
             raise ValueError(f"cut {c} coincides with an atom; the sandwich needs nu(cut)=0")
     xs = np.asarray(list(x_grid), dtype=float)
-    if len(xs) == 0 or np.any(xs <= 0):
-        raise ValueError("x_grid must contain positive values")
+    if len(xs) == 0 or not np.all(np.isfinite(xs) & (xs > 0)):
+        raise ValueError("x_grid must contain finite positive values")
 
     pts, w = atoms.points, atoms.weights
     n_full = _inertia_counts(*stiffness_tridiagonal(pts), w, xs)

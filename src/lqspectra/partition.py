@@ -18,7 +18,9 @@ values, collected by one level-synchronous engine walk: the entropy fit
 and :func:`counting_N` count in it, :func:`refinement_profile` reads every
 state off it, and :func:`budget_partition` and
 :func:`gamma_adaptive_profile` read the profile.  Only
-:func:`adaptive_partition` needs the cubes themselves, and it keeps them as
+:func:`adaptive_partition` and :func:`budget_partition` need the cubes
+themselves (the latter cuts them out of the profile's walk, which visited
+every cube the threshold walk would), and they keep them as
 (level, Morton key) arrays: a :class:`Partition` builds its DyadicCube
 objects when ``cubes`` is first read, which costs several times the walk.
 
@@ -349,7 +351,13 @@ def adaptive_partition(spec: MeasureSpec, a: float, t: float,
     ``cubes`` is read.
     """
     levels, _ = _walk(spec, a, t, max_depth)
-    m = spec.dim
+    return _leaves(levels, spec.dim, a, t)
+
+
+def _leaves(levels: list[_Level], m: int, a: float, t: float) -> Partition:
+    """The adaptive partition at threshold t from the levels its walk
+    visited: the cubes that walk left unsplit and the empty children of the
+    ones it split, in depth-first order."""
     _check_depth(levels, m, [t])
     leaves = []
     for lv, below in zip(levels, levels[1:] + [None]):
@@ -369,6 +377,27 @@ def adaptive_partition(spec: MeasureSpec, a: float, t: float,
         a=float(a),
         threshold=float(t),
     )
+
+
+def _at_threshold(levels: list[_Level], t: float) -> list[_Level]:
+    """The levels the walk at threshold t visits, cut out of the levels of a
+    walk that split at least every cube it splits: the root, then level by
+    level the children of the cubes whose effective weight is >= t, until
+    none is or the other walk stopped at its depth limit."""
+    out = []
+    rows, parent = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for lv, below in zip(levels, levels[1:] + [None]):
+        eff = lv.eff[rows]
+        split = eff >= t
+        out.append(_Level(lv.level, lv.keys[rows], lv.masses[rows], lv.j[rows], eff, parent, split))
+        if below is None or not split.any():
+            return out
+        at = np.full(len(lv.keys), -1)  # row of each cube among the split ones kept
+        at[rows] = np.arange(len(rows))
+        at[rows[~split]] = -1
+        rows = np.flatnonzero(at[below.parent] >= 0)
+        parent = at[below.parent[rows]]
+    return out
 
 
 def counting_N(spec: MeasureSpec, a: float, t: float,
@@ -466,6 +495,12 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
     split one state after it.  Sorting costs O(K log K) on top of a walk over
     those cubes and their children.
     """
+    return _profile(spec, a, budget_cap, max_depth)[0]
+
+
+def _profile(spec: MeasureSpec, a: float, budget_cap: int,
+             max_depth: int) -> tuple[np.ndarray, list[_Level]]:
+    """The states of :func:`refinement_profile` and the levels of its walk."""
     ensure_valid(spec)
     if not 0 < a < math.inf:
         raise ValueError(f"a must be finite and > 0 (a={a!r})")
@@ -494,28 +529,31 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
             raise MaxDepthExceeded(_cube(tree, i, m), float(eff[starts[g]]), 0.0)
     states = np.column_stack((cards[:stop], eff[starts[:stop]])).astype(float)
     if len(over):
-        return states
+        return states, levels
     pruned = tree.eff[tree.eff < cut]
     j_next = float(pruned.max()) if len(pruned) else 0.0
     if j_next == 0.0:
         j_next = _zero_top(tree, split, m)
-    return np.vstack((states, [[1 + k * len(split), j_next]]))
+    return np.vstack((states, [[1 + k * len(split), j_next]])), levels
 
 
 def budget_partition(spec: MeasureSpec, a: float, budget: int,
                      max_depth: int = DEFAULT_MAX_DEPTH) -> Partition:
     """The adaptive-family partition of largest cardinality <= budget (the
     one whose max J_a realises gamma_hat(budget))."""
-    states = refinement_profile(spec, a, int(budget), max_depth=max_depth)
+    states, levels = _profile(spec, a, int(budget), max_depth)
     cards = states[:, 0]
     k = int(np.searchsorted(cards, budget, side="right")) - 1
     if k < 0:
         raise ValueError(f"budget {budget} below the coarsest state")
     j_top = states[k, 1]
     # every cube of that state has J_a <= j_top, so the threshold just above
-    # j_top reproduces it exactly
-    return adaptive_partition(spec, a, float(np.nextafter(j_top, np.inf)),
-                              max_depth=max_depth)
+    # j_top reproduces it exactly; the profile's walk split every cube of
+    # effective weight > j_top (it splits down to a cut <= j_top, or
+    # everything above the largest weight it pruned, j_top itself), so the
+    # threshold walk is a part of it
+    t = float(np.nextafter(j_top, np.inf))
+    return _leaves(_at_threshold(levels, t), spec.dim, a, t)
 
 
 def gamma_adaptive_profile(spec: MeasureSpec, a: float, budgets: Sequence[int],

@@ -28,7 +28,18 @@ pieces that hold it.  Blocks hold about ``_BLOCK`` points or nodes, which
 bounds the temporaries.  Every number equals the one the per-cube loops give:
 the same elementwise operations produce the basis values, and each cube's
 contraction is one ``basis @ coeffs`` (or ``basis.T @ values``) over that
-cube's rows in their original order.
+cube's rows in their original order; for ell = 1 that is one value per
+piece, its normalisation times its coefficient.
+
+Keys among piece edges, and uniforms among CDF edges, are located by one
+table search (``_located``): the range is cut into 2^b cells, about 16 per
+edge and at most 2^16, and a cell with no edge strictly inside it gives all
+its needles one count; only the needles of the other cells are searched one
+by one.  Every discrete draw (an atom, a density cell, a mixture component,
+an IFS map) is the one ``rng.choice(K, size=n, p=p)`` makes: choice draws n
+uniforms and returns searchsorted(cdf, u, "right") for cdf = p.cumsum()
+divided by its last entry, and so does the sampler, with the same uniforms
+and the stream left at the same place.
 """
 
 from __future__ import annotations
@@ -293,10 +304,15 @@ def _owners(points: np.ndarray, depth: int, edges: np.ndarray, owner: np.ndarray
     # exact integers before the - 1: past 2^53 a float - 1.0 rounds back
     index = np.ceil(np.ldexp(points, depth))
     index = (index.astype(np.int64) if depth <= _KEY_BITS else np.frompyfunc(int, 1, 1)(index)) - 1
+    bits = depth * points.shape[1]
     keys = _morton(index.T, depth, points.shape[1])
+    # 2^b cells of the key range [0, 2^bits): a key's cell is its leading b bits
+    b = _cell_bits(len(edges), bits)
+    starts = np.arange((1 << b) + 1).astype(keys.dtype) << (bits - b)
+    cell = (keys >> (bits - b)).astype(np.intp)
     # a key below every edge reads owner[-1], the run past the last edge,
     # which no piece holds
-    rows = owner[np.searchsorted(edges, keys, side="right") - 1]
+    rows = owner[_located(edges, keys, cell, starts) - 1]
     if np.any(rows == owner[-1]):
         raise ValueError(_OUTSIDE)
     return rows
@@ -335,11 +351,13 @@ class PiecewisePoly:
             raise ValueError(f"points have {points.shape[1]} coordinates, the cubes {self.dim}")
         runs, geometry = _piece_runs(self.cubes), _geometry(self.cubes)
         out = np.empty(n)
-        if self.order == 1:  # kappa = 1: the contraction is one product
+        if self.order == 1:
+            # kappa = 1: the one basis value is the constant norm (1.0 * norm
+            # in _basis), so each piece has one value
+            value = geometry[2] * self.coeffs[:, 0]
             for s in range(0, n, _BLOCK):
                 blk = slice(s, s + _BLOCK)
-                c = _owners(points[blk], *runs)
-                out[blk] = _cube_basis(points[blk], geometry, c, 1)[:, 0] * self.coeffs[c, 0]
+                out[blk] = value[_owners(points[blk], *runs)]
             return out
         # one basis @ coeffs per cube over all its points in their order,
         # as the sum order of a BLAS product may depend on the row count
@@ -390,12 +408,43 @@ def piecewise_project(u, partition: Union[Partition, Sequence[DyadicCube]],
 # Sampling from a measure and empirical L^q errors
 # ---------------------------------------------------------------------------
 
-def _map_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """#{j : cdf_j <= u} for each u in [0, 1), one map at a time (cdf[-1] = 1)."""
-    pick = np.zeros(len(u), dtype=np.intp)
-    for c in cdf[:-1].tolist():
-        pick += u >= c
-    return pick
+def _located(edges: np.ndarray, needles: np.ndarray, cell: np.ndarray,
+             starts: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, needles, side="right")`` for needles that lie
+    in cells of a sorted grid, starts[cell[i]] <= needles[i] < starts[cell[i] + 1].
+
+    Between two starts s <= x < s', #{e <= s} <= #{e <= x} <= #{e < s'}, so
+    where the two bounds agree (no edge lies strictly inside the cell) the
+    count is read from a table of 2 searches per cell; only the needles of
+    the other cells are searched one by one.
+    """
+    lo = np.searchsorted(edges, starts[:-1], side="right")
+    hi = np.searchsorted(edges, starts[1:], side="left")
+    out = lo.take(cell, mode="clip")
+    rows = np.flatnonzero((lo != hi).take(cell, mode="clip"))
+    if len(rows):
+        out[rows] = np.searchsorted(edges, needles[rows], side="right")
+    return out
+
+
+def _cell_bits(n_edges: int, bits: int = 16) -> int:
+    """Bits of the cell grid of :func:`_located`: about 16 cells per edge,
+    at most 2^16 cells and at most one cell per value of a ``bits``-bit key."""
+    return min(bits, n_edges.bit_length() + 4, 16)
+
+
+def _choice(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(probs), size=n, p=probs)``: numpy's choice draws n
+    uniforms u and returns searchsorted(cdf, u, "right") with cdf =
+    probs.cumsum() / its last entry, so this gives the same picks and leaves
+    the stream where choice leaves it."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    b = _cell_bits(len(cdf))
+    # floor(u 2^b) is exact: u < 1 and the product only shifts the exponent
+    cell = np.ldexp(u, b).astype(np.intp)
+    return _located(cdf, u, cell, np.ldexp(np.arange((1 << b) + 1, dtype=float), -b))
 
 
 def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -403,10 +452,12 @@ def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.nd
 
     IFS measures are sampled by composing ~55 independent weight-distributed
     maps (position error below 2^-50); atomic and density measures are
-    sampled exactly up to floating point.  Each map step draws n uniforms u
-    and picks map #{j : cdf_j <= u}, counted one map at a time: the draws
-    and the stream use of ``rng.choice(len(p), size=n, p=p)``, whose
-    binary search costs more than the count for the few maps of an IFS.
+    sampled exactly up to floating point.  Every discrete draw is the one
+    ``rng.choice(len(p), size=n, p=p)`` makes, with the same use of the
+    stream: n uniforms u, each mapped to searchsorted(cdf, u, "right").
+    For the few maps of an IFS that index is counted, one comparison per
+    CDF cut, in buffers reused over the steps; atoms, density cells and
+    mixture components are located by the cell table of :func:`_located`.
     """
     ensure_valid(spec)
     m = spec.dim
@@ -421,29 +472,43 @@ def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.nd
             offsets = np.array([[float(mp.offset)] for mp in spec.maps])
         cdf = np.cumsum(np.asarray(spec.weights) / math.fsum(spec.weights))
         cdf /= cdf[-1]
+        cuts = cdf[:-1].tolist()
         r_max = float(ratios.max())
         steps = int(math.ceil(52.0 * math.log(2.0) / -math.log(r_max))) + 3
-        x = 1.0 - rng.random((n, m))
+        x = np.ascontiguousarray((1.0 - rng.random((n, m))).T)  # one row per axis
+        # with one ratio for every map, x * r equals x * ratios[pick]
+        ratio = float(ratios[0]) if np.all(ratios == ratios[0]) else None
+        offset_axes = [np.ascontiguousarray(offsets[:, j]) for j in range(m)]
+        u, pick = np.empty(n), np.empty(n, dtype=np.intp)
+        ge, buf = np.empty(n, dtype=bool), np.empty(n)
         for _ in range(steps):
-            pick = _map_index(cdf, rng.random(n))
-            x *= ratios.take(pick)[:, None]
-            x += offsets.take(pick, axis=0)
-        return x
+            rng.random(out=u)
+            # the map #{j : cdf_j <= u}, which is searchsorted(cdf, u, "right");
+            # a valid IFS has at least two maps, so one cut or more
+            np.greater_equal(u, cuts[0], out=pick)
+            for c in cuts[1:]:
+                np.greater_equal(u, c, out=ge)
+                pick += ge
+            x *= ratio if ratio is not None else ratios.take(pick, mode="clip")
+            for j in range(m):
+                x[j] += offset_axes[j].take(pick, out=buf, mode="clip")
+        return np.ascontiguousarray(x.T)
     if isinstance(spec, Atomic):
         pts = np.array([[float(c) for c in p] for p in spec.points])
-        probs = np.asarray(spec.weights) / math.fsum(spec.weights)
-        pick = rng.choice(len(probs), size=n, p=probs)
-        return pts[pick]
+        return pts[_choice(np.asarray(spec.weights) / math.fsum(spec.weights), n, rng)]
     if isinstance(spec, DyadicDensity):
         side = 1 << spec.depth
         cellmass = spec.values.ravel() * math.ldexp(1.0, -spec.depth * m)
-        probs = cellmass / cellmass.sum()
-        flat = rng.choice(len(probs), size=n, p=probs)
-        idx = np.stack(np.unravel_index(flat, spec.values.shape), axis=-1)
-        return (idx + (1.0 - rng.random((n, m)))) / side
+        flat = _choice(cellmass / cellmass.sum(), n, rng)
+        out = 1.0 - rng.random((n, m))
+        for j in range(m - 1, -1, -1):  # C order: the last axis varies fastest
+            flat, idx = np.divmod(flat, side)
+            out[:, j] += idx
+        out /= side
+        return out
     if isinstance(spec, Mixture):
         coefs = np.array([c for c, _ in spec.components])
-        pick = rng.choice(len(coefs), size=n, p=coefs / coefs.sum())
+        pick = _choice(coefs / coefs.sum(), n, rng)
         out = np.empty((n, m))
         for i, (_, sub) in enumerate(spec.components):
             take = pick == i

@@ -104,6 +104,24 @@ def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, messag
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    # these exited 2 with "assertion failed", or 0 with a header-only CSV
+    (["partition", "--a", "1", "--t", "1e-6", "--max-depth", "3"], "--max-depth (now 3)"),
+    (["partition", "--a", "1", "--t-grid", "1e-2,10,3", "--max-depth", "3"], "--max-depth (now 3)"),
+    (["entropy", "--max-depth", "3"], "--max-depth (now 3)"),
+    (["partition", "--a", "1", "--t", "1e-3", "--max-depth", "-1"], "--max-depth: must be >= 0"),
+    (["spectrum", "--levels", "5..3"], "'5..3' is empty"),
+    (["fixedpoint", "--levels", ","], "',' is empty"),
+    (["project", "--n-list", "9..2"], "'9..2' is empty"),
+])
+def test_depth_limits_and_empty_lists_exit_1_without_csv(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--measure", "binomial_07_03", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert message in err and "assertion failed" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json")

@@ -222,6 +222,13 @@ def test_split_rejects_bad_cuts(leb1):
         lq.split_counting_check(leb1, 4, [], [0.1])
 
 
+def test_split_rejects_non_finite_x(binom):
+    # a NaN x used to count 0 eigenvalues above it
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite positive"):
+            lq.split_counting_check(binom, 6, [0.5], [1e-4, bad])
+
+
 def test_split_empty_piece_is_fine(quarter_pair):
     # cuts at 0.4 and 0.6 leave the middle piece without atoms
     report = lq.split_counting_check(quarter_pair, None, [0.4, 0.6],

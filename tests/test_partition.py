@@ -3,11 +3,13 @@
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lqspectra as lq
+from lqspectra import partition
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +160,51 @@ def test_budget_partition_realizes_profile(binom):
         assert part.cardinality <= budget
         assert part.max_j == pytest.approx(gam, rel=1e-12)
         assert lq.partition_violations(part, binom) == []
+
+
+DATA = Path(lq.__file__).parent / "data"
+SHIPPED = sorted(p.stem for p in DATA.glob("*.json"))
+FIXTURES = ["leb2", "binom", "atom_pair", "density2d", "mixture"]
+
+
+def _threshold_partition(spec, a, budget, max_depth):
+    """budget_partition as two walks: the profile, then the adaptive
+    partition just above the chosen state's max J_a."""
+    states = lq.refinement_profile(spec, a, budget, max_depth=max_depth)
+    k = int(np.searchsorted(states[:, 0], budget, side="right")) - 1
+    return lq.adaptive_partition(spec, a, float(np.nextafter(states[k, 1], np.inf)),
+                                 max_depth=max_depth)
+
+
+@pytest.mark.parametrize("name", SHIPPED + FIXTURES)
+def test_budget_partition_takes_one_walk(request, monkeypatch, name):
+    # the profile's walk holds the threshold walk: same keys, masses, J
+    # values (and the signs of their zeros), order and threshold, or the same
+    # MaxDepthExceeded, from one walk instead of two
+    spec = lq.load_spec(DATA / f"{name}.json") if name in SHIPPED else request.getfixturevalue(name)
+    walks = []
+    walk = partition._walk
+    monkeypatch.setattr(partition, "_walk", lambda *args, **kw: walks.append(1) or walk(*args, **kw))
+    for a in (0.5, 1.0, 2.0):
+        for budget in (1, 2, 7, 40, 255, 1000):
+            for max_depth in (3, 60):
+                walks.clear()
+                try:
+                    got = lq.budget_partition(spec, a, budget, max_depth=max_depth)
+                except partition.MaxDepthExceeded as exc:
+                    with pytest.raises(partition.MaxDepthExceeded) as want:
+                        _threshold_partition(spec, a, budget, max_depth)
+                    assert (exc.cube, exc.j_value, exc.threshold) == \
+                        (want.value.cube, want.value.j_value, want.value.threshold)
+                    continue
+                assert len(walks) == 1
+                want = _threshold_partition(spec, a, budget, max_depth)
+                for x, y in zip(got._key_arrays(), want._key_arrays()):
+                    assert np.array_equal(x, y) and getattr(x, "dtype", None) == getattr(y, "dtype", None)
+                assert np.array_equal(got.masses, want.masses)
+                assert np.array_equal(got.j_values, want.j_values)
+                assert np.array_equal(np.signbit(got.j_values), np.signbit(want.j_values))
+                assert (got.a, got.threshold) == (want.a, want.threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,37 @@ DATA = Path(lq.__file__).parent / "data"
 SHIPPED = sorted(p.stem for p in DATA.glob("*.json"))
 # leb1, leb3, tetra, cantor and dirac_half equal shipped specs
 # (tests/test_engine.py checks this) and are covered by them
-FIXTURES = ["leb2", "binom", "atom_pair", "quarter_pair", "density2d", "mixture"]
+FIXTURES = ["leb2", "binom", "atom_pair", "quarter_pair", "density2d", "mixture",
+            "uneven_ifs", "atoms5000", "density8"]
 DIFF_POINTS = 20_000  # more than one block of points
+
+
+@pytest.fixture(scope="module")
+def uneven_ifs():
+    # three maps of unequal ratios: each step gathers the ratios
+    maps = tuple(lq.Homothety1D(Fraction(r), Fraction(o))
+                 for r, o in (("1/2", "0"), ("1/5", "1/2"), ("1/4", "3/4")))
+    return lq.GeneralIFS1D(maps, (0.5, 0.2, 0.3))
+
+
+@pytest.fixture(scope="module")
+def atoms5000():
+    # 5,000 atoms: most CDF edges lie strictly inside the 2^16 cells of the
+    # draw table, so most draws are searched one by one
+    rng = np.random.default_rng(21)
+    points = sorted({Fraction(int(k), 1 << 30) for k in rng.integers(1, 1 << 30, 5200)})
+    weights = rng.random(5000) + 0.01
+    return lq.Atomic(tuple((x,) for x in points[:5000]), tuple(weights / math.fsum(weights)))
+
+
+@pytest.fixture(scope="module")
+def density8():
+    # a depth-8 density in 2-D: 65,536 cells, a quarter of them empty (repeated
+    # CDF edges)
+    rng = np.random.default_rng(22)
+    values = rng.random((256, 256))
+    values[values < 0.25] = 0.0
+    return lq.DyadicDensity(8, values / values.mean())
 
 
 def _diff_spec(request, name):
@@ -310,9 +339,11 @@ def test_blocks_match_per_cube_loops(request, monkeypatch, name, block):
     part = lq.adaptive_partition(spec, 1.0, 10.0 ** -min(1.0 + m, 3.0))
     rng = np.random.default_rng(SHIPPED.index(name) if name in SHIPPED else 50 + FIXTURES.index(name))
     for seed in (0, 1):
-        got = lq.sample_measure(spec, DIFF_POINTS, np.random.default_rng(seed))
-        want = ref.sample_measure(spec, DIFF_POINTS, np.random.default_rng(seed))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = lq.sample_measure(spec, DIFF_POINTS, got_rng)
+        want = ref.sample_measure(spec, DIFF_POINTS, want_rng)
         assert np.array_equal(got, want), (name, seed)
+        assert got_rng.random() == want_rng.random(), (name, seed)  # same stream position
     # measure draws crowd into few cubes; uniform points reach every cube
     pts = np.concatenate((got, _uniform_points(rng, DIFF_POINTS // 4, m)))
     for ell in (1, 2, 3):
@@ -452,3 +483,107 @@ def test_key_location_matches_scan(data):
             pp.evaluate(pts)
     else:
         assert np.array_equal(pp.evaluate(pts), want)
+
+
+def _spy_located(monkeypatch):
+    """Record how many needles each ``_located`` call searches one by one."""
+    searched = []
+    located = polyapprox._located
+
+    def spy(edges, needles, cell, starts):
+        lo = np.searchsorted(edges, starts[:-1], side="right")
+        hi = np.searchsorted(edges, starts[1:], side="left")
+        searched.append(int(np.count_nonzero((lo != hi)[cell])))
+        return located(edges, needles, cell, starts)
+
+    monkeypatch.setattr(polyapprox, "_located", spy)
+    return searched
+
+
+@pytest.mark.parametrize("name", ["atoms5000", "density8"])
+def test_draw_tables_search_inside_cells(request, monkeypatch, name):
+    # the inputs of the differential test above do reach the one-by-one
+    # search for edges inside cells
+    spec = request.getfixturevalue(name)
+    searched = _spy_located(monkeypatch)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = lq.sample_measure(spec, DIFF_POINTS, got_rng)
+    assert np.array_equal(got, ref.sample_measure(spec, DIFF_POINTS, want_rng))
+    assert got_rng.random() == want_rng.random()
+    assert searched and max(searched) > 0
+
+
+@pytest.mark.parametrize("m, bits", [(1, 26), (2, 40)])
+def test_deep_pieces_search_inside_cells(monkeypatch, m, bits):
+    # pieces 13 to 26 levels deep around a few atoms: m * depth > 16 key bits,
+    # so cells of the 2^16-cell table hold piece edges
+    rng = np.random.default_rng(m)
+    atoms = tuple(tuple(Fraction(int(k), 1 << 40) for k in rng.integers(1, 1 << 40, m))
+                  for _ in range(6))
+    spec = lq.Atomic(atoms, (1.0 / 6.0,) * 6)
+    part = lq.adaptive_partition(spec, 1.0, 2.0 ** -bits)
+    assert m * part.max_level > 16
+    u = lambda pts: np.exp(pts.sum(axis=1))
+    deep = part.cubes[np.argmax([c.level for c in part.cubes])]
+    near = (np.array(deep.index) + rng.random((300, m))) * 2.0 ** -deep.level
+    pts = np.concatenate((lq.sample_measure(spec, 200, rng), near, _uniform_points(rng, 3000, m)))
+    searched = _spy_located(monkeypatch)
+    for ell in (1, 2):
+        pp = lq.piecewise_project(u, part, ell)
+        assert np.array_equal(pp.evaluate(pts), ref.scan_evaluate(ell, part.cubes, pp.coeffs, pts))
+    assert max(searched) > 0
+
+
+@st.composite
+def located_inputs(draw):
+    """Sorted edges with repeats and needles on a grid of cells: integer keys
+    of up to 80 bits (int64, or Python integers past 62 bits) or floats in
+    [0, 1) against CDF-like edges in [0, 1]."""
+    b = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        bits = draw(st.integers(b, 80))
+        shift = bits - b
+        top = 1 << bits
+        dtype = object if bits > 62 else np.int64
+        starts = np.array([k << shift for k in range((1 << b) + 1)], dtype=dtype)
+        # edges on cell starts, next to them, and anywhere
+        value = st.one_of(st.integers(0, 1 << b).map(lambda k: k << shift),
+                          st.integers(0, 1 << b).map(lambda k: max(0, min(top, (k << shift) - 1))),
+                          st.integers(0, top))
+        needle = st.integers(0, top - 1)
+        edges = sorted(draw(st.lists(value, min_size=1, max_size=30)))
+        needles = draw(st.lists(st.one_of(needle, st.sampled_from(edges).filter(lambda e: e < top)),
+                                min_size=1, max_size=40))
+        edges, needles = np.array(edges, dtype=dtype), np.array(needles, dtype=dtype)
+        cell = (needles >> shift).astype(np.intp)
+    else:
+        starts = np.ldexp(np.arange((1 << b) + 1, dtype=float), -b)
+        value = st.one_of(st.sampled_from(starts.tolist()), st.floats(0.0, 1.0))
+        edges = np.array(sorted(draw(st.lists(value, min_size=1, max_size=30)) + [1.0]))
+        needle = st.floats(0.0, 1.0, exclude_max=True)
+        needles = np.array(draw(st.lists(
+            st.one_of(needle, st.sampled_from(edges.tolist()).filter(lambda e: e < 1.0)),
+            min_size=1, max_size=40)))
+        cell = np.ldexp(needles, b).astype(np.intp)
+    repeat = draw(st.lists(st.integers(0, len(edges) - 1), max_size=5))
+    edges = np.sort(np.concatenate((edges, edges[repeat])))
+    return edges, needles, cell, starts
+
+
+@given(located_inputs())
+def test_located_equals_searchsorted(case):
+    edges, needles, cell, starts = case
+    want = np.searchsorted(edges, needles, side="right")
+    got = polyapprox._located(edges, needles, cell, starts)
+    assert got.tolist() == want.tolist()
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=300)
+       .filter(lambda w: sum(w) > 0), st.integers(0, 60), st.integers(0, 3))
+def test_choice_equals_generator_choice(weights, n, seed):
+    # the same picks as Generator.choice, and the stream left at the same place
+    probs = np.array(weights) / math.fsum(weights)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = polyapprox._choice(probs, n, got_rng)
+    assert got.tolist() == want_rng.choice(len(probs), size=n, p=probs).tolist()
+    assert got_rng.random() == want_rng.random()

@@ -25,9 +25,14 @@ untimed call): ``adaptive_partition`` on the binomial and the tetrahedron,
 sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
 binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
 the binomial at levels 14, 16 and 18, and ``spectrum_curve`` of the binomial
-at level 18 on the workload's 20-point s grid.  Rows with a count of work
-also carry ``units`` and ``units_per_s`` (cubes, atoms, roots or s-grid
-points per second of the median).
+at level 18 on the workload's 20-point s grid; and five for the polyapprox
+layer at the sizes of the ``partitions`` workload, timed the same way:
+``sample_measure`` of the binomial and of the density at 10^5 points, the
+ell = 1 ``evaluate`` of the binomial's budget partition at 10^5 points,
+and each of the workload's two budget_partition -> piecewise_project ->
+error_Lq chains.  Rows with a count of work also carry ``units`` and
+``units_per_s`` (cubes, atoms, roots, s-grid points, samples or points
+per second of the median).
 The children run single-threaded BLAS, as perfbench's do.
 """
 
@@ -57,7 +62,7 @@ import time
 import numpy as np
 import lqspectra as lq
 
-spec = lq.{call}(*{args!r})
+spec = {spec}
 {setup}
 run = lambda: {run}
 run()
@@ -132,16 +137,21 @@ def _child_units(tree: Path, code: str) -> tuple[float, int]:
 
 
 def _cli_seconds(tree: Path, argv: list[str], out: Path) -> float:
+    # the output is piped so that run() returns when the pipes close: without
+    # pipes, a wait with a timeout polls at up to 50 ms intervals, and the
+    # measured times come in 50 ms steps
     start = time.perf_counter()
     subprocess.run([sys.executable, "-m", "lqspectra.cli", *argv, "--out", str(out)],
-                   env=_env(tree), check=True, stdout=subprocess.DEVNULL, timeout=300)
+                   env=_env(tree), check=True, capture_output=True, timeout=300)
     return time.perf_counter() - start
 
 
 def _case_code(entry: dict, run: str, units: str, setup: str = "") -> str:
-    """Child code timing ``run`` on the spec built by a workload's spec entry."""
-    return CASE_CHILD.format(call=entry["call"], args=entry["args"], setup=setup, run=run,
-                             units=units)
+    """Child code timing ``run`` on the spec built by a workload's spec entry
+    (a constructor call or a spec document)."""
+    spec = (f"lq.parse_spec({entry['doc']!r})" if "doc" in entry
+            else f"lq.{entry['call']}(*{entry['args']!r})")
+    return CASE_CHILD.format(spec=spec, setup=setup, run=run, units=units)
 
 
 def spectrum_cases(seed: int) -> list[tuple[str, str]]:
@@ -201,6 +211,35 @@ def partition_cases(seed: int) -> list[tuple[str, str]]:
     return cases
 
 
+def polyapprox_cases(seed: int) -> list[tuple[str, str]]:
+    """(case, child code) of the polyapprox rows, at the sizes of the
+    ``partitions`` workload with this seed: the workload's two
+    budget_partition -> piecewise_project -> error_Lq chains, and their
+    parts on the binomial and the density."""
+    inputs = make_inputs("partitions", seed)
+    specs, prm = inputs["specs"], inputs["params"]
+    expsum = "u = lambda pts: np.exp(pts.sum(axis=1))\n"
+    cases = []
+    for item in prm["project"]:
+        name, n = item["spec"], item["samples"]
+        chain = (f"lq.error_Lq(u, lq.piecewise_project(u, lq.budget_partition(spec, {item['a']!r}, "
+                 f"{item['budget']}), 1), spec, {item['q']!r}, n_samples={n}, seed={item['seed']})")
+        cases.append((f"sample_measure({name}, {n}); samples",
+                      _case_code(specs[name], f"lq.sample_measure(spec, {n}, np.random.default_rng(1))",
+                                 str(n))))
+        if name == "binomial":
+            cases.append((f"evaluate(ell=1 on budget_partition({name}, {item['budget']}), {n} points); "
+                          "points",
+                          _case_code(specs[name], "approx.evaluate(pts)", str(n), expsum +
+                                     f"approx = lq.piecewise_project(u, lq.budget_partition(spec, "
+                                     f"{item['a']!r}, {item['budget']}), 1)\n"
+                                     f"pts = lq.sample_measure(spec, {n}, np.random.default_rng(1))")))
+        cases.append((f"budget_partition -> piecewise_project -> error_Lq({name}, budget "
+                       f"{item['budget']}, q={item['q']}, {n} samples); samples",
+                       _case_code(specs[name], chain, str(n), expsum)))
+    return cases
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -227,7 +266,8 @@ def main() -> None:
         cases.append(("kreinfeller",
                       "split_counting_check(binomial_ifs(0.7), 12, cuts [0.25, 0.75], 50 x); atoms",
                       4096, lambda tree: (_child_seconds(tree, SPLIT_CHILD), 4096)))
-        for layer, layer_cases in (("partition", partition_cases), ("spectrum", spectrum_cases)):
+        for layer, layer_cases in (("partition", partition_cases), ("spectrum", spectrum_cases),
+                                   ("polyapprox", polyapprox_cases)):
             for case, code in layer_cases(args.seed):
                 cases.append((layer, case, None,
                               lambda tree, code=code: _child_units(tree, code)))
