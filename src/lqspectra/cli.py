@@ -29,7 +29,6 @@ from .partition import (
     adaptive_partition,
     budget_partition,
     entropy_estimate,
-    gamma_adaptive_profile,
 )
 from .polyapprox import FunctionHandle, error_from_sample, error_sample, kappa, piecewise_project
 from .spectrum import (
@@ -54,16 +53,18 @@ class _Parser(argparse.ArgumentParser):
 # Small parsing helpers
 # ---------------------------------------------------------------------------
 
+def _nonempty(out: list, text: str) -> list:
+    if not out:
+        raise ParameterError(f"the list {text!r} is empty")
+    return out
+
+
 def _parse_levels(text: str) -> list[int]:
     """'4..8' or '4,6,8' -> nonempty list of ints."""
     if ".." in text:
         lo, hi = text.split("..")
-        out = list(range(int(lo), int(hi) + 1))
-    else:
-        out = [int(x) for x in text.split(",") if x]
-    if not out:
-        raise ParameterError(f"the list {text!r} is empty")
-    return out
+        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+    return _nonempty([int(x) for x in text.split(",") if x], text)
 
 
 def _max_depth(text: str) -> int:
@@ -74,7 +75,8 @@ def _max_depth(text: str) -> int:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+    """'0.5,1' -> nonempty list of floats."""
+    return _nonempty([float(x) for x in text.split(",") if x], text)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -319,13 +321,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lqspectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, measure=True):
+    def common(p, measure=True, max_depth=False):
         if measure:
             p.add_argument("--measure", required=True,
                            help="measure spec JSON path, or a shipped name like lebesgue_1d")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-depth", type=_max_depth, default=60)
+        if max_depth:
+            p.add_argument("--max-depth", type=_max_depth, default=60)
 
     p = sub.add_parser("spectrum", help="level spectra beta_n over an s grid")
     common(p)
@@ -340,7 +342,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fixedpoint)
 
     p = sub.add_parser("partition", help="adaptive threshold partitions")
-    common(p)
+    common(p, max_depth=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--t-grid", default=None, help="start,factor,count of thresholds")
@@ -348,14 +350,15 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("entropy", help="partition-entropy fits vs fixed points")
-    common(p)
+    common(p, max_depth=True)
     p.add_argument("--a", default="1", help="comma list of exponents")
     p.add_argument("--t-grid", default="100,10,7")
     p.add_argument("--levels", default="1..8", help="levels for the s_am estimate")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("project", help="piecewise-polynomial error vs width bound")
-    common(p)
+    common(p, max_depth=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo sample")
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=2.0)

@@ -580,6 +580,8 @@ def _depth_first(groups: list[tuple[int, np.ndarray]], m: int) -> np.ndarray:
 
 def _coords(keys: np.ndarray, level: int, m: int) -> list[np.ndarray]:
     """Per-coordinate cube indices of level-``level`` Morton keys."""
+    if m == 1:
+        return [keys]
     coords = [np.zeros(len(keys), dtype=keys.dtype) for _ in range(m)]
     for d in range(level):
         for k in range(m):

@@ -38,6 +38,12 @@ Two independent routes to the same optimisation are provided:
   budget-indexed recursion over the known prefix instead of the tree.  It is
   the test oracle for the minimality of the adaptive partitions.
 
+When a walk meets its depth limit, :class:`MaxDepthExceeded` names the
+first cube at ``max_depth``, in depth-first (key) order, that the walk would
+split: at the least offending threshold for the threshold walks, in the
+first state that splits such a cube for the profile.  A profile that runs
+out of positive cubes ends on the row max J_a = 0.0.
+
 The partition entropy h_a is estimated as the log-log slope of the
 cardinality of the threshold-1/t partition against t over the tail half of
 a geometric t-grid; no extrapolation beyond the sampled range is attempted.
@@ -89,7 +95,15 @@ _TINY = math.ulp(0.0)  # the least positive float: J_a >= _TINY means J_a > 0
 
 
 class MaxDepthExceeded(RuntimeError):
-    """A bad cube reached the depth guard; carries the offending cube."""
+    """A bad cube reached the depth guard; carries the offending cube.
+
+    ``cube`` is the first cube at the depth limit, in depth-first (key)
+    order, among those the walk would split next: the bad ones at
+    ``threshold``, or for the refinement profile (threshold 0.0) the ones of
+    the first state that splits a cube at the limit.  ``j_value`` is their
+    J_a, so ``adaptive_partition(spec, a, j_value, max_depth)`` names the
+    same cube unless some cube ties its parent (J_a values that underflow,
+    or a 2^(-m a) that rounds to 1)."""
 
     def __init__(self, cube: DyadicCube, j_value: float, threshold: float):
         self.cube = cube
@@ -128,29 +142,38 @@ class _CubeKeys(NamedTuple):
     keys: np.ndarray
     dim: int
 
+    @classmethod
+    def of(cls, cubes: Sequence[DyadicCube]) -> "_CubeKeys":
+        """The arrays of a list of cubes (of dimension 0 when it is empty)."""
+        dim = cubes[0].dim if cubes else 0
+        return cls(*_cube_keys(cubes, dim), dim)
+
 
 class _CubeField:
-    """The ``cubes`` field of :class:`Partition`.
+    """The ``cubes`` field of :class:`Partition` and of
+    :class:`~lqspectra.polyapprox.PiecewisePoly`.
 
-    The walks hand a partition its cubes as :class:`_CubeKeys`; the
-    DyadicCube objects are built on the first read of ``cubes`` and kept (a
-    list to read, not to change).  A list of cubes is kept as given, and
-    the arrays are derived from it whenever they are read."""
+    The owner keeps its cubes as :class:`_CubeKeys` in ``_arrays``, which is
+    what its own methods read.  Handed the arrays, it builds the DyadicCube
+    objects on the first read of ``cubes`` and keeps them (a list to read,
+    not to change); handed a list, it keeps the list and converts it to
+    arrays once."""
 
-    def __get__(self, part, owner=None):
-        if part is None:
+    def __get__(self, obj, owner=None):
+        if obj is None:
             raise AttributeError("cubes")  # no class default: the field is required
-        if part._cubes is None:
-            levels, keys, dim = part._arrays
-            part._cubes = [DyadicCube(level, idx) for level, idx
-                           in zip(levels.tolist(), _cube_indices(levels, keys, dim))]
-        return part._cubes
+        if obj._cubes is None:
+            levels, keys, dim = obj._arrays
+            obj._cubes = [DyadicCube(level, idx) for level, idx
+                          in zip(levels.tolist(), _cube_indices(levels, keys, dim))]
+        return obj._cubes
 
-    def __set__(self, part, cubes):
+    def __set__(self, obj, cubes):
         if isinstance(cubes, _CubeKeys):
-            part._cubes, part._arrays = None, cubes
+            obj._cubes, obj._arrays = None, cubes
         else:
-            part._cubes, part._arrays = list(cubes), None
+            obj._cubes = list(cubes)
+            obj._arrays = _CubeKeys.of(obj._cubes)
 
 
 @dataclass(eq=False)
@@ -162,9 +185,11 @@ class Partition:
     cubes : list[DyadicCube]
         Built on first read: a partition from the adaptive walks holds its
         cubes as (level, Morton key) arrays, which is all that
-        ``cardinality``, ``max_level``, ``level_histogram``, ``to_records``
-        and :func:`partition_violations` read.  Building the objects costs
-        about 1 ms per 1,000 cubes, several times the walk itself.
+        ``cardinality``, ``max_level``, ``level_histogram``, ``to_records``,
+        :func:`partition_violations` and
+        :func:`~lqspectra.polyapprox.piecewise_project` read.  Building the
+        objects costs about 1 ms per 1,000 cubes, several times the walk
+        itself.
     masses, j_values : np.ndarray
         Per-cube nu-mass and J_a weight, aligned with ``cubes``.
     a : float
@@ -179,15 +204,9 @@ class Partition:
     a: float
     threshold: float | None = None
 
-    def _key_arrays(self) -> _CubeKeys:
-        if self._arrays is not None:
-            return self._arrays
-        dim = self._cubes[0].dim if self._cubes else 0
-        return _CubeKeys(*_cube_keys(self._cubes, dim), dim)
-
     @property
     def cardinality(self) -> int:
-        return len(self._key_arrays().levels)
+        return len(self._arrays.levels)
 
     @property
     def max_j(self) -> float:
@@ -195,15 +214,15 @@ class Partition:
 
     @property
     def max_level(self) -> int:
-        return int(self._key_arrays().levels.max())
+        return int(self._arrays.levels.max())
 
     def level_histogram(self) -> dict[int, int]:
-        levels, counts = np.unique(self._key_arrays().levels, return_counts=True)
+        levels, counts = np.unique(self._arrays.levels, return_counts=True)
         return dict(zip(levels.tolist(), counts.tolist()))
 
     def to_records(self) -> list[dict]:
         """JSON-ready dump: one {level, index, mass, J} object per cube."""
-        levels, keys, dim = self._key_arrays()
+        levels, keys, dim = self._arrays
         return [
             {"level": level, "index": list(idx), "mass": float(m), "J": float(j)}
             for level, idx, m, j in zip(levels.tolist(), _cube_indices(levels, keys, dim),
@@ -217,7 +236,7 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
     the unit cube, and (when ``spec`` is given) stored J values matching
     recomputation.  Reads the cubes' (level, key) arrays only."""
     out = []
-    levels, keys, m = part._key_arrays()
+    levels, keys, m = part._arrays
     if not len(levels):
         return ["empty partition"]
     depth = int(levels.max())
@@ -420,61 +439,19 @@ class _Tree(NamedTuple):
 
     level: np.ndarray
     key: np.ndarray
-    j: np.ndarray
     eff: np.ndarray
     tie: np.ndarray     # how many ancestors in a row share the cube's eff
-    parent: np.ndarray  # row of the parent, -1 for the root
 
 
 def _tree(levels: list[_Level]) -> _Tree:
     """The levels of a walk as one :class:`_Tree`."""
-    ties, parents, start = [np.zeros(1, dtype=np.intp)], [np.full(1, -1)], 0
+    ties = [np.zeros(1, dtype=np.intp)]
     for up, lv in zip(levels, levels[1:]):
         ties.append(np.where(lv.eff == up.eff[lv.parent], ties[-1][lv.parent] + 1, 0))
-        parents.append(lv.parent + start)
-        start += len(up.keys)
     return _Tree(np.concatenate([np.full(len(lv.keys), lv.level) for lv in levels]),
                  np.concatenate([lv.keys for lv in levels]),
-                 np.concatenate([lv.j for lv in levels]),
                  np.concatenate([lv.eff for lv in levels]),
-                 np.concatenate(ties), np.concatenate(parents))
-
-
-def _cube(tree: _Tree, i: int, m: int) -> DyadicCube:
-    return _cubes(int(tree.level[i]), tree.key[i:i + 1], m)[0]
-
-
-def _first_split(tree: _Tree, rows: np.ndarray, m: int) -> int:
-    """Of ``rows``, which share one (J_a, tie) pair, the cube the adaptive
-    family splits first when it splits tied cubes in the order they arose:
-    by their parents' split order, then by selector.  Unrolled, that
-    compares the (-J_a, tie) pairs up the ancestor chains, then the
-    selectors down them."""
-    def order(i):
-        up, down = [], []
-        while i >= 0:
-            up.append((-float(tree.eff[i]), int(tree.tie[i])))
-            down.append(int(tree.key[i]) & ((1 << m) - 1))
-            i = int(tree.parent[i])
-        return up, down[::-1]
-    return min(rows.tolist(), key=order)
-
-
-def _zero_top(tree: _Tree, split: np.ndarray, m: int) -> float:
-    """The largest J_a once every positive cube is split: a zero, signed as
-    the first zero-weight child in split order has it (-0.0 for a child that
-    holds no branch, 0.0 for a visited one whose J_a underflowed)."""
-    nkids = 1 << m
-    kids = np.bincount(tree.parent[1:], minlength=len(tree.eff))
-    zero_kid = np.bincount(tree.parent[1:], weights=tree.j[1:] == 0.0, minlength=len(tree.eff))
-    cand = split[(kids[split] < nkids) | (zero_kid[split] > 0)]
-    cand = cand[np.lexsort((tree.tie[cand], -tree.eff[cand]))]
-    lead = cand[(tree.eff[cand] == tree.eff[cand[0]]) & (tree.tie[cand] == tree.tie[cand[0]])]
-    rows = np.flatnonzero(tree.parent == _first_split(tree, lead, m))
-    sels = (tree.key[rows] & (nkids - 1)).tolist()
-    empty = min(set(range(nkids)) - set(sels), default=nkids)
-    underflow = min((s for s, j in zip(sels, tree.j[rows].tolist()) if j == 0.0), default=nkids)
-    return -0.0 if empty < underflow else 0.0
+                 np.concatenate(ties))
 
 
 def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
@@ -494,6 +471,11 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
     J_a of the state after them.  A cube whose J_a equals its parent's is
     split one state after it.  Sorting costs O(K log K) on top of a walk over
     those cubes and their children.
+
+    A profile that splits every positive cube ends on the row max J_a = 0.0.
+    If a state within ``budget_cap`` would split a cube at ``max_depth``,
+    raises :class:`MaxDepthExceeded` naming the first such cube of that
+    state in depth-first (key) order.
     """
     return _profile(spec, a, budget_cap, max_depth)[0]
 
@@ -524,16 +506,15 @@ def _profile(spec: MeasureSpec, a: float, budget_cap: int,
         g = int(np.searchsorted(starts, deep[0], side="right")) - 1
         if cards[g] <= budget_cap:  # the family splits a cube at max_depth
             end = starts[g + 1] if g + 1 < len(starts) else len(split)
-            rows = split[starts[g]:end]
-            i = _first_split(tree, rows[tree.level[rows] >= max_depth], m)
-            raise MaxDepthExceeded(_cube(tree, i, m), float(eff[starts[g]]), 0.0)
+            rows = split[starts[g]:end]  # in key order within each level
+            i = rows[tree.level[rows] >= max_depth][0]
+            raise MaxDepthExceeded(_cubes(max_depth, tree.key[i:i + 1], m)[0],
+                                   float(eff[starts[g]]), 0.0)
     states = np.column_stack((cards[:stop], eff[starts[:stop]])).astype(float)
     if len(over):
         return states, levels
     pruned = tree.eff[tree.eff < cut]
     j_next = float(pruned.max()) if len(pruned) else 0.0
-    if j_next == 0.0:
-        j_next = _zero_top(tree, split, m)
     return np.vstack((states, [[1 + k * len(split), j_next]])), levels
 
 

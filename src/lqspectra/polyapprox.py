@@ -63,11 +63,14 @@ from .measures import (
     MeasureSpec,
     Mixture,
     _KEY_BITS,
+    _by_level,
+    _coords,
+    _level_keys,
     _morton,
     _shifted,
     ensure_valid,
 )
-from .partition import Partition, gamma_adaptive_profile, DEFAULT_MAX_DEPTH
+from .partition import Partition, gamma_adaptive_profile, DEFAULT_MAX_DEPTH, _CubeField, _CubeKeys
 from .spectrum import OrderParams
 
 __all__ = [
@@ -143,15 +146,17 @@ def _eval_u(u, points: np.ndarray) -> np.ndarray:
 # Orthonormal bases and quadrature on blocks of cubes
 # ---------------------------------------------------------------------------
 
-def _geometry(cubes: Sequence[DyadicCube]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corners (k, m), sides (k,) and basis normalisations h^(-m/2) (k,)."""
-    m = cubes[0].dim
-    levels = [c.level for c in cubes]
-    deep = max(levels) > _KEY_BITS
-    index = np.array([c.index for c in cubes], dtype=object if deep else np.int64)
-    side = np.ldexp(1.0, -np.asarray(levels))
-    norms = {level: math.ldexp(1.0, -level) ** (-0.5 * m) for level in set(levels)}
-    return index.astype(float) * side[:, None], side, np.array([norms[l] for l in levels])
+def _geometry(levels: np.ndarray, keys: np.ndarray,
+              m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corners (k, m), sides (k,) and basis normalisations h^(-m/2) (k,) of
+    the cubes with the given levels and Morton keys."""
+    corner, norm = np.empty((len(levels), m)), np.empty(len(levels))
+    for level, rows in _by_level(levels):
+        side = math.ldexp(1.0, -level)
+        coords = _coords(_level_keys(keys[rows], level, m), level, m)
+        corner[rows] = np.column_stack(coords).astype(float) * side
+        norm[rows] = side ** (-0.5 * m)
+    return corner, np.ldexp(1.0, -levels), norm
 
 
 def _basis(points: np.ndarray, corner, side, norm, ell: int) -> np.ndarray:
@@ -196,22 +201,23 @@ def _nodes(corner: np.ndarray, side: np.ndarray, n_nodes: int) -> tuple[np.ndarr
     return pts.reshape(-1, m), weights.reshape(-1)
 
 
-def _project(u, cubes: Sequence[DyadicCube], ell: int, q_extra: int) -> np.ndarray:
+def _project(u, cubes: _CubeKeys, ell: int, q_extra: int) -> np.ndarray:
     """Coefficients (k, kappa) of the projections of u on the cubes, one
     oracle call per block of cubes."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     n_nodes = ell + q_extra
-    geometry = _geometry(cubes)
+    geometry = _geometry(*cubes)
     corner, side, _ = geometry
-    per = n_nodes ** cubes[0].dim
+    k = len(cubes.levels)
+    per = n_nodes ** cubes.dim
     step = max(1, _BLOCK // per)
-    coeffs = np.empty((len(cubes), kappa(cubes[0].dim, ell)))
-    for s in range(0, len(cubes), step):
+    coeffs = np.empty((k, kappa(cubes.dim, ell)))
+    for s in range(0, k, step):
         blk = slice(s, s + step)
         pts, w = _nodes(corner[blk], side[blk], n_nodes)
         vw = _eval_u(u, pts) * w
-        at = np.repeat(np.arange(s, min(s + step, len(cubes))), per)
+        at = np.repeat(np.arange(s, min(s + step, k)), per)
         basis = _cube_basis(pts, geometry, at, ell)
         for i in range(len(at) // per):
             rows = slice(i * per, (i + 1) * per)
@@ -222,19 +228,24 @@ def _project(u, cubes: Sequence[DyadicCube], ell: int, q_extra: int) -> np.ndarr
 def project_poly(u, cube: DyadicCube, ell: int, q_extra: int = 4) -> np.ndarray:
     """Coefficients of the moment-matching projection of u on the cube, in
     the cube's orthonormal basis (length kappa(m, ell))."""
-    return _project(u, [cube], ell, q_extra)[0]
+    return _project(u, _CubeKeys.of([cube]), ell, q_extra)[0]
 
 
 def polynomial_values(cube: DyadicCube, ell: int, coeffs: np.ndarray,
                       points: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient vector in the cube's basis at given points."""
-    corner, side, norm = _geometry([cube])
+    corner, side, norm = _geometry(*_CubeKeys.of([cube]))
     return _basis(points, corner[0], side[0], norm[0], ell) @ np.asarray(coeffs)
 
 
-def _cube_quadrature(cube: DyadicCube, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    corner, side, _ = _geometry([cube])
-    return _nodes(corner, side, n_nodes)
+def _cube_residual(u, cube: DyadicCube, ell: int, coeffs: np.ndarray,
+                   n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor Gauss points and weights of the cube, and u minus the
+    polynomial with the given coefficients on them."""
+    corner, side, norm = _geometry(*_CubeKeys.of([cube]))
+    pts, w = _nodes(corner, side, n_nodes)
+    diff = _eval_u(u, pts) - _basis(pts, corner[0], side[0], norm[0], ell) @ np.asarray(coeffs)
+    return pts, w, diff
 
 
 def moment_residuals(u, cube: DyadicCube, ell: int, coeffs: np.ndarray,
@@ -243,8 +254,7 @@ def moment_residuals(u, cube: DyadicCube, ell: int, coeffs: np.ndarray,
     evaluated with an independent (by default doubled-order) quadrature."""
     if n_nodes is None:
         n_nodes = 2 * (ell + 4)
-    pts, w = _cube_quadrature(cube, n_nodes)
-    diff = _eval_u(u, pts) - polynomial_values(cube, ell, coeffs, pts)
+    pts, w, diff = _cube_residual(u, cube, ell, coeffs, n_nodes)
     out = []
     for k in multi_indices(cube.dim, ell):
         mono = np.ones(pts.shape[0])
@@ -263,8 +273,7 @@ def projection_l2_error(u, cube: DyadicCube, ell: int,
         coeffs = project_poly(u, cube, ell)
     if n_nodes is None:
         n_nodes = 2 * (ell + 4)
-    pts, w = _cube_quadrature(cube, n_nodes)
-    diff = _eval_u(u, pts) - polynomial_values(cube, ell, coeffs, pts)
+    pts, w, diff = _cube_residual(u, cube, ell, coeffs, n_nodes)
     return float(np.sqrt(np.sum(diff * diff * w)))
 
 
@@ -272,27 +281,24 @@ def projection_l2_error(u, cube: DyadicCube, ell: int,
 # Piecewise projection
 # ---------------------------------------------------------------------------
 
-def _piece_runs(cubes: Sequence[DyadicCube]) -> tuple[int, np.ndarray, np.ndarray]:
-    """(depth, edges, owner): the deepest level of the pieces, the sorted
-    Morton keys at that level where a piece's key run starts or ends, and for
-    each run [edges[j], edges[j+1]) the row of the first piece holding it
-    (len(cubes) when none does, also for the last run)."""
-    m = cubes[0].dim
-    depth = max(c.level for c in cubes)
-    levels = np.array([c.level for c in cubes])
-    lo = np.empty(len(cubes), dtype=object if m * depth > _KEY_BITS else np.int64)
-    hi = np.empty_like(lo)
-    for level in np.unique(levels).tolist():
-        rows = np.flatnonzero(levels == level)
-        keys = _morton(np.array([cubes[i].index for i in rows], dtype=object).T, level, m)
-        lo[rows] = _shifted(keys, m * (depth - level), m * depth)
-        hi[rows] = _shifted(keys + 1, m * (depth - level), m * depth)
+def _piece_runs(levels: np.ndarray, keys: np.ndarray,
+                m: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(depth, edges, owner): the deepest level of the pieces with the given
+    levels and Morton keys, the sorted Morton keys at that level where a
+    piece's key run starts or ends, and for each run [edges[j], edges[j+1])
+    the row of the first piece holding it (len(keys) when none does, also
+    for the last run)."""
+    depth = int(levels.max())
+    # Python-integer shifts for Python-integer keys
+    shift = m * (depth - levels.astype(keys.dtype))
+    lo = _shifted(keys, shift, m * depth)
+    hi = _shifted(keys + 1, shift, m * depth)
     edges = np.unique(np.concatenate((lo, hi)))
     first, stop = np.searchsorted(edges, lo), np.searchsorted(edges, hi)
     count = stop - first
     runs = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-    owner = np.full(len(edges), len(cubes))
-    np.minimum.at(owner, runs, np.repeat(np.arange(len(cubes)), count))
+    owner = np.full(len(edges), len(keys))
+    np.minimum.at(owner, runs, np.repeat(np.arange(len(keys)), count))
     return depth, edges, owner
 
 
@@ -323,16 +329,19 @@ class PiecewisePoly:
     """Piecewise polynomial subordinate to a dyadic partition.
 
     ``coeffs[i]`` is the coefficient vector (length kappa) of the polynomial
-    on ``cubes[i]`` in that cube's orthonormal basis.
+    on ``cubes[i]`` in that cube's orthonormal basis.  The pieces are kept as
+    (level, Morton key) arrays, which is all that ``evaluate`` reads; the
+    DyadicCube objects of ``cubes`` are built when it is first read, as for
+    :class:`~lqspectra.partition.Partition`.
     """
 
     order: int
-    cubes: list[DyadicCube]
+    cubes: list[DyadicCube] = _CubeField()
     coeffs: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.cubes[0].dim
+        return self._arrays.dim
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points in (0,1]^m; each point takes the value of the
@@ -342,14 +351,14 @@ class PiecewisePoly:
         about ``_BLOCK`` points; a point outside every cube, outside
         (0,1]^m or NaN raises ValueError."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        n, k = points.shape[0], len(self.cubes)
+        n, k = points.shape[0], len(self._arrays.levels)
         if not n:
             return np.zeros(0)
         if not k:
             raise ValueError(_OUTSIDE)
         if points.shape[1] != self.dim:
             raise ValueError(f"points have {points.shape[1]} coordinates, the cubes {self.dim}")
-        runs, geometry = _piece_runs(self.cubes), _geometry(self.cubes)
+        runs, geometry = _piece_runs(*self._arrays), _geometry(*self._arrays)
         out = np.empty(n)
         if self.order == 1:
             # kappa = 1: the one basis value is the constant norm (1.0 * norm
@@ -397,9 +406,10 @@ class PiecewisePoly:
 def piecewise_project(u, partition: Union[Partition, Sequence[DyadicCube]],
                       ell: int, q_extra: int = 4) -> PiecewisePoly:
     """Project u cube by cube over a partition, evaluating u once per block
-    of cubes."""
-    cubes = list(partition.cubes) if isinstance(partition, Partition) else list(partition)
-    if not cubes:
+    of cubes.  A :class:`Partition` hands over its (level, key) arrays, so
+    neither it nor the result builds DyadicCube objects."""
+    cubes = partition._arrays if isinstance(partition, Partition) else _CubeKeys.of(list(partition))
+    if not len(cubes.levels):
         raise ValueError("empty partition")
     return PiecewisePoly(order=ell, cubes=cubes, coeffs=_project(u, cubes, ell, q_extra))
 

@@ -268,7 +268,7 @@ def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
     if not levels or any(n < 1 for n in levels) or any(
         a >= c for a, c in zip(levels, levels[1:])
     ):
-        raise ValueError("levels must be a nonempty strictly increasing list")
+        raise ValueError("levels must be a nonempty strictly increasing list of integers >= 1")
     return levels
 
 

@@ -113,6 +113,13 @@ def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, messag
     (["spectrum", "--levels", "5..3"], "'5..3' is empty"),
     (["fixedpoint", "--levels", ","], "',' is empty"),
     (["project", "--n-list", "9..2"], "'9..2' is empty"),
+    # these exited 0 with header-only CSVs, or named the wrong bound
+    (["fixedpoint", "--b", ","], "',' is empty"),
+    (["entropy", "--a", ","], "',' is empty"),
+    (["fixedpoint", "--levels", "0..2"], "list of integers >= 1"),
+    # flags a subcommand does not read are not accepted
+    (["spectrum", "--seed", "5"], "unrecognized arguments: --seed 5"),
+    (["order", "--max-depth", "3"], "unrecognized arguments: --max-depth 3"),
 ])
 def test_depth_limits_and_empty_lists_exit_1_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -125,6 +125,32 @@ def test_max_depth_guard_reports_cube(dirac_half):
     assert err.value.j_value >= 1e-9
 
 
+THREE_ATOMS = lq.Atomic(((Fraction(1, 10),), (Fraction(9, 10),), (Fraction(19, 20),)),
+                        (0.4, 0.4, 0.2))
+
+
+@pytest.mark.parametrize("depth, index, j", [(5, 3, 0.0125), (6, 6, 0.00625)])
+def test_every_walk_names_the_first_deep_cube_in_key_order(depth, index, j):
+    # the atoms at 1/10 and 9/10 tie at every level; all four entry points
+    # name the one on the left, the first in depth-first order
+    walks = [lambda: lq.adaptive_partition(THREE_ATOMS, 1.0, 1e-12, max_depth=depth),
+             lambda: lq.refinement_profile(THREE_ATOMS, 1.0, 10**6, max_depth=depth),
+             lambda: lq.budget_partition(THREE_ATOMS, 1.0, 10**6, max_depth=depth),
+             lambda: lq.gamma_adaptive_profile(THREE_ATOMS, 1.0, [10**6], max_depth=depth)]
+    for walk in walks:
+        with pytest.raises(lq.MaxDepthExceeded) as err:
+            walk()
+        assert (err.value.cube, err.value.j_value) == (lq.DyadicCube(depth, (index,)), j)
+
+
+def test_profile_ends_on_a_positive_zero(dirac_half):
+    for spec in (dirac_half, THREE_ATOMS):
+        states = lq.refinement_profile(spec, 30.0, 4000)
+        last = states[-1, 1]
+        assert math.copysign(1.0, last) == 1.0 and last == 0.0, spec
+        assert np.all(states[:-1, 1] > 0.0)
+
+
 def test_counting_N_examples(leb1, dirac_half, binom):
     assert lq.counting_N(leb1, 1.0, 4.0) == 4
     assert lq.counting_N(dirac_half, 1.0, 10.0) == 5
@@ -199,7 +225,7 @@ def test_budget_partition_takes_one_walk(request, monkeypatch, name):
                     continue
                 assert len(walks) == 1
                 want = _threshold_partition(spec, a, budget, max_depth)
-                for x, y in zip(got._key_arrays(), want._key_arrays()):
+                for x, y in zip(got._arrays, want._arrays):
                     assert np.array_equal(x, y) and getattr(x, "dtype", None) == getattr(y, "dtype", None)
                 assert np.array_equal(got.masses, want.masses)
                 assert np.array_equal(got.j_values, want.j_values)

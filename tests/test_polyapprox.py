@@ -378,7 +378,7 @@ def test_deep_3d_keys_take_python_integers():
     atom = lq.Atomic((point,), (1.0,))
     part = lq.adaptive_partition(atom, 1.0, 2.0 ** -68)
     assert part.max_level >= 22
-    depth, edges, _ = polyapprox._piece_runs(part.cubes)
+    depth, edges, _ = polyapprox._piece_runs(*part._arrays)
     assert 3 * depth > 62 and edges.dtype == object
     u = lambda pts: np.cos(pts @ np.array([1.0, 2.0, 3.0]))
     rng = np.random.default_rng(4)
@@ -405,10 +405,27 @@ def test_deep_cube_indices_locate_exactly(bits):
     assert part.max_level == bits + 1
     pts = np.array([[x], [np.nextafter(x, 0.0)], [np.nextafter(x, 1.0)],
                     [x + 2.0 ** -60], [x - 2.0 ** -60], [0.2], [1.0]])
-    rows = polyapprox._owners(pts, *polyapprox._piece_runs(part.cubes))
+    rows = polyapprox._owners(pts, *polyapprox._piece_runs(*part._arrays))
     want = [next(i for i, c in enumerate(part.cubes) if c.contains_point((Fraction(p),)))
             for p in pts[:, 0]]
     assert rows.tolist() == want
+
+
+def test_projection_chain_builds_no_cubes(binom, tetra, density2d):
+    # budget_partition -> piecewise_project -> error_from_sample reads key
+    # arrays only, and gives what the same cubes given as a list give
+    u = lambda pts: np.exp(pts.sum(axis=1)) / 3.0
+    for spec, ell in ((binom, 1), (binom, 3), (tetra, 2), (density2d, 2)):
+        part = lq.budget_partition(spec, 1.0, 60)
+        pp = lq.piecewise_project(u, part, ell)
+        sample = lq.error_sample(u, spec, 2.0, n_samples=2000, seed=5)
+        err = lq.error_from_sample(sample, pp)
+        assert part._cubes is None and pp._cubes is None
+        listed = lq.piecewise_project(u, list(part.cubes), ell)
+        assert pp.cubes == listed.cubes == part.cubes
+        assert np.array_equal(pp.coeffs, listed.coeffs)
+        assert np.array_equal(pp.evaluate(sample.points), listed.evaluate(sample.points))
+        assert lq.error_from_sample(sample, listed) == err
 
 
 def test_piecewise_json_roundtrip_is_lossless(binom, tetra):

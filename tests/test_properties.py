@@ -1,7 +1,7 @@
 """Mass invariants of the frontier engine on generated specs of every family,
-the adaptive family's card(t) identity and the shape of the spectra and
-their certified roots on the same specs, and the oracle's breakpoint merge
-on generated vectors.
+the adaptive family's card(t) identity and depth-limit naming, the shape of
+the spectra and their certified roots on the same specs, and the oracle's
+breakpoint merge on generated vectors.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
@@ -13,10 +13,12 @@ engine is compared with the cursor reference instead.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cursor_reference as ref
@@ -257,6 +259,35 @@ def test_profile_states_are_threshold_partitions(spec, a, cap):
     part = lq.budget_partition(spec, a, cap)
     assert part.cardinality <= cap
     assert lq.partition_violations(part, spec) == []
+
+
+@st.composite
+def mirrored_atoms(draw):
+    """Atoms at x and 1 - x of one weight, which tie at every level, and a
+    third atom 2^-j away from the right one, which makes its ancestors
+    heavier: an order by the ancestors' weights would name the right one."""
+    x = draw(coordinate().filter(lambda c: c < Fraction(1, 2)))
+    sign = draw(st.sampled_from([-1, 1]))
+    y = 1 - x + sign * Fraction(1, 1 << draw(st.integers(2, 5)))
+    assume(0 < y < 1 and y not in (x, 1 - x))
+    w = draw(st.integers(1, 7)) / 16
+    return lq.Atomic(((x,), (1 - x,), (y,)), (w, w, 1 - 2 * w))
+
+
+@given(st.one_of(mirrored_atoms(), specs(exact_weights), specs(float_weights)),
+       st.floats(0.25, 2.0), st.integers(1, 5))
+def test_profile_depth_error_names_the_threshold_walks_cube(spec, a, max_depth):
+    # the profile and the threshold walk at the J_a it reports meet the depth
+    # limit at the same cube: both name the first in depth-first order, also
+    # among tied cubes of which a later one has the heavier ancestors
+    try:
+        lq.refinement_profile(spec, a, 4000, max_depth=max_depth)
+    except lq.MaxDepthExceeded as exc:
+        if exc.j_value < sys.float_info.min:
+            return
+        with pytest.raises(lq.MaxDepthExceeded) as want:
+            lq.adaptive_partition(spec, a, exc.j_value, max_depth)
+        assert (exc.cube, exc.j_value) == (want.value.cube, want.value.j_value)
 
 
 # ---------------------------------------------------------------------------
