@@ -33,6 +33,7 @@ from .partition import (
 from .polyapprox import FunctionHandle, error_from_sample, error_sample, kappa, piecewise_project
 from .spectrum import (
     OrderParams,
+    _fixed_points,
     s_b_estimate,
     selfsimilar_beta,
     selfsimilar_s_rho,
@@ -162,8 +163,7 @@ def _cmd_fixedpoint(args) -> None:
     levels = _parse_levels(args.levels)
     bs = _parse_floats(args.b)
     rows = []
-    for b in bs:
-        fp = s_b_estimate(spec, b, levels)
+    for b, fp in zip(bs, _fixed_points(spec, bs, levels)):
         for lvl, root, res in zip(fp.levels, fp.roots, fp.residuals):
             rows.append((lvl, b, root, res))
         print(f"b={b}: s_hat = {fp.s_hat!r} (tail max of {len(fp.levels)} levels)")
@@ -192,11 +192,12 @@ def _cmd_entropy(args) -> None:
     t_grid = _parse_grid(args.t_grid)
     levels = _parse_levels(args.levels)
     a_values = _parse_floats(args.a)
+    fits = [entropy_estimate(spec, a, t_grid, max_depth=args.max_depth) for a in a_values]
+    fixed_points = _fixed_points(spec, [a * spec.dim for a in a_values], levels)
     samples = []
     summary = []
-    for a in a_values:
-        fit = entropy_estimate(spec, a, t_grid, max_depth=args.max_depth)
-        s_am = s_b_estimate(spec, a * spec.dim, levels).s_hat
+    for a, fit, fp in zip(a_values, fits, fixed_points):
+        s_am = fp.s_hat
         for t, card in zip(fit.t_grid, fit.cards):
             samples.append((a, t, int(card)))
         summary.append((a, fit.slope, s_am, fit.r_squared, fit.slope - s_am))
@@ -250,6 +251,8 @@ def _cmd_eigen(args) -> None:
     eigs = solve_eigen(atoms)
     if args.cuts:  # checked before any file is written
         cuts = _parse_floats(args.cuts)
+        if args.x_count < 1:
+            raise ParameterError(f"--x-count must be >= 1 (got {args.x_count})")
         lam = eigs.eigenvalues
         xs = np.geomspace(lam[-1] * 0.9, lam[0] * 1.1, args.x_count)
         report = split_counting_check(atoms, args.level, cuts, xs)
@@ -269,8 +272,10 @@ def _cmd_order(args) -> None:
     levels = _parse_levels(args.levels)
     window = None
     if args.window:
-        lo, hi = (int(x) for x in args.window.split(","))
-        window = (lo, hi)
+        parts = args.window.split(",")
+        if len(parts) != 2:
+            raise ParameterError(f"--window is written lo,hi (got {args.window!r})")
+        window = (int(parts[0]), int(parts[1]))
     fit = order_fit(spec, levels, index_window=window)
     rows = []
     for lvl, slope in fit.per_level:

@@ -303,13 +303,6 @@ class DyadicIFS(MeasureSpec):
                     out.append(f"images of maps {i} and {j} overlap")
         return out
 
-    def map_cube(self, i: int, cube: DyadicCube) -> DyadicCube:
-        """Image T_i(cube), again a dyadic cube."""
-        img = self.maps[i].image_cube()
-        e = self.maps[i].ratio_log2
-        idx = tuple(l + (k << cube.level) for l, k in zip(cube.index, img.index))
-        return DyadicCube(cube.level + e, idx)
-
     def preimage_cube(self, i: int, cube: DyadicCube) -> DyadicCube:
         """T_i^-1(cube) for a cube contained in the image of T_i."""
         img = self.maps[i].image_cube()

@@ -34,9 +34,10 @@ Two independent routes to the same optimisation are provided:
   programming over the subdivision tree.  Each subtree's optimum is a
   non-increasing vector over budgets, so two subtrees combine by merging
   their breakpoint lists (one sort) instead of a quadratic min-max
-  convolution; measures made of ratio-1/2 copies of themselves take one
-  budget-indexed recursion over the known prefix instead of the tree.  It is
-  the test oracle for the minimality of the adaptive partitions.
+  convolution.  The tree is the one the profile's walk visits, and a
+  certificate on the result (or a walk at a lower cut) proves that no
+  partition outside it does better.  It is the test oracle for the
+  minimality of the adaptive partitions.
 
 When a walk meets its depth limit, :class:`MaxDepthExceeded` names the
 first cube at ``max_depth``, in depth-first (key) order, that the walk would
@@ -63,7 +64,6 @@ from .measures import (
     MeasureSpec,
     ensure_valid,
     _by_level,
-    _child_rows,
     _cube_indices,
     _cube_keys,
     _cubes,
@@ -73,6 +73,7 @@ from .measures import (
     _key_masses,
     _shifted,
 )
+from .spectrum import _check_positive
 
 __all__ = [
     "Partition",
@@ -109,10 +110,11 @@ class MaxDepthExceeded(RuntimeError):
         self.cube = cube
         self.j_value = j_value
         self.threshold = threshold
-        super().__init__(
-            f"bad cube at depth {cube.level} (J_a = {j_value!r} >= t = {threshold!r}); "
-            "raise max_depth or loosen the threshold"
-        )
+        if threshold:
+            where, remedy = f"(J_a = {j_value!r} >= t = {threshold!r})", "loosen the threshold"
+        else:  # the refinement profile, which has a budget and no threshold
+            where, remedy = f"in the refinement profile (J_a = {j_value!r})", "lower the budget"
+        super().__init__(f"bad cube at depth {cube.level} {where}; raise max_depth or {remedy}")
 
 
 def j_weight(spec: MeasureSpec, cube: DyadicCube, a: float) -> float:
@@ -126,8 +128,7 @@ def j_weight(spec: MeasureSpec, cube: DyadicCube, a: float) -> float:
 def _key_j(spec: MeasureSpec, levels: np.ndarray, keys: np.ndarray, a: float) -> np.ndarray:
     """J_a of the cubes with the given levels and Morton keys, from one
     engine walk for all of them."""
-    if not 0 < a < math.inf:
-        raise ValueError(f"a must be finite and > 0 (a={a!r})")
+    _check_positive("a", a)
     m = spec.dim
     vols = np.empty(len(levels))
     for level, rows in _by_level(levels):
@@ -300,8 +301,7 @@ def _walk(spec: MeasureSpec, a: float, cut: float, max_depth: int,
     a cube below it cannot be among the ``top`` heaviest, nor can its
     descendants.  Returns the visited levels and the final cut."""
     ensure_valid(spec)
-    if not 0 < a < math.inf:
-        raise ValueError(f"a must be finite and > 0 (a={a!r})")
+    _check_positive("a", a)
     if not 0 < cut < math.inf:
         raise ValueError(f"threshold t must be finite and > 0 (t={cut!r})")
     m = spec.dim
@@ -484,8 +484,7 @@ def _profile(spec: MeasureSpec, a: float, budget_cap: int,
              max_depth: int) -> tuple[np.ndarray, list[_Level]]:
     """The states of :func:`refinement_profile` and the levels of its walk."""
     ensure_valid(spec)
-    if not 0 < a < math.inf:
-        raise ValueError(f"a must be finite and > 0 (a={a!r})")
+    _check_positive("a", a)
     if budget_cap < 1:
         raise ValueError("budget_cap must be >= 1")
     m = spec.dim
@@ -523,11 +522,7 @@ def budget_partition(spec: MeasureSpec, a: float, budget: int,
     """The adaptive-family partition of largest cardinality <= budget (the
     one whose max J_a realises gamma_hat(budget))."""
     states, levels = _profile(spec, a, int(budget), max_depth)
-    cards = states[:, 0]
-    k = int(np.searchsorted(cards, budget, side="right")) - 1
-    if k < 0:
-        raise ValueError(f"budget {budget} below the coarsest state")
-    j_top = states[k, 1]
+    j_top = states[int(np.searchsorted(states[:, 0], budget, side="right")) - 1, 1]
     # every cube of that state has J_a <= j_top, so the threshold just above
     # j_top reproduces it exactly; the profile's walk split every cube of
     # effective weight > j_top (it splits down to a cut <= j_top, or
@@ -545,14 +540,8 @@ def gamma_adaptive_profile(spec: MeasureSpec, a: float, budgets: Sequence[int],
     if any(n < 1 for n in budgets):
         raise ValueError("budgets must be >= 1")
     states = refinement_profile(spec, a, max(budgets), max_depth=max_depth)
-    cards = states[:, 0]
-    out = []
-    for n in budgets:
-        k = int(np.searchsorted(cards, n, side="right")) - 1
-        if k < 0:
-            raise ValueError(f"budget {n} below the coarsest state")
-        out.append(states[k, 1])
-    return np.asarray(out)
+    # state 0 has cardinality 1, so every budget >= 1 has a state
+    return states[np.searchsorted(states[:, 0], budgets, side="right") - 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -578,101 +567,97 @@ def _minmax_fold(A: np.ndarray, B: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _selfsimilar_gamma_vector(weights: Sequence[float], m: int, a: float,
-                              k_max: int) -> np.ndarray:
-    """Exact oracle vector for measures whose every positive cube carries a
-    full rescaled copy of the measure (ratio-1/2 dyadic IFS, Lebesgue):
-    v(subtree)[k] = mass * vol^a * V[k] with one budget-indexed recursion
-    V[k] = min(1, best split of k-zeros among the child copies scaled by
-    p_i 2^(-ma)).  No depth cap is needed; the recursion is well founded in k:
-    each copy gets at most k - 2^m + 1 cubes, so V[k] reads only the prefix
-    V[:k], which is already non-increasing."""
-    size = k_max + 1
-    nz = len(weights)
-    zeros = (1 << m) - nz
-    scale = np.asarray(weights, dtype=float) * 2.0 ** (-m * a)
-    V = np.full(size, np.inf)
-    if size > 1:
-        V[1] = 1.0
-    for k in range(2, size):
-        idx = k - zeros
-        if idx < 1:
-            V[k] = 1.0
-            continue
-        F = scale[0] * V[:k]
-        for i in range(1, nz):
-            F = _minmax_fold(F, scale[i] * V[:k], idx + 1)
-        V[k] = min(1.0, F[idx])
-    return V
-
-
 def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
                         max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
     """vector v with v[k] = exact min over partitions of the unit cube into at
     most k dyadic cubes of depth <= max_depth of the max J_a, for k = 1..k_max
-    (v[0] = inf).
+    (v[0] = inf).  ``max_depth`` binds on every family.
 
-    A cube's vector is the smaller of its own J_a (one cube) and the fold of
-    its children's vectors, shifted by one cube for each zero-mass child.
-    These vectors are non-increasing in k, so each fold is the breakpoint
-    merge of :func:`_minmax_fold`: one sort of the two vectors' values,
-    O(k_max log k_max), and bit-equal to the pairwise min-max.  The subtree
-    walk splits every cube of a level or none, down to max_depth or to the
-    level L where k_max - L*(2^m - 1) cubes no longer allow a split, and
-    folds at every positive cube on the way: on a full-support measure that
-    is exponential in that depth.  Lebesgue and dyadic IFS with all ratios
-    1/2 dispatch to an exact budget-indexed recursion instead, which folds
-    the known prefix of one vector once per budget (O(k_max^2 log k_max) in
-    all) and for which max_depth never binds."""
+    The vector folds the tree of one walk (:func:`_fold`): the walk of
+    :func:`refinement_profile` that splits the K = floor((k_max - 1) /
+    (2^m - 1)) + 1 largest effective weights, down to its final ``cut``.  It
+    is accepted when v[k_max] >= cut; otherwise the cut is halved and the
+    tree of the plain threshold walk at that cut is folded, until the
+    certificate holds or the cut is the least positive float, where the walk
+    splits every cube of positive J_a above ``max_depth``.
+
+    Why v[k_max] >= cut certifies the whole vector.  The walk splits every
+    cube above max_depth whose path from the root (the cube included) has
+    J_a >= cut, so the fold is the exact optimum over a family of partitions
+    that holds every partition whose split cubes all have such paths, and v
+    >= the true optimum v*.  Suppose v*[k_max] < cut, and take
+    an optimal partition for k_max.  Coarsening it at every split cube with
+    J_a < cut (replacing the cube's descendants by the cube) keeps its max
+    below cut and uses no more cubes, and every split cube of the result has
+    a path of J_a >= cut: the fold reaches it, and v[k_max] < cut.  So
+    v[k_max] >= cut gives v*[k] >= v*[k_max] >= cut for every k <= k_max, and
+    coarsening an optimal partition for k at its split cubes with J_a <=
+    v*[k] gives one the fold reaches with the same max: v[k] = v*[k].  The
+    argument needs neither monotone J_a nor the adaptive tie rule; those only
+    make the first walk's certificate hold, so that one walk is enough."""
     ensure_valid(spec)
-    if not 0 < a < math.inf:
-        raise ValueError(f"a must be finite and > 0 (a={a!r})")
+    _check_positive("a", a)
     if k_max < 1:
         raise ValueError("infeasible budget: k_max must be >= 1")
     m = spec.dim
-    from .measures import DyadicIFS, Lebesgue  # local to avoid cycle clutter
+    levels, cut = _walk(spec, a, _TINY, max_depth, top=(k_max - 1) // ((1 << m) - 1) + 1)
+    while True:
+        v = _fold(levels, m, k_max + 1)
+        if v[k_max] >= cut or cut == _TINY:
+            return v
+        cut = max(0.5 * cut, _TINY)
+        levels, _ = _walk(spec, a, cut, max_depth)
 
-    if isinstance(spec, Lebesgue):
-        return _selfsimilar_gamma_vector([2.0 ** (-m)] * (1 << m), m, a, k_max)
-    if isinstance(spec, DyadicIFS) and all(mp.ratio_log2 == 1 for mp in spec.maps):
-        return _selfsimilar_gamma_vector(list(spec.weights), m, a, k_max)
+
+def _fold(levels: list[_Level], m: int, size: int) -> np.ndarray:
+    """The oracle vector (length ``size``) over the partitions into cubes of
+    the tree a walk visited and the empty children of the cubes it split.
+
+    Bottom-up, a cube's vector is its own J_a (one cube) if the walk left it
+    unsplit, and otherwise the smaller of that and the fold of its
+    children's vectors, an empty child being a leaf of J_a 0.  These vectors
+    are non-increasing in k, so each fold is the breakpoint merge of
+    :func:`_minmax_fold`; the leaves among the children fold at once (g
+    leaves cost g cubes and their max J_a).  A vector stops at the leaf
+    count of its subtree, beyond which it is constant."""
     nkids = 1 << m
-    size = k_max + 1
-    # the subtree walk splits every cube of a level or none: a cube at level
-    # L is handed k_max - L * (2^m - 1) usable cubes
-    eng = _engine(spec)
-    tree = [eng.root()]
-    usable = k_max
-    while usable >= nkids and tree[-1].level < max_depth:
-        tree.append(eng.expand(tree[-1]))
-        usable -= nkids - 1
-    # the children of row i of tree[L] are rows kids[L][i]:kids[L][i + 1] of tree[L + 1]
-    kids = [np.searchsorted(_child_rows(up.keys, down.keys, m)[0], np.arange(len(up.keys) + 1))
-            for up, down in zip(tree, tree[1:])]
-
-    def vec(level, row):
-        out = np.full(size, 2.0 ** (-level * m * a) * tree[level].masses[row])
-        out[0] = np.inf
-        if level + 1 < len(tree):
-            lo, hi = int(kids[level][row]), int(kids[level][row + 1])
-            if hi > lo:
-                acc = vec(level + 1, lo)
-                for r in range(lo + 1, hi):
-                    acc = _minmax_fold(acc, vec(level + 1, r), size)
-            else:
-                # a positive mass whose children all round to 0 (a subnormal
-                # mass, for instance): the shift below makes every k >= 2^m
-                # cost nothing
-                acc = np.zeros(size)
-            zeros = nkids - (hi - lo)
-            if zeros:
-                shifted = np.full(size, np.inf)
-                shifted[zeros:] = acc[: size - zeros]
-                acc = shifted
-            out = np.minimum(out, acc)
-        return out
-
-    return vec(0, 0)
+    infs = np.full(nkids, np.inf)
+    below: list[np.ndarray] = []  # the vectors of the level under this one
+    for depth in range(len(levels) - 1, -1, -1):
+        lv = levels[depth]
+        if depth + 1 == len(levels):  # the walk stopped here: every cube is a leaf
+            split = [False] * len(lv.j)
+        else:
+            split = lv.split.tolist()
+            # the children of row i are rows kids[i]:kids[i + 1] of the level below
+            kids = np.searchsorted(levels[depth + 1].parent, np.arange(len(lv.j) + 1)).tolist()
+        here = []
+        for row, j in enumerate(lv.j.tolist()):
+            if not split[row]:
+                here.append(np.array([np.inf, j]))
+                continue
+            # the children that are leaves and the empty ones (J_a 0) cost one
+            # cube each and together their max J_a, x
+            parts, x = [], 0.0
+            for r in range(kids[row], kids[row + 1]):
+                if len(below[r]) > 2:
+                    parts.append(below[r])
+                else:
+                    x = max(x, below[r][1])
+            acc = parts[0] if parts else np.zeros(1)  # no cube, no cost
+            for part in parts[1:]:
+                acc = _minmax_fold(acc, part, min(size, len(acc) + len(part) - 1))
+            group = nkids - len(parts)
+            if group:
+                acc = np.concatenate((infs[:group], np.maximum(acc, x)))[:size]
+            vec = np.minimum(acc, j)
+            vec[0] = np.inf
+            here.append(vec)
+        below = here
+    top = below[0]
+    v = np.full(size, top[-1])
+    v[:len(top)] = top
+    return v
 
 
 def gamma_dyadic_oracle(spec: MeasureSpec, a: float, n_cells: int,

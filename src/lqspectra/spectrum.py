@@ -255,12 +255,20 @@ class FixedPoint:
 
 def s_b_estimate(spec: MeasureSpec, b: float, levels: Sequence[int]) -> FixedPoint:
     """Roots at every requested level and the tail-half max as the estimate."""
-    _check_positive("b", b)
+    return _fixed_points(spec, [b], levels)[0]
+
+
+def _fixed_points(spec: MeasureSpec, bs: Sequence[float],
+                  levels: Sequence[int]) -> list[FixedPoint]:
+    """:func:`s_b_estimate` for each b of ``bs``, from one walk of the levels."""
+    for b in bs:
+        _check_positive("b", b)
     levels = _check_levels(levels)
     ensure_valid(spec)
     # one walk to the deepest level, keeping each level's log2 masses; the
     # roots are solved after it, when no frontier is left
-    return _fixed_point(b, levels, list(map(np.log2, _support_masses_at(spec, levels))))
+    log2_masses = list(map(np.log2, _support_masses_at(spec, levels)))
+    return [_fixed_point(b, levels, log2_masses) for b in bs]
 
 
 def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:

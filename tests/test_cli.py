@@ -120,6 +120,9 @@ def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, messag
     # flags a subcommand does not read are not accepted
     (["spectrum", "--seed", "5"], "unrecognized arguments: --seed 5"),
     (["order", "--max-depth", "3"], "unrecognized arguments: --max-depth 3"),
+    # these named no flag
+    (["order", "--window", "5"], "--window is written lo,hi (got '5')"),
+    (["eigen", "--cuts", "0.5", "--x-count", "0"], "--x-count must be >= 1 (got 0)"),
 ])
 def test_depth_limits_and_empty_lists_exit_1_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -114,12 +114,15 @@ def test_partition_walks_match_cursor_walks(request, name):
         got, want = lq.refinement_profile(spec, a, 40), ref.refinement_profile(spec, a, 40)
         assert np.array_equal(got[:, 0], want[:, 0])
         assert _same_masses(spec, got[:, 1], want[:, 1])
-    # wrapped in a mixture, every spec takes the oracle's subtree walk;
-    # unwrapped, Lebesgue and the ratio-1/2 IFS take the self-similar recursion
+    # the oracle against the reference's subtree walk, which folds at every
+    # positive cube down to the depth cap: the reference takes it for every
+    # spec wrapped in a mixture (unwrapped, it would take its ratio-1/2
+    # recursion for Lebesgue and the ratio-1/2 IFS)
     k_max, depth = (12, 6) if spec.dim == 1 else (20, 2)
-    for oracle_spec in (lq.Mixture(((1.0, spec),)), spec):
+    wrapped = lq.Mixture(((1.0, spec),))
+    want = ref.gamma_dyadic_vector(wrapped, 1.0, k_max, max_depth=depth)
+    for oracle_spec in (wrapped, spec):
         got = lq.gamma_dyadic_vector(oracle_spec, 1.0, k_max, max_depth=depth)
-        want = ref.gamma_dyadic_vector(oracle_spec, 1.0, k_max, max_depth=depth)
         assert _same_masses(spec, got, want)
 
 
@@ -193,11 +196,38 @@ def test_profile_ties_between_parent_and_child(dirac_half, binom, quarter_pair):
 @pytest.mark.parametrize("spec, k_max", [(lq.binomial_ifs(0.7), 160), (lq.Lebesgue(2), 90),
                                          (lq.sierpinski_tetrahedron(FIG1_WEIGHTS), 90)])
 def test_selfsimilar_oracle_matches_full_fold_recursion(spec, k_max):
-    # the breakpoint merge on the known prefix against the O(L^2) fold of the
-    # whole vector for every budget
+    # bit for bit, the reference's subtree walk (the spec wrapped in a
+    # mixture) at a depth cap it can afford; within rounding, the reference's
+    # budget-indexed recursion, which forms each J as a running product of
+    # p_i 2^(-ma) where the engine forms 2^(-Lma) times the mass (measured:
+    # at most 1.3e-15 relative, at a = 1.9)
+    depth = {1: 7, 2: 3, 3: 3}[spec.dim]
     for a in (0.6, 1.0, 1.9):
+        got = lq.gamma_dyadic_vector(spec, a, k_max, max_depth=depth)
+        want = ref.gamma_dyadic_vector(lq.Mixture(((1.0, spec),)), a, k_max, max_depth=depth)
+        assert got.tobytes() == want.tobytes(), a
         got = lq.gamma_dyadic_vector(spec, a, k_max)
-        assert np.array_equal(got, ref.gamma_dyadic_vector(spec, a, k_max)), a
+        want = ref.gamma_dyadic_vector(spec, a, k_max)
+        assert got[0] == want[0] == np.inf
+        assert np.all(np.abs(got[1:] - want[1:]) <= 4e-15 * want[1:]), a
+
+
+def test_oracle_matches_subtree_walk_on_small_atomic_specs():
+    # specs like the atomic minimality cases of the partitions benchmark: up
+    # to 10 atoms on the 2^-10 grid, the oracle capped two levels below the
+    # adaptive partition's deepest cube
+    rng = np.random.default_rng(29)
+    for _ in range(36):
+        nums = np.sort(rng.choice(np.arange(1, 1024), size=int(rng.integers(1, 11)), replace=False))
+        w = rng.exponential(size=len(nums)) + 1e-3
+        spec = lq.Atomic(tuple((Fraction(int(v), 1024),) for v in nums),
+                         tuple(float(x) for x in w / w.sum()))
+        a, t = float(rng.uniform(0.5, 2.2)), float(10.0 ** rng.uniform(-5.0, -1.0))
+        part = lq.adaptive_partition(spec, a, t, max_depth=100)
+        k_max, depth = part.cardinality + 2, part.max_level + 2
+        got = lq.gamma_dyadic_vector(spec, a, k_max, max_depth=depth)
+        want = ref.gamma_dyadic_vector(lq.Mixture(((1.0, spec),)), a, k_max, max_depth=depth)
+        assert got.tobytes() == want.tobytes(), (spec, a, t)
 
 
 def test_max_depth_error_names_the_same_cube(tetra, dirac_half, leb2):

@@ -203,6 +203,36 @@ def test_breakpoint_merge_equals_quadratic_fold(A, B, size):
     assert np.array_equal(got, want[:size])
 
 
+@given(specs(float_weights), st.sampled_from([0.5, 1.0, 1.7]), st.integers(1, 16),
+       st.integers(0, 3))
+def test_oracle_equals_the_reference_subtree_walk(spec, a, k_max, depth):
+    # the reference folds at every positive cube down to the depth cap (the
+    # spec wrapped in a mixture keeps it off its ratio-1/2 recursion)
+    got = lq.gamma_dyadic_vector(spec, a, k_max, max_depth=depth)
+    want = ref.gamma_dyadic_vector(lq.Mixture(((1.0, spec),)), a, k_max, max_depth=depth)
+    tol = _truncated(spec)
+    if not tol:
+        assert got.tobytes() == want.tobytes()
+    else:  # each J moves by at most mass_tol, and so does a min of maxes
+        assert got[0] == want[0] == math.inf
+        assert np.all(np.abs(got[1:] - want[1:]) <= tol)
+
+
+@given(specs(float_weights), st.sampled_from([0.5, 1.0, 1.7]), st.integers(1, 300))
+def test_oracle_never_loses_to_the_adaptive_family(spec, a, k_max):
+    # oracle <= gamma_hat at every budget, and equal at the cardinality of
+    # every adaptive state: the adaptive partitions are minimal
+    try:
+        states = lq.refinement_profile(spec, a, k_max)
+    except lq.MaxDepthExceeded:
+        assume(False)
+    v = lq.gamma_dyadic_vector(spec, a, k_max)
+    assert v[0] == math.inf and v[1] == states[0, 1]
+    assert np.all(v[1:] <= lq.gamma_adaptive_profile(spec, a, range(1, k_max + 1)))
+    for card, j in states[states[:, 0] <= k_max]:
+        assert v[int(card)] == j
+
+
 # ---------------------------------------------------------------------------
 # The adaptive family: J monotone down the tree, card(t) from the J multiset
 # ---------------------------------------------------------------------------

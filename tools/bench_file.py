@@ -21,7 +21,8 @@ untimed call), and four for the partition layer at the sizes of the
 ``partitions`` workload (in-process, the median of five calls after one
 untimed call): ``adaptive_partition`` on the binomial and the tetrahedron,
 ``gamma_adaptive_profile`` of the tetrahedron to 32,768 cubes and
-``entropy_estimate`` of the binomial; and four for the spectrum layer at the
+``entropy_estimate`` of the binomial; three for the exact oracle (see
+:func:`oracle_cases`); and four for the spectrum layer at the
 sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
 binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
 the binomial at levels 14, 16 and 18, and ``spectrum_curve`` of the binomial
@@ -211,6 +212,41 @@ def partition_cases(seed: int) -> list[tuple[str, str]]:
     return cases
 
 
+# the GeneralIFS1D with maps 2/5 x and 3/5 x + 2/5 and weights 1/2
+TWO_FIFTHS = {"doc": {"type": "ifs_1d", "weights": [0.5, 0.5],
+                      "maps": [{"ratio": {"num": 2, "den": 5}, "offset": {"num": 0, "den": 1}},
+                               {"ratio": {"num": 3, "den": 5}, "offset": {"num": 2, "den": 5}}]}}
+
+
+def oracle_cases(seed: int) -> list[tuple[str, str]]:
+    """(case, child code) of the oracle rows: ``gamma_dyadic_vector`` of the
+    binomial at the size of the ``partitions`` workload's profile and oracle
+    jobs, that workload's 12 ``minimal_dyadic_cardinality`` calls as one row
+    (their adaptive partitions are built untimed), and the 2/5-3/5
+    GeneralIFS1D at k = 16.  The work units are budget cubes (k_max, or the
+    sum of the k_cap values)."""
+    inputs = make_inputs("partitions", seed)
+    specs, prm = inputs["specs"], inputs["params"]
+    pf = prm["profile"]
+    items = [(specs[item["spec"]]["doc"], item["a"], item["t"]) for item in prm["minimality"]]
+    minimality = ("cases = []\n"
+                  f"for doc, a, t in {items!r}:\n"
+                  "    s = lq.parse_spec(doc)\n"
+                  "    part = lq.adaptive_partition(s, a, t, max_depth=100)\n"
+                  "    cases.append((s, a, t, part.cardinality + 2, part.max_level + 2))")
+    return [
+        (f"gamma_dyadic_vector({pf['spec']}, a={pf['a']}, {pf['k_max']}); budget cubes",
+         _case_code(specs[pf["spec"]], f"lq.gamma_dyadic_vector(spec, {pf['a']!r}, {pf['k_max']})",
+                    str(pf["k_max"]))),
+        (f"minimal_dyadic_cardinality x {len(items)} (partitions minimality jobs); budget cubes",
+         _case_code(specs[prm["minimality"][0]["spec"]],
+                    "[lq.minimal_dyadic_cardinality(s, a, t, k_cap=k, max_depth=d) "
+                    "for s, a, t, k, d in cases]", "sum(case[3] for case in cases)", minimality)),
+        ("gamma_dyadic_vector(GeneralIFS1D 2/5 x, 3/5 x + 2/5, a=1.0, 16); budget cubes",
+         _case_code(TWO_FIFTHS, "lq.gamma_dyadic_vector(spec, 1.0, 16)", "16")),
+    ]
+
+
 def polyapprox_cases(seed: int) -> list[tuple[str, str]]:
     """(case, child code) of the polyapprox rows, at the sizes of the
     ``partitions`` workload with this seed: the workload's two
@@ -266,8 +302,8 @@ def main() -> None:
         cases.append(("kreinfeller",
                       "split_counting_check(binomial_ifs(0.7), 12, cuts [0.25, 0.75], 50 x); atoms",
                       4096, lambda tree: (_child_seconds(tree, SPLIT_CHILD), 4096)))
-        for layer, layer_cases in (("partition", partition_cases), ("spectrum", spectrum_cases),
-                                   ("polyapprox", polyapprox_cases)):
+        for layer, layer_cases in (("partition", partition_cases), ("oracle", oracle_cases),
+                                   ("spectrum", spectrum_cases), ("polyapprox", polyapprox_cases)):
             for case, code in layer_cases(args.seed):
                 cases.append((layer, case, None,
                               lambda tree, code=code: _child_units(tree, code)))
