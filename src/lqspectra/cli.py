@@ -33,6 +33,7 @@ from .partition import (
 from .polyapprox import FunctionHandle, error_from_sample, error_sample, kappa, piecewise_project
 from .spectrum import (
     OrderParams,
+    _check_levels,
     _fixed_points,
     s_b_estimate,
     selfsimilar_beta,
@@ -51,8 +52,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Small parsing helpers
+# Flag types: argparse applies them, so a malformed value names its flag
 # ---------------------------------------------------------------------------
+
+def _flag_type(parse):
+    """The argparse type that reports a ValueError of ``parse`` as its flag's error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
 
 def _nonempty(out: list, text: str) -> list:
     if not out:
@@ -60,12 +71,20 @@ def _nonempty(out: list, text: str) -> list:
     return out
 
 
-def _parse_levels(text: str) -> list[int]:
-    """'4..8' or '4,6,8' -> nonempty list of ints."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
-    return _nonempty([int(x) for x in text.split(",") if x], text)
+@_flag_type
+def _ints(text: str) -> list[int]:
+    """'4..8' or '4,6,8' -> nonempty list of ints >= 1."""
+    lo, dots, hi = text.partition("..")
+    ints = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in text.split(",") if x]
+    if min(_nonempty(ints, text)) < 1:
+        raise ParameterError(f"{text!r} is not a list of integers >= 1")
+    return ints
+
+
+@_flag_type
+def _levels(text: str) -> list[int]:
+    """Strictly increasing :func:`_ints`."""
+    return list(_check_levels(_ints(text)))
 
 
 def _max_depth(text: str) -> int:
@@ -75,12 +94,14 @@ def _max_depth(text: str) -> int:
     return depth
 
 
-def _parse_floats(text: str) -> list[float]:
+@_flag_type
+def _floats(text: str) -> list[float]:
     """'0.5,1' -> nonempty list of floats."""
     return _nonempty([float(x) for x in text.split(",") if x], text)
 
 
-def _parse_grid(text: str) -> np.ndarray:
+@_flag_type
+def _grid(text: str) -> np.ndarray:
     """Geometric grid 'start,factor,count'."""
     parts = text.split(",")
     if len(parts) != 3:
@@ -95,15 +116,25 @@ def _parse_grid(text: str) -> np.ndarray:
     return grid
 
 
-def _parse_sgrid(text: str) -> np.ndarray:
+@_flag_type
+def _sgrid(text: str) -> np.ndarray:
     """Uniform grid 'start:stop:count'."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError("s grids are written start:stop:count")
-    start, stop = float(parts[0]), float(parts[1])
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ParameterError(f"s grid {text!r}: start and stop must be finite values")
-    return np.linspace(start, stop, int(parts[2]))
+    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop) and count >= 1):
+        raise ParameterError(f"s grid {text!r}: start and stop must be finite values, count >= 1")
+    return np.linspace(start, stop, count)
+
+
+@_flag_type
+def _window(text: str) -> tuple[int, int]:
+    """Eigenvalue index window 'lo,hi'."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParameterError(f"--window is written lo,hi (got {text!r})")
+    return int(parts[0]), int(parts[1])
 
 
 def _resolve_measure(name: str) -> MeasureSpec:
@@ -148,11 +179,9 @@ def _fmt(x):
 
 def _cmd_spectrum(args) -> None:
     spec = _resolve_measure(args.measure)
-    levels = _parse_levels(args.levels)
-    sgrid = _parse_sgrid(args.s_grid)
     rows = []
-    for n in levels:
-        curve = spectrum_curve(spec, n, sgrid)
+    for n in args.levels:
+        curve = spectrum_curve(spec, n, args.s_grid)
         for s, beta in zip(curve.s_grid, curve.values):
             rows.append((curve.level, s, beta))
     _write_csv(Path(args.out) / "spectrum.csv", ["level", "s", "beta_n"], rows)
@@ -160,10 +189,8 @@ def _cmd_spectrum(args) -> None:
 
 def _cmd_fixedpoint(args) -> None:
     spec = _resolve_measure(args.measure)
-    levels = _parse_levels(args.levels)
-    bs = _parse_floats(args.b)
     rows = []
-    for b, fp in zip(bs, _fixed_points(spec, bs, levels)):
+    for b, fp in zip(args.b, _fixed_points(spec, args.b, args.levels)):
         for lvl, root, res in zip(fp.levels, fp.roots, fp.residuals):
             rows.append((lvl, b, root, res))
         print(f"b={b}: s_hat = {fp.s_hat!r} (tail max of {len(fp.levels)} levels)")
@@ -175,7 +202,7 @@ def _cmd_partition(args) -> None:
     spec = _resolve_measure(args.measure)
     if args.t is None and args.t_grid is None:
         raise ParameterError("give --t or --t-grid")
-    thresholds = [args.t] if args.t is not None else list(_parse_grid(args.t_grid))
+    thresholds = [args.t] if args.t is not None else list(args.t_grid)
     rows = []
     for t in thresholds:
         part = adaptive_partition(spec, args.a, t, max_depth=args.max_depth)
@@ -189,14 +216,11 @@ def _cmd_partition(args) -> None:
 
 def _cmd_entropy(args) -> None:
     spec = _resolve_measure(args.measure)
-    t_grid = _parse_grid(args.t_grid)
-    levels = _parse_levels(args.levels)
-    a_values = _parse_floats(args.a)
-    fits = [entropy_estimate(spec, a, t_grid, max_depth=args.max_depth) for a in a_values]
-    fixed_points = _fixed_points(spec, [a * spec.dim for a in a_values], levels)
+    fits = [entropy_estimate(spec, a, args.t_grid, max_depth=args.max_depth) for a in args.a]
+    fixed_points = _fixed_points(spec, [a * spec.dim for a in args.a], args.levels)
     samples = []
     summary = []
-    for a, fit, fp in zip(a_values, fits, fixed_points):
+    for a, fit, fp in zip(args.a, fits, fixed_points):
         s_am = fp.s_hat
         for t, card in zip(fit.t_grid, fit.cards):
             samples.append((a, t, int(card)))
@@ -218,7 +242,6 @@ _TEST_FUNCTIONS = {
 def _cmd_project(args) -> None:
     spec = _resolve_measure(args.measure)
     params = OrderParams(p=args.p, q=args.q, ell=args.ell, m=spec.dim)
-    budgets = _parse_levels(args.n_list)
     if args.function not in _TEST_FUNCTIONS:
         raise ParameterError(f"unknown test function {args.function!r}")
     u = FunctionHandle(_TEST_FUNCTIONS[args.function])
@@ -228,7 +251,7 @@ def _cmd_project(args) -> None:
     # points for each of them
     sample = error_sample(u, spec, args.q, n_samples=args.samples, seed=args.seed)
     rows = []
-    for n in budgets:
+    for n in args.n_list:
         try:
             part = budget_partition(spec, a, n, max_depth=args.max_depth)
         except MaxDepthExceeded as exc:
@@ -250,12 +273,11 @@ def _cmd_eigen(args) -> None:
     atoms = discretize(spec, args.level)
     eigs = solve_eigen(atoms)
     if args.cuts:  # checked before any file is written
-        cuts = _parse_floats(args.cuts)
         if args.x_count < 1:
             raise ParameterError(f"--x-count must be >= 1 (got {args.x_count})")
         lam = eigs.eigenvalues
         xs = np.geomspace(lam[-1] * 0.9, lam[0] * 1.1, args.x_count)
-        report = split_counting_check(atoms, args.level, cuts, xs)
+        report = split_counting_check(atoms, args.level, args.cuts, xs)
     rows = [(i + 1, lam, math.sqrt(lam)) for i, lam in enumerate(eigs.eigenvalues)]
     _write_csv(Path(args.out) / "eigen.csv", ["n", "lambda_n", "sqrt_lambda"], rows)
     if args.cuts:
@@ -264,19 +286,12 @@ def _cmd_eigen(args) -> None:
                    zip(report.x_grid, report.n_full, report.n_split_sum, report.gaps))
         if not report.passed:
             raise RuntimeError("counting-function sandwich violated")
-        print(f"sandwich ok at {len(xs)} grid points (cuts {cuts})")
+        print(f"sandwich ok at {len(xs)} grid points (cuts {args.cuts})")
 
 
 def _cmd_order(args) -> None:
     spec = _resolve_measure(args.measure)
-    levels = _parse_levels(args.levels)
-    window = None
-    if args.window:
-        parts = args.window.split(",")
-        if len(parts) != 2:
-            raise ParameterError(f"--window is written lo,hi (got {args.window!r})")
-        window = (int(parts[0]), int(parts[1]))
-    fit = order_fit(spec, levels, index_window=window)
+    fit = order_fit(spec, args.levels, index_window=args.window)
     rows = []
     for lvl, slope in fit.per_level:
         err = fit.stderr if lvl == fit.level else ""
@@ -336,29 +351,29 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="level spectra beta_n over an s grid")
     common(p)
-    p.add_argument("--levels", default="1..6", help="'a..b' or comma list")
-    p.add_argument("--s-grid", default="0:2:9", help="start:stop:count")
+    p.add_argument("--levels", type=_levels, default="1..6", help="'a..b' or comma list")
+    p.add_argument("--s-grid", type=_sgrid, default="0:2:9", help="start:stop:count")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("fixedpoint", help="roots s_nb of beta_n(s) = b s")
     common(p)
-    p.add_argument("--levels", default="1..8")
-    p.add_argument("--b", default="1", help="comma list of slopes b > 0")
+    p.add_argument("--levels", type=_levels, default="1..8")
+    p.add_argument("--b", type=_floats, default="1", help="comma list of slopes b > 0")
     p.set_defaults(func=_cmd_fixedpoint)
 
     p = sub.add_parser("partition", help="adaptive threshold partitions")
     common(p, max_depth=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--t-grid", default=None, help="start,factor,count of thresholds")
+    p.add_argument("--t-grid", type=_grid, default=None, help="start,factor,count of thresholds")
     p.add_argument("--dump", action="store_true", help="write partition.json")
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("entropy", help="partition-entropy fits vs fixed points")
     common(p, max_depth=True)
-    p.add_argument("--a", default="1", help="comma list of exponents")
-    p.add_argument("--t-grid", default="100,10,7")
-    p.add_argument("--levels", default="1..8", help="levels for the s_am estimate")
+    p.add_argument("--a", type=_floats, default="1", help="comma list of exponents")
+    p.add_argument("--t-grid", type=_grid, default="100,10,7")
+    p.add_argument("--levels", type=_levels, default="1..8", help="levels for the s_am estimate")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("project", help="piecewise-polynomial error vs width bound")
@@ -367,7 +382,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--n-list", default="2,4,8,16,32,64", help="cube budgets")
+    p.add_argument("--n-list", type=_ints, default="2,4,8,16,32,64", help="cube budgets")
     p.add_argument("--function", default="expsum",
                    help=f"test oracle, one of {sorted(_TEST_FUNCTIONS)}")
     p.add_argument("--samples", type=int, default=100_000)
@@ -376,14 +391,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eigen", help="atomic eigenvalues; optional counting sandwich")
     common(p)
     p.add_argument("--level", type=int, default=8)
-    p.add_argument("--cuts", default=None, help="comma list of cut points in (0,1)")
+    p.add_argument("--cuts", type=_floats, default=None, help="comma list of cut points in (0,1)")
     p.add_argument("--x-count", type=int, default=50)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("order", help="eigenvalue decay order vs -1/s_1")
     common(p)
-    p.add_argument("--levels", default="8..11")
-    p.add_argument("--window", default=None, help="lo,hi eigenvalue index window")
+    p.add_argument("--levels", type=_levels, default="8..11")
+    p.add_argument("--window", type=_window, default=None, help="lo,hi eigenvalue index window")
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("demo", help="reproduce shipped reference computations")

@@ -132,11 +132,6 @@ class DyadicCube:
     def volume_fraction(self) -> Fraction:
         return Fraction(1, 1 << (self.level * self.dim))
 
-    def bounds(self) -> list[tuple[Fraction, Fraction]]:
-        """Per-coordinate half-open intervals (lo, hi], as exact Fractions."""
-        den = 1 << self.level
-        return [(Fraction(l, den), Fraction(l + 1, den)) for l in self.index]
-
     def child(self, selector: int) -> "DyadicCube":
         """Child cube number ``selector`` in {0, ..., 2^m - 1}; bit k of the
         selector picks the upper half along coordinate k."""
@@ -502,9 +497,9 @@ def ensure_valid(spec: MeasureSpec) -> None:
 # the next level.  Each family has one engine: ``root()`` is the level-0
 # frontier, ``expand(fr)`` the frontier of the children of ``fr`` that hold
 # a branch (zero-mass children are never materialised) and
-# ``take(frs, masks)`` the rows of the frontiers ``frs`` of one level where
-# ``masks`` are set, one frontier after the other.  Frontiers grown from the
-# root have ascending keys; one that ``take`` gathers from several need not.
+# ``take(fr, mask)`` the rows of ``fr`` where ``mask`` is set.  Every
+# frontier has ascending keys: ``expand`` keeps the order of the parents and
+# ``take`` keeps a subsequence.
 # Support enumeration, cube masses, the adaptive partitions, the exact
 # oracle and discretization all run on these engines; the helpers below keep
 # the key arithmetic in this module.
@@ -526,31 +521,25 @@ class _Frontier:
     state: tuple = ()
 
 
-def _shifted(keys: np.ndarray, bits: int, total_bits: int) -> np.ndarray:
-    """keys << bits, as Python integers when the result needs more than 62 bits."""
-    if total_bits > _KEY_BITS and keys.dtype != object:
+def _lifted(levels, keys: np.ndarray, m: int, depth: int) -> np.ndarray:
+    """The keys at level ``depth`` of the first descendants of the cubes with
+    the given levels (one level or one per key) and Morton keys, as Python
+    integers when they need more than 62 bits."""
+    if m * depth > _KEY_BITS and keys.dtype != object:
         keys = keys.astype(object)
-    return keys << bits
+    return keys << m * (depth - levels)
 
 
 def _all_children(keys: np.ndarray, level: int, m: int) -> np.ndarray:
     """Keys of the 2^m children of each cube, in depth-first order."""
-    return (_shifted(keys, m, m * (level + 1))[:, None] | np.arange(1 << m)).ravel()
+    return (_lifted(level, keys, m, level + 1)[:, None] | np.arange(1 << m)).ravel()
 
 
-def _child_rows(parents: np.ndarray, kids: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each key of ``kids``, children of cubes in ``parents``: the row of
-    its parent in ``parents`` and its selector."""
-    order = np.argsort(parents, kind="stable")
-    return order[np.searchsorted(parents[order], kids >> m)], (kids & ((1 << m) - 1)).astype(np.intp)
-
-
-def _empty_children(parents: np.ndarray, kids: np.ndarray, rows: np.ndarray, level: int,
-                    m: int) -> np.ndarray:
-    """Keys of the children of ``parents`` that are not among ``kids``, whose
-    parents are the rows ``rows`` of ``parents``."""
+def _empty_children(parents: np.ndarray, kids: np.ndarray, level: int, m: int) -> np.ndarray:
+    """Keys of the children of the cubes with the ascending keys ``parents``
+    that are not among ``kids``, which are children of them."""
     empty = np.ones((len(parents), 1 << m), dtype=bool)
-    empty[rows, (kids & ((1 << m) - 1)).astype(np.intp)] = False
+    empty[np.searchsorted(parents, kids >> m), (kids & ((1 << m) - 1)).astype(np.intp)] = False
     return _all_children(parents, level, m)[empty.ravel()]
 
 
@@ -563,12 +552,11 @@ def _in_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _depth_first(groups: list[tuple[int, np.ndarray]], m: int) -> np.ndarray:
-    """The order that puts disjoint cubes, given as (level, keys) groups, in
-    depth-first order: the order of their first descendants at one level."""
-    depth = max(level for level, keys in groups if len(keys))
-    return np.argsort(np.concatenate([_shifted(keys, m * (depth - level), m * depth)
-                                      for level, keys in groups]), kind="stable")
+def _depth_first(levels: np.ndarray, keys: np.ndarray, m: int) -> np.ndarray:
+    """The depth-first order (the order of the selector paths) of the cubes
+    with the given levels and Morton keys: by the key of the first descendant
+    at the deepest level, and ancestors first."""
+    return np.lexsort((levels, _lifted(levels, keys, m, int(levels.max()))))
 
 
 def _coords(keys: np.ndarray, level: int, m: int) -> list[np.ndarray]:
@@ -647,10 +635,9 @@ class _Engine:
     def __init__(self, spec: MeasureSpec):
         self.m = spec.dim
 
-    def take(self, frs: list[_Frontier], masks: list[np.ndarray]) -> _Frontier:
-        cols = zip(*[(fr.keys, fr.masses) + fr.state for fr in frs])
-        keys, masses, *state = (np.concatenate([a[k] for a, k in zip(col, masks)]) for col in cols)
-        return _Frontier(frs[0].level, keys, masses, tuple(state))
+    def take(self, fr: _Frontier, mask: np.ndarray) -> _Frontier:
+        state = tuple(s[mask] for s in fr.state)
+        return _Frontier(fr.level, fr.keys[mask], fr.masses[mask], state)
 
 
 class _IfsEngine(_Engine):
@@ -705,7 +692,7 @@ class _IfsEngine(_Engine):
         # one table row serves a frontier that sits at one node, which keeps
         # the deepest full-support levels free of per-child index arrays
         rows = node[:1] if len(node) and (node == node[0]).all() else node
-        keys = _shifted(fr.keys, self.m, self.m * (fr.level + 1))[:, None] | self.sel[rows]
+        keys = _lifted(fr.level, fr.keys, self.m, fr.level + 1)[:, None] | self.sel[rows]
         w = w[:, None] * self.factor[rows]
         node = np.broadcast_to(self.next[rows], keys.shape)
         if self.full:
@@ -810,14 +797,14 @@ class _AtomicEngine(_Engine):
 
     def _frontier(self, level, parents=None):
         """The cubes of ``level`` holding atoms, among the children of the
-        cubes with keys ``parents`` when given."""
+        cubes with the ascending keys ``parents`` when given."""
         small = self.int64 and int(self.den.max()) << level < 1 << _KEY_BITS
         num, den = (self.num64, self.den64) if small else (self.num, self.den)
         # every index is below 2^level, so the keys are int64 where they fit
         keys = _morton(-((-(num << level)) // den) - 1, level, self.m)
         atom = np.argsort(keys, kind="stable")
         if parents is not None:
-            atom = atom[_in_sorted(keys[atom] >> self.m, np.sort(parents))]
+            atom = atom[_in_sorted(keys[atom] >> self.m, parents)]
         keys = keys[atom]
         first = np.ones(len(keys), dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
@@ -874,10 +861,9 @@ def _density_pyramid(spec: DyadicDensity) -> list[np.ndarray]:
 
 
 class _MixtureEngine(_Engine):
-    """State (subs, owners): the frontier of each component with a positive
-    coefficient, and for each the rows of the mixture frontier its cubes sit
-    in.  A cube's mass is the sum of c * (component mass) over the
-    components that hold it."""
+    """State: the frontier of each component with a positive coefficient.  A
+    cube's mass is the sum of c * (component mass) over the components that
+    hold it."""
 
     def __init__(self, spec: Mixture):
         super().__init__(spec)
@@ -886,30 +872,23 @@ class _MixtureEngine(_Engine):
     def _merge(self, level, subs):
         keys = np.unique(np.concatenate([s.keys for s in subs]))
         terms = np.zeros((len(keys), len(subs)))
-        owners = [np.searchsorted(keys, s.keys) for s in subs]
-        for col, ((c, _), sub, own) in enumerate(zip(self.parts, subs, owners)):
-            terms[own, col] = c * sub.masses
+        for col, ((c, _), sub) in enumerate(zip(self.parts, subs)):
+            terms[np.searchsorted(keys, sub.keys), col] = c * sub.masses
         masses = _exact_sums(terms.ravel(), np.arange(0, terms.size, len(subs)))
-        return _Frontier(level, keys, masses, (subs, owners))
+        return _Frontier(level, keys, masses, tuple(subs))
 
     def root(self):
         return self._merge(0, [eng.root() for _, eng in self.parts])
 
     def expand(self, fr):
         return self._merge(fr.level + 1,
-                           [eng.expand(sub) for (_, eng), sub in zip(self.parts, fr.state[0])])
+                           [eng.expand(sub) for (_, eng), sub in zip(self.parts, fr.state)])
 
-    def take(self, frs, masks):
-        row = np.cumsum(np.concatenate(masks)) - 1  # new rows, one frontier after the other
-        start = np.cumsum([0] + [len(fr.keys) for fr in frs])
-        subs, owners = [], []
-        for col, (_, eng) in enumerate(self.parts):
-            own = [fr.state[1][col] for fr in frs]
-            keep = [mask[o] for mask, o in zip(masks, own)]
-            subs.append(eng.take([fr.state[0][col] for fr in frs], keep))
-            owners.append(np.concatenate([row[s + o[k]] for s, o, k in zip(start, own, keep)]))
-        return _Frontier(frs[0].level, np.concatenate([fr.keys[k] for fr, k in zip(frs, masks)]),
-                         np.concatenate([fr.masses[k] for fr, k in zip(frs, masks)]), (subs, owners))
+    def take(self, fr, mask):
+        keys = fr.keys[mask]
+        subs = tuple(eng.take(sub, _in_sorted(sub.keys, keys))
+                     for (_, eng), sub in zip(self.parts, fr.state))
+        return _Frontier(fr.level, keys, fr.masses[mask], subs)
 
 
 def _engine(spec: MeasureSpec) -> _Engine:
@@ -951,17 +930,10 @@ def cube_mass(spec: MeasureSpec, cube: DyadicCube) -> float:
     Exact (a finite sum of weight products) for Lebesgue, DyadicIFS, Atomic,
     DyadicDensity and mixtures thereof; within ``mass_tol`` for GeneralIFS1D.
     """
-    return float(_cube_masses(spec, [cube])[0])
-
-
-def _cube_masses(spec: MeasureSpec, cubes: Sequence[DyadicCube]) -> np.ndarray:
-    """nu of each of ``cubes`` (of any levels); see :func:`_key_masses`."""
     ensure_valid(spec)
-    m = spec.dim
-    for cube in cubes:
-        if cube.dim != m:
-            raise ValueError(f"cube dimension {cube.dim} != measure dimension {m}")
-    return _key_masses(spec, *_cube_keys(cubes, m))
+    if cube.dim != spec.dim:
+        raise ValueError(f"cube dimension {cube.dim} != measure dimension {spec.dim}")
+    return float(_key_masses(spec, *_cube_keys([cube], spec.dim))[0])
 
 
 def _key_masses(spec: MeasureSpec, levels: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -985,7 +957,7 @@ def _key_masses(spec: MeasureSpec, levels: np.ndarray, keys: np.ndarray) -> np.n
     eng = _engine(spec)
     fr = eng.root()
     for level, here in enumerate(reversed(wanted)):
-        fr = eng.take([fr], [_in_sorted(fr.keys, here)])
+        fr = eng.take(fr, _in_sorted(fr.keys, here))
         if level in rows:
             hit = _in_sorted(at[level], fr.keys)
             out[rows[level][hit]] = fr.masses[np.searchsorted(fr.keys, at[level][hit])]

@@ -19,10 +19,11 @@ and :func:`counting_N` count in it, :func:`refinement_profile` reads every
 state off it, and :func:`budget_partition` and
 :func:`gamma_adaptive_profile` read the profile.  Only
 :func:`adaptive_partition` and :func:`budget_partition` need the cubes
-themselves (the latter cuts them out of the profile's walk, which visited
-every cube the threshold walk would), and they keep them as
-(level, Morton key) arrays: a :class:`Partition` builds its DyadicCube
-objects when ``cubes`` is first read, which costs several times the walk.
+themselves.  Both cut them out of a walk that split at least every cube
+the threshold walk splits (the threshold walk itself, or the profile's
+walk), and keep them as (level, Morton key) arrays: a :class:`Partition`
+builds its DyadicCube objects when ``cubes`` is first read, which costs
+several times the walk.
 
 Two independent routes to the same optimisation are provided:
 
@@ -71,7 +72,6 @@ from .measures import (
     _empty_children,
     _engine,
     _key_masses,
-    _shifted,
 )
 from .spectrum import _check_positive
 
@@ -241,14 +241,11 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
     if not len(levels):
         return ["empty partition"]
     depth = int(levels.max())
-    lv = levels.astype(keys.dtype)  # Python-integer shifts for Python-integer keys
-    # ordered by first descendant at the deepest level, ancestors first (the
-    # order of the selector paths), two cubes overlap only if two neighbours do
-    order = np.argsort(levels, kind="stable")
-    order = order[np.argsort(_shifted(keys, m * (depth - lv), m * depth)[order], kind="stable")]
+    # in depth-first order two cubes overlap only if two neighbours do
+    order = _depth_first(levels, keys, m)
     lo, hi = order[:-1], order[1:]
     up = np.flatnonzero(levels[lo] <= levels[hi])
-    hit = up[(keys[hi[up]] >> (m * (lv[hi[up]] - lv[lo[up]]))) == keys[lo[up]]]
+    hit = up[(keys[hi[up]] >> (m * (levels[hi[up]] - levels[lo[up]]))) == keys[lo[up]]]
     if len(hit):
         i, j = (_cubes(int(levels[r]), keys[r:r + 1], m)[0] for r in (lo[hit[0]], hi[hit[0]]))
         out.append(f"cubes overlap (path {tuple(i.selector_path())} is an ancestor of "
@@ -324,15 +321,15 @@ def _walk(spec: MeasureSpec, a: float, cut: float, max_depth: int,
         if level >= max_depth or not split.any():
             return levels, cut
         rows = np.flatnonzero(split)
-        parents = eng.take([fr], [split])
+        parents = eng.take(fr, split)
         fr = eng.expand(parents)
         parent, above = rows[np.searchsorted(parents.keys, fr.keys >> m)], eff
 
 
 def _check_depth(levels: list[_Level], m: int, thresholds: Sequence[float]) -> None:
-    """Raise if a threshold walk stopped at max_depth with bad cubes left:
-    for the first of ``thresholds`` that leaves one, name the first such
-    cube in depth-first order."""
+    """Raise if a walk stopped at max_depth with cubes left that are bad at
+    one of ``thresholds`` (effective weight >= t): for the first such t,
+    name the first such cube in depth-first order."""
     last = levels[-1]
     if last.split.any():
         for t in thresholds:
@@ -374,49 +371,31 @@ def adaptive_partition(spec: MeasureSpec, a: float, t: float,
 
 
 def _leaves(levels: list[_Level], m: int, a: float, t: float) -> Partition:
-    """The adaptive partition at threshold t from the levels its walk
-    visited: the cubes that walk left unsplit and the empty children of the
-    ones it split, in depth-first order."""
+    """The adaptive partition at threshold t, in depth-first order: the cubes
+    the walk at t leaves unsplit and the empty children of the ones it
+    splits.  ``levels`` may come from any walk that split every cube of
+    effective weight >= t above max_depth (the walk at t, or the profile's):
+    no effective weight exceeds its parent's, so these are the cubes the
+    walk at t splits.  Raises if ``levels`` stopped at max_depth with such a
+    cube left, naming the first in key order."""
     _check_depth(levels, m, [t])
     leaves = []
+    visit = np.ones(1, dtype=bool)  # which cubes of the level the walk at t visits
     for lv, below in zip(levels, levels[1:] + [None]):
-        good = ~lv.split
-        leaves.append((lv.level, lv.keys[good], lv.masses[good], lv.j[good]))
-        if below is not None:
-            # children that hold no branch have mass 0, so they are good at once
-            rank = np.cumsum(lv.split) - 1  # row among the split cubes
-            zero = _empty_children(lv.keys[lv.split], below.keys, rank[below.parent], lv.level, m)
-            leaves.append((lv.level + 1, zero, np.zeros(len(zero)), np.zeros(len(zero))))
-    order = _depth_first([(level, keys) for level, keys, _, _ in leaves], m)
-    return Partition(
-        cubes=_CubeKeys(np.concatenate([np.full(len(leaf[1]), leaf[0]) for leaf in leaves])[order],
-                        np.concatenate([leaf[1] for leaf in leaves])[order], m),
-        masses=np.concatenate([leaf[2] for leaf in leaves])[order],
-        j_values=np.concatenate([leaf[3] for leaf in leaves])[order],
-        a=float(a),
-        threshold=float(t),
-    )
-
-
-def _at_threshold(levels: list[_Level], t: float) -> list[_Level]:
-    """The levels the walk at threshold t visits, cut out of the levels of a
-    walk that split at least every cube it splits: the root, then level by
-    level the children of the cubes whose effective weight is >= t, until
-    none is or the other walk stopped at its depth limit."""
-    out = []
-    rows, parent = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    for lv, below in zip(levels, levels[1:] + [None]):
-        eff = lv.eff[rows]
-        split = eff >= t
-        out.append(_Level(lv.level, lv.keys[rows], lv.masses[rows], lv.j[rows], eff, parent, split))
-        if below is None or not split.any():
-            return out
-        at = np.full(len(lv.keys), -1)  # row of each cube among the split ones kept
-        at[rows] = np.arange(len(rows))
-        at[rows[~split]] = -1
-        rows = np.flatnonzero(at[below.parent] >= 0)
-        parent = at[below.parent[rows]]
-    return out
+        split = lv.eff >= t
+        good = visit & ~split
+        leaves.append((np.full(good.sum(), lv.level), lv.keys[good], lv.masses[good], lv.j[good]))
+        if not split.any():  # the walk at t ends here
+            break
+        visit = split[below.parent]
+        # children that hold no branch have mass 0, so they are good at once
+        zero = _empty_children(lv.keys[split], below.keys[visit], lv.level, m)
+        leaves.append((np.full(len(zero), lv.level + 1), zero, np.zeros(len(zero)),
+                       np.zeros(len(zero))))
+    level, keys, masses, j = (np.concatenate(col) for col in zip(*leaves))
+    order = _depth_first(level, keys, m)
+    return Partition(cubes=_CubeKeys(level[order], keys[order], m), masses=masses[order],
+                     j_values=j[order], a=float(a), threshold=float(t))
 
 
 def counting_N(spec: MeasureSpec, a: float, t: float,
@@ -529,7 +508,7 @@ def budget_partition(spec: MeasureSpec, a: float, budget: int,
     # everything above the largest weight it pruned, j_top itself), so the
     # threshold walk is a part of it
     t = float(np.nextafter(j_top, np.inf))
-    return _leaves(_at_threshold(levels, t), spec.dim, a, t)
+    return _leaves(levels, spec.dim, a, t)
 
 
 def gamma_adaptive_profile(spec: MeasureSpec, a: float, budgets: Sequence[int],

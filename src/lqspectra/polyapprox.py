@@ -66,8 +66,8 @@ from .measures import (
     _by_level,
     _coords,
     _level_keys,
+    _lifted,
     _morton,
-    _shifted,
     ensure_valid,
 )
 from .partition import Partition, gamma_adaptive_profile, DEFAULT_MAX_DEPTH, _CubeField, _CubeKeys
@@ -289,10 +289,7 @@ def _piece_runs(levels: np.ndarray, keys: np.ndarray,
     the row of the first piece holding it (len(keys) when none does, also
     for the last run)."""
     depth = int(levels.max())
-    # Python-integer shifts for Python-integer keys
-    shift = m * (depth - levels.astype(keys.dtype))
-    lo = _shifted(keys, shift, m * depth)
-    hi = _shifted(keys + 1, shift, m * depth)
+    lo, hi = _lifted(levels, keys, m, depth), _lifted(levels, keys + 1, m, depth)
     edges = np.unique(np.concatenate((lo, hi)))
     first, stop = np.searchsorted(edges, lo), np.searchsorted(edges, hi)
     count = stop - first

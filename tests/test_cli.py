@@ -123,6 +123,17 @@ def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, messag
     # these named no flag
     (["order", "--window", "5"], "--window is written lo,hi (got '5')"),
     (["eigen", "--cuts", "0.5", "--x-count", "0"], "--x-count must be >= 1 (got 0)"),
+    # list and grid flags are parsed by their argparse type, which names the flag
+    (["spectrum", "--s-grid", "0:2:-1"], "argument --s-grid: s grid '0:2:-1'"),
+    (["spectrum", "--levels", "3..a"], "argument --levels: invalid literal for int()"),
+    (["partition", "--a", "1", "--t-grid", "1e-3,10,2.5"], "argument --t-grid: invalid literal"),
+    (["order", "--window", "5,a"], "argument --window: invalid literal for int()"),
+    (["project", "--n-list", "0,4"], "argument --n-list: '0,4' is not a list of integers >= 1"),
+    (["fixedpoint", "--b", "1,x"], "argument --b: could not convert string to float"),
+    # one rule for --levels in every subcommand (spectrum wrote level 1 twice)
+    (["spectrum", "--levels", "1,1"], "argument --levels: levels must be a nonempty strictly"),
+    (["fixedpoint", "--levels", "1,1"], "argument --levels: levels must be a nonempty strictly"),
+    (["order", "--levels", "0..2"], "argument --levels: '0..2' is not a list of integers >= 1"),
 ])
 def test_depth_limits_and_empty_lists_exit_1_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

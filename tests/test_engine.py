@@ -32,7 +32,7 @@ SHIPPED = sorted(f"data/{p.stem}" for p in DATA.glob("*.json"))
 SAME_AS_SHIPPED = {"leb1": "lebesgue_1d", "leb3": "lebesgue_3d", "tetra": "fig1_tetraeder",
                    "cantor": "cantor_third", "dirac_half": "dirac_half"}
 FIXTURES = ["leb2", "binom", "atom_pair", "quarter_pair", "density2d", "mixture"]
-MANY_TERMS = ["exp_decay", "mixed_ratio", "three_way_mixture"]
+MANY_TERMS = ["exp_decay", "mixed_ratio", "three_way_mixture", "nested_mixture"]
 # JSON atoms with float coordinates: 0.1, 0.3 and 1e-5 are binary fractions
 # with denominators 2^55, 2^54 and 2^69, so their exact cube indices take
 # Python integers long before the cube positions need more than 62 bits
@@ -45,13 +45,18 @@ FLOAT_ATOMS = {
 
 def _many_terms(name):
     """Specs whose masses sum 3 or more terms: 30 atoms crowding at 0, three
-    IFS images in one half, a three-component mixture."""
+    IFS images in one half, a three-component mixture, and a mixture nesting
+    another that has a component of coefficient 0."""
     if name == "exp_decay":
         return lq.exp_decay_atoms(30)
     if name == "mixed_ratio":
         maps = tuple(lq.DyadicMap(e, (Fraction(k, 1 << e),)) for e, k in
                      ((1, 0), (3, 4), (3, 6), (4, 15)))
         return lq.DyadicIFS(1, maps, (0.41, 0.23, 0.19, 0.17))
+    if name == "nested_mixture":
+        inner = lq.Mixture(((0.5, lq.binomial_ifs(0.6)), (0.0, lq.Lebesgue(1)),
+                            (0.5, lq.exp_decay_atoms(6))))
+        return lq.Mixture(((0.25, lq.Lebesgue(1)), (0.75, inner)))
     return lq.Mixture(((0.3, lq.binomial_ifs(0.6)), (0.45, lq.Lebesgue(1)),
                        (0.25, lq.exp_decay_atoms(12))))
 

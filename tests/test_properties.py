@@ -5,7 +5,8 @@ breakpoint merge on generated vectors.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
-them), grid densities and mixtures of these.  With ``exact`` weights every
+them), grid densities and mixtures of these, a mixture among them nesting
+another that has a component of coefficient 0.  With ``exact`` weights every
 weight, coefficient and density value is a multiple of 1/16, so at the
 levels checked here every mass of the exact families is a dyadic rational
 that floating point holds exactly, and additivity must hold to the bit.  With ``float`` weights the
@@ -114,6 +115,12 @@ def specs(draw, weights):
     if draw(st.booleans()):
         return draw(plain(m, weights))
     parts = draw(st.lists(plain(m, weights), min_size=2, max_size=3))
+    if draw(st.booleans()):
+        # a mixture nested in the last part, with a component of coefficient 0
+        inner = draw(st.lists(plain(m, weights), min_size=1, max_size=2))
+        comps = list(zip(draw(weights(len(inner))), inner))
+        comps.insert(draw(st.integers(0, len(comps))), (0.0, draw(plain(m, weights))))
+        parts[-1] = lq.Mixture(tuple(comps))
     return lq.Mixture(tuple(zip(draw(weights(len(parts))), parts)))
 
 
@@ -258,6 +265,17 @@ def test_children_never_outweigh_their_parents(spec, a, t):
         assert np.all(up.split[lv.parent])
         assert np.all(lv.j <= up.j[lv.parent])
         assert np.array_equal(lv.eff, lv.j)  # so the effective weight is J_a itself
+
+
+@given(specs(float_weights), st.sampled_from([0.5, 1.0, 1.7]), st.floats(1e-4, 0.3),
+       st.integers(1, 60))
+def test_walk_levels_have_ascending_keys(spec, a, t, top):
+    # every frontier has ascending keys, which take, expand and the cut of
+    # the threshold partition out of a walk rely on
+    for levels in (partition._walk(spec, a, t, 40)[0],
+                   partition._walk(spec, a, partition._TINY, 40, top=top)[0]):
+        for lv in levels:
+            assert np.all(lv.keys[1:] > lv.keys[:-1])
 
 
 @given(specs(float_weights), st.sampled_from([0.5, 1.0, 1.7]), st.floats(1e-4, 0.3))

@@ -17,11 +17,13 @@ with one row for ``import lqspectra`` (time inside a fresh interpreter),
 one per ``lqspectra`` subcommand at the arguments of the ``cli`` workload of
 ``perfbench`` (wall time of a fresh interpreter, as that workload times
 it), one for ``split_counting_check`` at level 12 (in-process, after one
-untimed call), and four for the partition layer at the sizes of the
+untimed call), and seven for the partition layer at the sizes of the
 ``partitions`` workload (in-process, the median of five calls after one
 untimed call): ``adaptive_partition`` on the binomial and the tetrahedron,
-``gamma_adaptive_profile`` of the tetrahedron to 32,768 cubes and
-``entropy_estimate`` of the binomial; three for the exact oracle (see
+``gamma_adaptive_profile`` of the tetrahedron to 32,768 cubes,
+``entropy_estimate`` of the binomial, and ``budget_partition`` at the
+budgets of the workload's two error chains and of its tetrahedron
+polynomial reproduction; three for the exact oracle (see
 :func:`oracle_cases`); and four for the spectrum layer at the
 sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
 binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
@@ -209,6 +211,12 @@ def partition_cases(seed: int) -> list[tuple[str, str]]:
         "cubes of the 11 partitions", "binomial",
         f"lq.entropy_estimate(spec, {ent['a']!r}, np.geomspace(1e2, {ent['t_max']!r}, 11))",
         "int(result.cards.sum())")
+    # the partitions of the workload's error chains and polynomial
+    # reproduction, without the projection
+    for item in prm["project"] + [prm["poly"]]:
+        add(f"budget_partition({item['spec']}, a={item['a']:.4g}, {item['budget']}); cubes",
+            item["spec"], f"lq.budget_partition(spec, {item['a']!r}, {item['budget']})",
+            "result.cardinality")
     return cases
 
 
