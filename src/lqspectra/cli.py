@@ -140,18 +140,13 @@ def _window(text: str) -> tuple[int, int]:
 def _resolve_measure(name: str) -> MeasureSpec:
     path = Path(name)
     if path.exists():
-        spec = load_spec(path)
-    else:
-        res = resources.files("lqspectra").joinpath(f"data/{name}.json")
-        if not res.is_file():
-            raise ParameterError(
-                f"measure {name!r}: no such file, and no shipped spec of that name"
-            )
-        spec = measures.parse_spec(json.loads(res.read_text()))
-    bad = measures.validate(spec)
-    if bad:
-        raise ParameterError("invalid measure spec: " + "; ".join(bad))
-    return spec
+        return load_spec(path)
+    res = resources.files("lqspectra").joinpath(f"data/{name}.json")
+    if not res.is_file():
+        raise ParameterError(
+            f"measure {name!r}: no such file, and no shipped spec of that name"
+        )
+    return measures.parse_spec(json.loads(res.read_text()))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

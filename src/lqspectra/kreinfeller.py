@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import Atomic, MeasureSpec, ensure_valid, _support
+from .measures import Atomic, MeasureSpec, _support
 from .spectrum import _check_levels, _fixed_point, s_b_estimate
 
 __all__ = [
@@ -103,7 +103,6 @@ def discretize(spec: MeasureSpec, n: int) -> AtomicApprox:
 def _discretize(spec: MeasureSpec, n: int) -> tuple[AtomicApprox, np.ndarray | None]:
     """discretize(spec, n) and the unnormalised level-n masses it used (None
     for the atomic passthrough, which uses none)."""
-    ensure_valid(spec)
     if spec.dim != 1:
         raise ValueError("the eigensolver only handles 1D measures")
     if isinstance(spec, Atomic):

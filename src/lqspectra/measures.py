@@ -24,8 +24,8 @@ Conventions
   one whose closed right face contains it.
 * IFS maps are positive homotheties x -> r*x + c (no rotations or
   reflections), so preimages of boxes are boxes.
-* All measures are probability measures; ``validate`` reports normalization
-  defects beyond 1e-12.
+* All measures are probability measures; a spec's constructor raises
+  :class:`InvalidMeasureError` on normalization defects beyond 1e-12.
 """
 
 from __future__ import annotations
@@ -197,10 +197,14 @@ def cube_containing(point: Sequence[Rational], level: int) -> DyadicCube:
 class MeasureSpec:
     """Base class for declarative measure descriptions.
 
-    Instances are immutable after construction; every operation in the
-    package treats them as pure values, so they may be shared freely across
-    threads.
+    Instances are immutable and valid after construction: ``__post_init__``
+    raises :class:`InvalidMeasureError` on any violation.  Every operation in
+    the package treats them as pure values, so they may be shared freely
+    across threads.
     """
+
+    def __post_init__(self):
+        ensure_valid(self)
 
     @property
     def dim(self) -> int:  # pragma: no cover - overridden
@@ -388,6 +392,8 @@ class Atomic(MeasureSpec):
         if len(self.points) != len(self.weights):
             return ["points and weights must have equal length"]
         m = len(self.points[0])
+        if m == 0:
+            return ["atom points need at least one coordinate"]
         for i, pt in enumerate(self.points):
             if len(pt) != m:
                 out.append(f"atom {i}: dimension mismatch")
@@ -409,16 +415,24 @@ class DyadicDensity(MeasureSpec):
     """
 
     depth: int
-    values: np.ndarray
+    values: np.ndarray  # stored as a read-only float copy
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        super().__post_init__()
 
     @property
     def dim(self) -> int:
         return self.values.ndim
 
     def violations(self) -> list[str]:
-        out = []
         if self.depth < 0:
-            out.append("depth must be >= 0")
+            return ["depth must be >= 0"]
+        if self.values.ndim == 0:
+            return ["density values need at least one axis"]
+        out = []
         side = 1 << self.depth
         if any(s != side for s in self.values.shape):
             out.append(f"values must have shape ({side},)*m for depth {self.depth}")
@@ -453,8 +467,6 @@ class Mixture(MeasureSpec):
         dims = {spec.dim for _, spec in self.components}
         if len(dims) > 1:
             out.append(f"components have mixed dimensions {sorted(dims)}")
-        for i, (_, spec) in enumerate(self.components):
-            out.extend(f"component {i}: {v}" for v in spec.violations())
         return out
 
 
@@ -469,7 +481,7 @@ def _check_weights(weights: Sequence[float], label: str) -> list[str]:
 
 
 class InvalidMeasureError(ValueError):
-    """Raised when an operation receives a spec that fails validation."""
+    """Raised by a spec's constructor; ``violations`` lists the defects."""
 
     def __init__(self, violations: list[str]):
         self.violations = violations
@@ -477,11 +489,12 @@ class InvalidMeasureError(ValueError):
 
 
 def validate(spec: MeasureSpec) -> list[str]:
-    """Return the list of constraint violations (empty when the spec is valid)."""
+    """Return the constraint violations: [] for every constructed spec."""
     return spec.violations()
 
 
 def ensure_valid(spec: MeasureSpec) -> None:
+    """Raise :class:`InvalidMeasureError` on violations (a built spec passes)."""
     bad = spec.violations()
     if bad:
         raise InvalidMeasureError(bad)
@@ -826,7 +839,7 @@ class _DensityEngine(_Engine):
     def __init__(self, spec: DyadicDensity):
         super().__init__(spec)
         self.depth = spec.depth
-        self.values = np.asarray(spec.values, dtype=float)
+        self.values = spec.values
         self.pyramid = _density_pyramid(spec)
 
     def _frontier(self, level, keys):
@@ -849,7 +862,7 @@ class _DensityEngine(_Engine):
 def _density_pyramid(spec: DyadicDensity) -> list[np.ndarray]:
     """pyramid[l][idx] = sum of level-D density values inside the level-l cube."""
     m = spec.dim
-    levels = [np.asarray(spec.values, dtype=float)]
+    levels = [spec.values]
     for _ in range(spec.depth):
         arr = levels[-1]
         for axis in range(m):
@@ -908,7 +921,6 @@ def _engine(spec: MeasureSpec) -> _Engine:
 
 def _frontiers(spec: MeasureSpec, levels: Sequence[int]) -> Iterator[_Frontier]:
     """The frontier at each of the non-decreasing ``levels``, from one walk."""
-    ensure_valid(spec)
     if levels and levels[0] < 0:
         raise ValueError("level must be >= 0")
     eng = _engine(spec)
@@ -930,7 +942,6 @@ def cube_mass(spec: MeasureSpec, cube: DyadicCube) -> float:
     Exact (a finite sum of weight products) for Lebesgue, DyadicIFS, Atomic,
     DyadicDensity and mixtures thereof; within ``mass_tol`` for GeneralIFS1D.
     """
-    ensure_valid(spec)
     if cube.dim != spec.dim:
         raise ValueError(f"cube dimension {cube.dim} != measure dimension {spec.dim}")
     return float(_key_masses(spec, *_cube_keys([cube], spec.dim))[0])
@@ -1084,8 +1095,9 @@ def parse_spec(doc: dict) -> MeasureSpec:
     ``{"num": a, "den": b}``, or ``{"num": a, "log2_den": k}`` for a / 2^k.
     Weights and coefficients are positive and sum to 1.
 
-    Raises ValueError with a descriptive message on malformed input; call
-    :func:`validate` afterwards for semantic constraints.
+    Raises ValueError with a descriptive message on malformed input, and
+    :class:`InvalidMeasureError`, a ValueError, on a spec that breaks the
+    constraints of its family.
     """
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("measure spec document must be an object with a 'type' tag")
@@ -1113,14 +1125,13 @@ def parse_spec(doc: dict) -> MeasureSpec:
             ws = tuple(float(atom["weight"]) for atom in doc["atoms"])
             return Atomic(pts, ws)
         if kind == "dyadic_density":
-            values = np.asarray(doc["values"], dtype=float)
-            return DyadicDensity(int(doc["depth"]), values)
+            return DyadicDensity(int(doc["depth"]), doc["values"])
         if kind == "mixture":
             comps = tuple(
                 (float(c["coefficient"]), parse_spec(c["spec"])) for c in doc["components"]
             )
             return Mixture(comps)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ArithmeticError) as exc:
         raise ValueError(f"malformed '{kind}' measure spec: {exc!r}") from exc
     raise ValueError(f"unknown measure type {kind!r}")
 

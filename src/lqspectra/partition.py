@@ -63,7 +63,6 @@ import numpy as np
 from .measures import (
     DyadicCube,
     MeasureSpec,
-    ensure_valid,
     _by_level,
     _cube_indices,
     _cube_keys,
@@ -119,7 +118,6 @@ class MaxDepthExceeded(RuntimeError):
 
 def j_weight(spec: MeasureSpec, cube: DyadicCube, a: float) -> float:
     """J_a(cube) = vol(cube)^a * nu(cube)."""
-    ensure_valid(spec)
     if cube.dim != spec.dim:
         raise ValueError(f"cube dimension {cube.dim} != measure dimension {spec.dim}")
     return float(_key_j(spec, *_cube_keys([cube], spec.dim), a)[0])
@@ -256,7 +254,6 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
     if total != 1:
         out.append(f"volumes sum to {total}, not 1: the cubes do not tile the unit cube")
     if spec is not None:
-        ensure_valid(spec)
         if m != spec.dim:
             raise ValueError(f"cube dimension {m} != measure dimension {spec.dim}")
         again = _key_j(spec, levels, keys, part.a)
@@ -297,7 +294,6 @@ def _walk(spec: MeasureSpec, a: float, cut: float, max_depth: int,
     rises to the top-th largest effective weight met so far, ties included:
     a cube below it cannot be among the ``top`` heaviest, nor can its
     descendants.  Returns the visited levels and the final cut."""
-    ensure_valid(spec)
     _check_positive("a", a)
     if not 0 < cut < math.inf:
         raise ValueError(f"threshold t must be finite and > 0 (t={cut!r})")
@@ -462,8 +458,6 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
 def _profile(spec: MeasureSpec, a: float, budget_cap: int,
              max_depth: int) -> tuple[np.ndarray, list[_Level]]:
     """The states of :func:`refinement_profile` and the levels of its walk."""
-    ensure_valid(spec)
-    _check_positive("a", a)
     if budget_cap < 1:
         raise ValueError("budget_cap must be >= 1")
     m = spec.dim
@@ -574,8 +568,6 @@ def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
     v*[k] gives one the fold reaches with the same max: v[k] = v*[k].  The
     argument needs neither monotone J_a nor the adaptive tie rule; those only
     make the first walk's certificate hold, so that one walk is enough."""
-    ensure_valid(spec)
-    _check_positive("a", a)
     if k_max < 1:
         raise ValueError("infeasible budget: k_max must be >= 1")
     m = spec.dim

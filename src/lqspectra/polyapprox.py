@@ -68,7 +68,6 @@ from .measures import (
     _level_keys,
     _lifted,
     _morton,
-    ensure_valid,
 )
 from .partition import Partition, gamma_adaptive_profile, DEFAULT_MAX_DEPTH, _CubeField, _CubeKeys
 from .spectrum import OrderParams
@@ -466,7 +465,6 @@ def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.nd
     CDF cut, in buffers reused over the steps; atoms, density cells and
     mixture components are located by the cell table of :func:`_located`.
     """
-    ensure_valid(spec)
     m = spec.dim
     if isinstance(spec, Lebesgue):
         return 1.0 - rng.random((n, m))
@@ -555,7 +553,6 @@ def error_sample(u, spec: MeasureSpec, q: float, n_samples: int = 100_000,
         raise ValueError(f"q must be finite and >= 1 (q={q})")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 (n_samples={n_samples})")
-    ensure_valid(spec)
     if isinstance(spec, Atomic):
         pts = np.array([[float(c) for c in p] for p in spec.points])
         weights = np.asarray(spec.weights)

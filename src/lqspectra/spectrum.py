@@ -65,7 +65,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .measures import MeasureSpec, _support_masses_at, ensure_valid, support_masses
+from .measures import MeasureSpec, _support_masses_at, support_masses
 
 __all__ = [
     "SpectrumCurve",
@@ -264,7 +264,6 @@ def _fixed_points(spec: MeasureSpec, bs: Sequence[float],
     for b in bs:
         _check_positive("b", b)
     levels = _check_levels(levels)
-    ensure_valid(spec)
     # one walk to the deepest level, keeping each level's log2 masses; the
     # roots are solved after it, when no frontier is left
     log2_masses = list(map(np.log2, _support_masses_at(spec, levels)))

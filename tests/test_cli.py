@@ -1,10 +1,19 @@
 """CLI contract: spec parsing, subcommand outputs, determinism, exit codes."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
+import operator
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqspectra as lq
 from lqspectra import cli
@@ -148,6 +157,87 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     bad.write_text("{ not json")
     code = run_cli("spectrum", "--measure", str(bad), "--out", str(tmp_path))
     assert code == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"type": "atomic", "atoms": [{"point": [{"num": 1, "den": 0}], "weight": 1.0}]},
+     "ZeroDivisionError"),
+    ({"type": "atomic", "atoms": [{"point": [math.inf], "weight": 1.0}]}, "OverflowError"),
+    # zero-dimensional specs: a density would give beta_n = 0.0 rows, an atom
+    # a numpy error
+    ({"type": "dyadic_density", "depth": 3, "values": 1.0}, "at least one axis"),
+    ({"type": "atomic", "atoms": [{"point": [], "weight": 1.0}]}, "at least one coordinate"),
+])
+def test_bad_spec_documents_exit_1_without_csv(tmp_path, capsys, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = run_cli("spectrum", "--measure", str(bad), "--levels", "1..2",
+                   "--s-grid", "0:1:3", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (out / "spectrum.csv").exists()
+
+
+# one small valid document per family and a mixture; the fuzz below breaks
+# one position of one of them
+FUZZ_DOCS = [
+    {"type": "lebesgue", "dimension": 1},
+    {"type": "dyadic_ifs", "dimension": 1,
+     "maps": [{"ratio_log2": 1, "offset": [0]},
+              {"ratio_log2": 2, "offset": [{"num": 3, "log2_den": 2}]}],
+     "weights": [0.75, 0.25]},
+    {"type": "ifs_1d", "maps": [{"ratio": {"num": 1, "den": 3}, "offset": 0},
+                                {"ratio": {"num": 1, "den": 3}, "offset": {"num": 2, "den": 3}}],
+     "weights": [0.5, 0.5], "mass_tol": 1e-12},
+    {"type": "atomic", "atoms": [{"point": [0.25, {"num": 1, "den": 3}], "weight": 0.5},
+                                 {"point": [0.75, 0.5], "weight": 0.5}]},
+    {"type": "dyadic_density", "depth": 1, "values": [[0.5, 1.5], [2.0, 0.0]]},
+    {"type": "mixture", "components": [
+        {"coefficient": 0.25, "spec": {"type": "lebesgue", "dimension": 1}},
+        {"coefficient": 0.75, "spec": {"type": "atomic",
+                                       "atoms": [{"point": [0.5], "weight": 1.0}]}}]},
+]
+# small values only: a huge log2_den or depth makes 2 ** e allocate without bound
+BAD_VALUES = [0, -1, None, "x", [], {}, math.nan, math.inf, {"num": 1, "den": 0}, True]
+
+
+def _positions(node, path=()):
+    """Key paths of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _positions(value, path + (key,))
+
+
+@st.composite
+def broken_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    *head, last = draw(st.sampled_from(list(_positions(doc))))
+    parent = functools.reduce(operator.getitem, head, doc)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+    return doc
+
+
+@settings(max_examples=60)
+@given(broken_documents())
+def test_broken_spec_documents_exit_0_or_1_with_a_message(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["spectrum", "--measure", str(path), "--levels", "1..3",
+                             "--out", tmp])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error:")
+            assert not (Path(tmp) / "spectrum.csv").exists()
 
 
 def test_bad_flag_exits_1(capsys):

@@ -1,5 +1,6 @@
 """Dyadic cube geometry and exact cube masses for every measure family."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -202,57 +203,88 @@ def test_exp_decay_atoms_shape():
 # Validation
 # ---------------------------------------------------------------------------
 
+def _violations(build):
+    """The violations of the InvalidMeasureError that ``build()`` raises."""
+    with pytest.raises(lq.InvalidMeasureError) as err:
+        build()
+    return err.value.violations
+
+
 def test_validate_duplicate_maps_overlap():
     half = Fraction(1, 2)
     maps = (lq.DyadicMap(1, (half,)), lq.DyadicMap(1, (half,)))
-    spec = lq.DyadicIFS(1, maps, (0.5, 0.5))
-    assert any("overlap" in v for v in lq.validate(spec))
+    bad = _violations(lambda: lq.DyadicIFS(1, maps, (0.5, 0.5)))
+    assert any("overlap" in v for v in bad)
 
 
 def test_validate_weight_sum():
     maps = (lq.DyadicMap(1, (Fraction(0),)), lq.DyadicMap(1, (Fraction(1, 2),)))
-    spec = lq.DyadicIFS(1, maps, (0.5, 0.6))
-    assert any("sum" in v for v in lq.validate(spec))
+    bad = _violations(lambda: lq.DyadicIFS(1, maps, (0.5, 0.6)))
+    assert any("sum" in v for v in bad)
 
 
 def test_validate_offset_off_grid():
-    spec = lq.DyadicIFS(1, (lq.DyadicMap(2, (Fraction(1, 8),)),
-                            lq.DyadicMap(2, (Fraction(1, 2),))), (0.5, 0.5))
-    assert any("dyadic" in v for v in lq.validate(spec))
+    maps = (lq.DyadicMap(2, (Fraction(1, 8),)), lq.DyadicMap(2, (Fraction(1, 2),)))
+    bad = _violations(lambda: lq.DyadicIFS(1, maps, (0.5, 0.5)))
+    assert any("dyadic" in v for v in bad)
 
 
 def test_validate_atomic_outside_open_cube():
-    spec = lq.Atomic(((Fraction(0),),), (1.0,))
-    assert any("open cube" in v for v in lq.validate(spec))
+    bad = _violations(lambda: lq.Atomic(((Fraction(0),),), (1.0,)))
+    assert any("open cube" in v for v in bad)
 
 
 def test_validate_ifs1d_overlap():
     maps = (lq.Homothety1D(Fraction(2, 3), Fraction(0)),
             lq.Homothety1D(Fraction(2, 3), Fraction(1, 3)))
-    spec = lq.GeneralIFS1D(maps, (0.5, 0.5))
-    assert any("overlap" in v for v in lq.validate(spec))
+    bad = _violations(lambda: lq.GeneralIFS1D(maps, (0.5, 0.5)))
+    assert any("overlap" in v for v in bad)
 
 
 def test_validate_mixture_dimension_mismatch():
-    spec = lq.Mixture(((0.5, lq.Lebesgue(1)), (0.5, lq.Lebesgue(2))))
-    assert any("dimension" in v for v in lq.validate(spec))
+    bad = _violations(lambda: lq.Mixture(((0.5, lq.Lebesgue(1)), (0.5, lq.Lebesgue(2)))))
+    assert any("dimension" in v for v in bad)
 
 
 def test_single_map_dyadic_ifs_rejected():
     # the invariant measure of x -> x/2 is the point mass at 0, outside (0, 1]
     doc = {"type": "dyadic_ifs", "dimension": 1,
            "maps": [{"ratio_log2": 1, "offset": [0]}], "weights": [1.0]}
-    spec = lq.parse_spec(doc)
-    assert lq.validate(spec) == [
+    assert _violations(lambda: lq.parse_spec(doc)) == [
         "at least two maps are required (one map degenerates to a point mass)"]
     with pytest.raises(lq.InvalidMeasureError, match="two maps"):
-        lq.support_masses(spec, 3)
+        lq.parse_spec(doc)
 
 
 def test_invalid_spec_rejected_by_operations():
-    bad = lq.Atomic(((Fraction(1, 2),),), (0.9,))
-    with pytest.raises(lq.InvalidMeasureError):
-        lq.cube_mass(bad, lq.unit_cube(1))
+    # an invalid spec cannot be built, so no operation ever receives one
+    bad = _violations(lambda: lq.Atomic(((Fraction(1, 2),),), (0.9,)))
+    assert bad == ["weights sum to 0.9, not 1"]
+
+
+def test_zero_dimensional_specs_rejected():
+    assert _violations(lambda: lq.DyadicDensity(3, 1.0)) == [
+        "density values need at least one axis"]
+    assert _violations(lambda: lq.Atomic(((),), (1.0,))) == [
+        "atom points need at least one coordinate"]
+
+
+def test_negative_density_depth_is_a_violation():
+    assert _violations(lambda: lq.DyadicDensity(-1, [1.0])) == ["depth must be >= 0"]
+
+
+def test_density_values_are_read_only(density2d):
+    with pytest.raises(ValueError, match="read-only"):
+        density2d.values[0, 0] = -1.0
+    source = np.full((2, 2), 1.0)
+    spec = lq.DyadicDensity(1, source)
+    source[0, 0] = -1.0  # the spec keeps its own copy
+    assert lq.validate(spec) == [] and spec.values[0, 0] == 1.0
+
+
+def test_replace_validates(binom):
+    with pytest.raises(lq.InvalidMeasureError, match="sum"):
+        dataclasses.replace(binom, weights=(0.5, 0.6))
 
 
 def test_binomial_and_tetraeder_valid(binom, tetra):

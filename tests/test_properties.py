@@ -1,7 +1,7 @@
 """Mass invariants of the frontier engine on generated specs of every family,
 the adaptive family's card(t) identity and depth-limit naming, the shape of
 the spectra and their certified roots on the same specs, and the oracle's
-breakpoint merge on generated vectors.
+breakpoint merge on generated vectors, and JSON round trips of the specs.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
@@ -13,6 +13,7 @@ that floating point holds exactly, and additivity must hold to the bit.  With ``
 engine is compared with the cursor reference instead.
 """
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -188,6 +189,18 @@ def test_engine_matches_cursors_on_generated_specs(spec):
         # to its right, for instance
         got, exp = dict(zip(cubes, masses)), dict(zip(want_cubes, want))
         assert all(abs(got.get(c, 0.0) - exp.get(c, 0.0)) <= tol for c in got.keys() | exp.keys())
+
+
+@given(specs(float_weights))
+def test_json_round_trip_keeps_the_document_and_the_masses(spec):
+    doc = lq.spec_to_dict(spec)
+    back = lq.parse_spec(json.loads(json.dumps(doc)))  # raises unless the spec is valid
+    assert type(back) is type(spec) and lq.spec_to_dict(back) == doc
+    for n in range(5):
+        masses = lq.support_masses(spec, n)
+        if len(masses) > MAX_CUBES:
+            break
+        assert np.array_equal(lq.support_masses(back, n), masses)
 
 
 @st.composite

@@ -24,11 +24,13 @@ untimed call): ``adaptive_partition`` on the binomial and the tetrahedron,
 ``entropy_estimate`` of the binomial, and ``budget_partition`` at the
 budgets of the workload's two error chains and of its tetrahedron
 polynomial reproduction; three for the exact oracle (see
-:func:`oracle_cases`); and four for the spectrum layer at the
+:func:`oracle_cases`); and five for the spectrum layer at the
 sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
 binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
-the binomial at levels 14, 16 and 18, and ``spectrum_curve`` of the binomial
-at level 18 on the workload's 20-point s grid; and five for the polyapprox
+the binomial at levels 14, 16 and 18 and of the workload's 1000-atom spec
+at levels 8, 12 and 16, and ``spectrum_curve`` of the binomial at level 18
+on the workload's 20-point s grid; one for the mass engine,
+``support_masses`` of the 1000-atom spec at level 16; and five for the polyapprox
 layer at the sizes of the ``partitions`` workload, timed the same way:
 ``sample_measure`` of the binomial and of the density at 10^5 points, the
 ell = 1 ``evaluate`` of the binomial's budget partition at 10^5 points,
@@ -162,7 +164,7 @@ def spectrum_cases(seed: int) -> list[tuple[str, str]]:
     workload with this seed."""
     inputs = make_inputs("levels", seed)
     specs, prm = inputs["specs"], inputs["params"]
-    binomial, tetra = prm["binomial"], prm["tetra"]
+    binomial, tetra, atomic = prm["binomial"], prm["tetra"], prm["atomic"]
     p = specs["binomial"]["args"][0]
     n_bin, n_tet, levels = binomial["nb_level"], tetra["nb_level"], binomial["est_levels"]
     n_curve, grid = binomial["curve_level"], binomial["s_grid"]
@@ -174,11 +176,24 @@ def spectrum_cases(seed: int) -> list[tuple[str, str]]:
         (f"s_b_estimate(binomial_ifs({p:.4g}), b={binomial['b_est']}, {levels}); roots",
          _case_code(specs["binomial"], f"lq.s_b_estimate(spec, {binomial['b_est']!r}, {levels})",
                     str(len(levels)))),
+        (f"s_b_estimate(atomic, 1000 atoms, b={atomic['b_est']}, {atomic['est_levels']}); roots",
+         _case_code(specs["atomic"],
+                    f"lq.s_b_estimate(spec, {atomic['b_est']!r}, {atomic['est_levels']})",
+                    str(len(atomic["est_levels"])))),
         (f"spectrum_curve(binomial_ifs({p:.4g}), {n_curve}, {len(grid)}-point s grid); "
          "s-grid points",
          _case_code(specs["binomial"], f"lq.spectrum_curve(spec, {n_curve}, {grid!r})",
                     str(len(grid)))),
     ]
+
+
+def measures_cases(seed: int) -> list[tuple[str, str]]:
+    """(case, child code) of the mass engine row: ``support_masses`` of the
+    ``levels`` workload's 1000-atom spec at its mass level."""
+    inputs = make_inputs("levels", seed)
+    n = inputs["params"]["atomic"]["mass_level"]
+    return [(f"support_masses(atomic, 1000 atoms, {n}); cubes",
+             _case_code(inputs["specs"]["atomic"], f"lq.support_masses(spec, {n})", "len(result)"))]
 
 
 def partition_cases(seed: int) -> list[tuple[str, str]]:
@@ -311,7 +326,8 @@ def main() -> None:
                       "split_counting_check(binomial_ifs(0.7), 12, cuts [0.25, 0.75], 50 x); atoms",
                       4096, lambda tree: (_child_seconds(tree, SPLIT_CHILD), 4096)))
         for layer, layer_cases in (("partition", partition_cases), ("oracle", oracle_cases),
-                                   ("spectrum", spectrum_cases), ("polyapprox", polyapprox_cases)):
+                                   ("measures", measures_cases), ("spectrum", spectrum_cases),
+                                   ("polyapprox", polyapprox_cases)):
             for case, code in layer_cases(args.seed):
                 cases.append((layer, case, None,
                               lambda tree, code=code: _child_units(tree, code)))
