@@ -23,7 +23,7 @@ import numpy as np
 
 from . import measures
 from .kreinfeller import discretize, order_fit, solve_eigen, split_counting_check
-from .measures import InvalidMeasureError, MeasureSpec, load_spec
+from .measures import MeasureSpec, load_spec
 from .partition import (
     MaxDepthExceeded,
     adaptive_partition,
@@ -413,8 +413,7 @@ def main(argv=None) -> int:
         return 1
     try:
         args.func(args)
-    except (ParameterError, InvalidMeasureError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MaxDepthExceeded as exc:

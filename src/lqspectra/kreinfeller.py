@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .measures import Atomic, MeasureSpec, _support
+from .measures import Atomic, MeasureSpec, _supports
 from .spectrum import _check_levels, _fixed_point, s_b_estimate
 
 __all__ = [
@@ -93,30 +93,38 @@ def discretize(spec: MeasureSpec, n: int) -> AtomicApprox:
     """Atomic approximation at dyadic level n: one atom per positive-mass
     cube at the cube midpoint, carrying the cube mass.
 
-    Atomic specs pass through unchanged (sorted).  Midpoints are used rather
-    than endpoints so discretization atoms never sit on the dyadic grid,
-    keeping them clear of typical cut points in the counting checks.
+    Atomic specs pass through unchanged (sorted) and need no level.
+    Midpoints are used rather than endpoints so discretization atoms never
+    sit on the dyadic grid, keeping them clear of typical cut points in the
+    counting checks.
     """
-    return _discretize(spec, n)[0]
+    (atoms, _), = _discretize(spec, [n])
+    return atoms
 
 
-def _discretize(spec: MeasureSpec, n: int) -> tuple[AtomicApprox, np.ndarray | None]:
-    """discretize(spec, n) and the unnormalised level-n masses it used (None
-    for the atomic passthrough, which uses none)."""
+def _discretize(spec: MeasureSpec, levels: Sequence[int]
+                ) -> Iterable[tuple[AtomicApprox, np.ndarray | None]]:
+    """discretize(spec, n) at each of the non-decreasing ``levels``, from one
+    walk, with the unnormalised level-n masses it used (None for the atomic
+    passthrough, which uses none)."""
     if spec.dim != 1:
         raise ValueError("the eigensolver only handles 1D measures")
     if isinstance(spec, Atomic):
         pts = np.array([float(p[0]) for p in spec.points])
         order = np.argsort(pts)
-        return AtomicApprox(pts[order], np.asarray(spec.weights)[order],
-                            provenance="atomic passthrough"), None
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    keys, masses = _support(spec, n)
+        atoms = AtomicApprox(pts[order], np.asarray(spec.weights)[order],
+                             provenance="atomic passthrough")
+        return [(atoms, None)] * len(levels)
+    if None in levels:
+        raise ValueError("a level is required to discretize a non-atomic measure")
+    return map(_midpoint_atoms, levels, _supports(spec, levels))
+
+
+def _midpoint_atoms(n, support):
+    keys, masses = support
     # a 1D key is the cube's index l; the midpoint is (2l + 1) 2^-(n+1)
     pts = np.asarray((2 * keys + 1) * math.ldexp(1.0, -(n + 1)), dtype=float)
-    total = math.fsum(masses)
-    return AtomicApprox(pts, masses / total,
+    return AtomicApprox(pts, masses / math.fsum(masses),
                         provenance=f"level-{n} midpoint discretization"), masses
 
 
@@ -295,15 +303,12 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
     level; coarser levels always use the default policy scaled to their own
     rank.  Raises when the finest window holds fewer than 10 points.
     """
-    levels = sorted(int(l) for l in levels)
-    if not levels:
-        raise ValueError("levels must be nonempty")
+    levels = _check_levels(sorted(int(l) for l in levels))
     slopes = []
     stderr_finest = None
     window_finest = None
     raw = []  # each level's masses, reused by the fixed-point step below
-    for lvl in levels:
-        atoms, masses = _discretize(spec, lvl)
+    for lvl, (atoms, masses) in zip(levels, _discretize(spec, levels)):
         raw.append(masses)
         eigs = solve_eigen(atoms)
         lam = eigs.eigenvalues
@@ -321,7 +326,7 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
     finest_slope = slopes[-1][1]
     drift = max(abs(s - finest_slope) for _, s in slopes)
     if reference_levels is None and not isinstance(spec, Atomic):
-        s1 = _fixed_point(1.0, _check_levels(levels), map(np.log2, raw)).s_hat
+        s1 = _fixed_point(1.0, levels, map(np.log2, raw)).s_hat
     else:
         ref_levels = list(reference_levels) if reference_levels is not None else levels
         s1 = s_b_estimate(spec, 1.0, ref_levels).s_hat
@@ -420,7 +425,7 @@ def split_counting_check(spec: MeasureSpec | AtomicApprox, level: int | None,
     one pass.  The cuts must carry no mass: an atom exactly at a cut is
     rejected.
     """
-    atoms = spec if isinstance(spec, AtomicApprox) else discretize(spec, level or 0)
+    atoms = spec if isinstance(spec, AtomicApprox) else discretize(spec, level)
     cuts = tuple(sorted(float(c) for c in cuts))
     if not cuts:
         raise ValueError("at least one cut point is required")

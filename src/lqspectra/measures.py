@@ -71,26 +71,49 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
+# Bounds on what a few bytes of a spec document can demand: every float's
+# denominator divides 2^1074, and Lebesgue measure runs as the IFS of its 2^m
+# corner maps, checked pairwise (O(4^m), 0.04 s at m = 8).  Ratio exponents
+# and density depths stop at the engine's 62 key bits (_KEY_BITS).
+MAX_LOG2_DEN = 1074
+MAX_LEBESGUE_DIMENSION = 8
 
 Rational = Union[int, float, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(x, field: str = "coordinate") -> Fraction:
     """Coerce ints, floats (exact binary rationals), Fractions or JSON rational
-    objects ({"num", "den"} or {"num", "log2_den"}) to an exact Fraction."""
+    objects ({"num", "den"} or {"num", "log2_den"}) to an exact Fraction;
+    ``field`` names ``x`` in the error raised for anything else."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise TypeError("boolean is not a coordinate")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # floats are exact dyadic rationals
-    if isinstance(x, dict):
-        if "log2_den" in x:
-            return Fraction(int(x["num"]), 2 ** int(x["log2_den"]))
-        return Fraction(int(x["num"]), int(x["den"]))
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+    if not isinstance(x, dict):
+        return Fraction(_json_number(x, field))  # floats are exact dyadic rationals
+    num = _json_int(x["num"], f"{field} num")
+    if "log2_den" not in x:
+        return Fraction(num, _json_int(x["den"], f"{field} den"))
+    k = _json_int(x["log2_den"], f"{field} log2_den")
+    if not 0 <= k <= MAX_LOG2_DEN:
+        raise ValueError(f"{field} log2_den must lie in [0, {MAX_LOG2_DEN}] (got {k})")
+    return Fraction(num, 1 << k)
+
+
+def _json_int(x, field: str) -> int:
+    """``x`` if it is a JSON integer: an int that is not a bool."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{field} must be an integer, not {x!r}")
+    return x
+
+
+def _json_number(x, field: str) -> int | float:
+    """``x`` if it is a JSON number: an int or a float that is not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{field} must be a number, not {x!r}")
+    return x
+
+
+def _json_floats(xs, field: str) -> tuple[float, ...]:
+    return tuple(float(_json_number(x, field)) for x in xs)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +248,11 @@ class Lebesgue(MeasureSpec):
         return self.dimension
 
     def violations(self) -> list[str]:
-        return [] if self.dimension >= 1 else ["dimension must be >= 1"]
+        if self.dimension < 1:
+            return ["dimension must be >= 1"]
+        if self.dimension > MAX_LEBESGUE_DIMENSION:
+            return [f"dimension must be <= {MAX_LEBESGUE_DIMENSION}"]
+        return []
 
 
 @dataclass(frozen=True)
@@ -250,8 +277,7 @@ class DyadicMap:
 
 
 def _make_dyadic_map(ratio_log2: int, offset) -> DyadicMap:
-    off = tuple(_as_fraction(c) for c in offset)
-    return DyadicMap(int(ratio_log2), off)
+    return DyadicMap(ratio_log2, tuple(_as_fraction(c, "offset") for c in offset))
 
 
 @dataclass(frozen=True)
@@ -284,6 +310,9 @@ class DyadicIFS(MeasureSpec):
         for i, mp in enumerate(self.maps):
             if mp.ratio_log2 < 1:
                 out.append(f"map {i}: ratio exponent must be >= 1")
+                continue
+            if mp.ratio_log2 > _KEY_BITS:
+                out.append(f"map {i}: ratio exponent must be <= {_KEY_BITS}")
                 continue
             if len(mp.offset) != self.dimension:
                 out.append(f"map {i}: offset dimension mismatch")
@@ -430,6 +459,8 @@ class DyadicDensity(MeasureSpec):
     def violations(self) -> list[str]:
         if self.depth < 0:
             return ["depth must be >= 0"]
+        if self.depth > _KEY_BITS:
+            return [f"depth must be <= {_KEY_BITS}"]
         if self.values.ndim == 0:
             return ["density values need at least one axis"]
         out = []
@@ -919,23 +950,6 @@ def _engine(spec: MeasureSpec) -> _Engine:
 # Mass queries
 # ---------------------------------------------------------------------------
 
-def _frontiers(spec: MeasureSpec, levels: Sequence[int]) -> Iterator[_Frontier]:
-    """The frontier at each of the non-decreasing ``levels``, from one walk."""
-    if levels and levels[0] < 0:
-        raise ValueError("level must be >= 0")
-    eng = _engine(spec)
-    fr = eng.root()
-    for n in levels:
-        while fr.level < n:
-            fr = eng.expand(fr)
-        yield fr
-
-
-def _level_frontier(spec: MeasureSpec, n: int) -> _Frontier:
-    fr, = _frontiers(spec, [n])
-    return fr
-
-
 def cube_mass(spec: MeasureSpec, cube: DyadicCube) -> float:
     """nu(cube).
 
@@ -977,19 +991,29 @@ def _key_masses(spec: MeasureSpec, levels: np.ndarray, keys: np.ndarray) -> np.n
     return out
 
 
-def _support(spec: MeasureSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Morton keys and masses of the level-n cubes of positive mass, in
-    depth-first order."""
-    fr = _level_frontier(spec, n)
-    keep = fr.masses > 0.0
-    return fr.keys[keep], fr.masses[keep]
+def _supports(spec: MeasureSpec, levels: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Morton keys and masses of the positive-mass cubes at each of the
+    non-decreasing ``levels``, depth-first, from one walk.  Only the walk
+    holds a frontier.  A consumer must not hold level n's arrays while the
+    walk expands to level n+1: a loop variable keeps its pair until the next
+    is bound, and ``list(map(f, map(itemgetter(1), _supports(...))))`` keeps
+    only the results of f."""
+    if levels and levels[0] < 0:
+        raise ValueError("level must be >= 0")
+    eng = _engine(spec)
+    fr = eng.root()
+    for n in levels:
+        while fr.level < n:
+            fr = eng.expand(fr)
+        keep = slice(None) if fr.masses.all() else fr.masses > 0.0
+        yield fr.keys[keep], fr.masses[keep]
 
 
 def support_with_masses(spec: MeasureSpec, n: int) -> tuple[list[DyadicCube], np.ndarray]:
     """All level-n cubes of positive mass (depth-first selector order) with
     their masses.  The descent prunes zero-mass subtrees, so thin supports
     never cost 2^(nm) work."""
-    keys, masses = _support(spec, n)
+    (keys, masses), = _supports(spec, [n])
     return _cubes(n, keys, spec.dim), masses
 
 
@@ -1001,21 +1025,8 @@ def support_cubes(spec: MeasureSpec, n: int) -> list[DyadicCube]:
 def support_masses(spec: MeasureSpec, n: int) -> np.ndarray:
     """Masses of the positive level-n cubes, in the depth-first order of
     :func:`support_with_masses`."""
-    masses, = _support_masses_at(spec, [n])
+    (_, masses), = _supports(spec, [n])
     return masses
-
-
-def _support_masses_at(spec: MeasureSpec, levels: Sequence[int]) -> Iterator[np.ndarray]:
-    """:func:`support_masses` at each of the non-decreasing ``levels``, from
-    one walk.  Only the walk holds a frontier, so a caller that keeps no more
-    than it needs of each level's masses keeps nothing else."""
-    walk = _frontiers(spec, levels)
-    for _ in levels:
-        yield _positive(next(walk).masses)
-
-
-def _positive(masses: np.ndarray) -> np.ndarray:
-    return masses if masses.all() else masses[masses > 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -1092,8 +1103,11 @@ def parse_spec(doc: dict) -> MeasureSpec:
       "spec": document}, ...]}``
 
     Coordinates, offsets and ratios are exact rationals: a JSON number, or
-    ``{"num": a, "den": b}``, or ``{"num": a, "log2_den": k}`` for a / 2^k.
-    Weights and coefficients are positive and sum to 1.
+    ``{"num": a, "den": b}``, or ``{"num": a, "log2_den": k}`` for a / 2^k
+    with 0 <= k <= 1074.  Weights and coefficients are positive and sum to 1.
+    ``dimension``, ``depth``, ``ratio_log2``, ``num``, ``den`` and
+    ``log2_den`` are JSON integers and every other number a JSON number:
+    a boolean, a string or a non-integral number in their place is an error.
 
     Raises ValueError with a descriptive message on malformed input, and
     :class:`InvalidMeasureError`, a ValueError, on a spec that breaks the
@@ -1104,31 +1118,38 @@ def parse_spec(doc: dict) -> MeasureSpec:
     kind = doc["type"]
     try:
         if kind == "lebesgue":
-            return Lebesgue(int(doc["dimension"]))
+            return Lebesgue(_json_int(doc["dimension"], "dimension"))
         if kind == "dyadic_ifs":
             maps = tuple(
-                _make_dyadic_map(mp["ratio_log2"], mp["offset"]) for mp in doc["maps"]
+                _make_dyadic_map(_json_int(mp["ratio_log2"], "ratio_log2"), mp["offset"])
+                for mp in doc["maps"]
             )
-            return DyadicIFS(int(doc["dimension"]), maps, tuple(float(w) for w in doc["weights"]))
+            return DyadicIFS(_json_int(doc["dimension"], "dimension"), maps,
+                             _json_floats(doc["weights"], "weights"))
         if kind == "ifs_1d":
             maps = tuple(
-                Homothety1D(_as_fraction(mp["ratio"]), _as_fraction(mp["offset"]))
+                Homothety1D(_as_fraction(mp["ratio"], "ratio"),
+                            _as_fraction(mp["offset"], "offset"))
                 for mp in doc["maps"]
             )
             return GeneralIFS1D(
                 maps,
-                tuple(float(w) for w in doc["weights"]),
-                float(doc.get("mass_tol", 1e-12)),
+                _json_floats(doc["weights"], "weights"),
+                float(_json_number(doc.get("mass_tol", 1e-12), "mass_tol")),
             )
         if kind == "atomic":
-            pts = tuple(tuple(_as_fraction(x) for x in atom["point"]) for atom in doc["atoms"])
-            ws = tuple(float(atom["weight"]) for atom in doc["atoms"])
+            pts = tuple(tuple(_as_fraction(x, "point") for x in atom["point"])
+                        for atom in doc["atoms"])
+            ws = _json_floats([atom["weight"] for atom in doc["atoms"]], "weight")
             return Atomic(pts, ws)
         if kind == "dyadic_density":
-            return DyadicDensity(int(doc["depth"]), doc["values"])
+            cells = np.array(doc["values"], dtype=object)
+            values = np.array(_json_floats(cells.ravel().tolist(), "values")).reshape(cells.shape)
+            return DyadicDensity(_json_int(doc["depth"], "depth"), values)
         if kind == "mixture":
             comps = tuple(
-                (float(c["coefficient"]), parse_spec(c["spec"])) for c in doc["components"]
+                (float(_json_number(c["coefficient"], "coefficient")), parse_spec(c["spec"]))
+                for c in doc["components"]
             )
             return Mixture(comps)
     except (KeyError, TypeError, IndexError, ArithmeticError) as exc:

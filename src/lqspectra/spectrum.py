@@ -61,11 +61,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .measures import MeasureSpec, _support_masses_at, support_masses
+from .measures import MeasureSpec, _supports, support_masses
 
 __all__ = [
     "SpectrumCurve",
@@ -266,7 +267,7 @@ def _fixed_points(spec: MeasureSpec, bs: Sequence[float],
     levels = _check_levels(levels)
     # one walk to the deepest level, keeping each level's log2 masses; the
     # roots are solved after it, when no frontier is left
-    log2_masses = list(map(np.log2, _support_masses_at(spec, levels)))
+    log2_masses = list(map(np.log2, map(itemgetter(1), _supports(spec, levels))))
     return [_fixed_point(b, levels, log2_masses) for b in bs]
 
 

@@ -77,7 +77,7 @@ def test_nan_mixture_coefficient_rejected(tmp_path, capsys):
     bad.write_text(json.dumps({
         "type": "mixture",
         "components": [
-            {"coefficient": "NaN", "spec": {"type": "lebesgue", "dimension": 1}},
+            {"coefficient": math.nan, "spec": {"type": "lebesgue", "dimension": 1}},
             {"coefficient": 1.0, "spec": json.loads(
                 (Path(lq.__file__).parent / "data" / "binomial_07_03.json").read_text())},
         ],
@@ -167,6 +167,42 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     # a numpy error
     ({"type": "dyadic_density", "depth": 3, "values": 1.0}, "at least one axis"),
     ({"type": "atomic", "atoms": [{"point": [], "weight": 1.0}]}, "at least one coordinate"),
+    # integer fields take JSON integers and number fields JSON numbers: no
+    # truncation, no coercion of booleans or strings
+    ({"type": "lebesgue", "dimension": 2.9}, "dimension must be an integer"),
+    ({"type": "lebesgue", "dimension": True}, "dimension must be an integer"),
+    ({"type": "lebesgue", "dimension": "2"}, "dimension must be an integer"),
+    ({"type": "atomic", "atoms": [{"point": [{"num": 1.9, "den": 2}], "weight": 1.0}]},
+     "num must be an integer"),
+    ({"type": "atomic", "atoms": [{"point": [0.5], "weight": "1"}]}, "weight must be a number"),
+    ({"type": "mixture", "components": [
+        {"coefficient": True, "spec": {"type": "lebesgue", "dimension": 1}}]},
+     "coefficient must be a number"),
+    ({"type": "dyadic_density", "depth": 1, "values": [["2.0", True], [1.0, 0.0]]},
+     "values must be a number"),
+    ({"type": "dyadic_density", "depth": 1, "values": [[2.0, 1.0], [1.0]]},
+     "values must be a number, not [2.0, 1.0]"),
+    ({"type": "dyadic_density", "depth": 1.0, "values": [1.0, 1.0]}, "depth must be an integer"),
+    ({"type": "dyadic_ifs", "dimension": 1, "weights": [0.5, 0.5],
+      "maps": [{"ratio_log2": 1.0, "offset": [0]}, {"ratio_log2": 1, "offset": [0.5]}]},
+     "ratio_log2 must be an integer"),
+    ({"type": "atomic", "atoms": [{"point": [{"num": 1, "den": 2.0}], "weight": 1.0}]},
+     "point den must be an integer"),
+    ({"type": "atomic", "atoms": [{"point": [{"num": 1, "log2_den": True}], "weight": 1.0}]},
+     "point log2_den must be an integer"),
+    ({"type": "atomic", "atoms": [{"point": [True], "weight": 1.0}]}, "point must be a number"),
+    ({"type": "ifs_1d", "maps": [{"ratio": "1/3", "offset": 0}], "weights": [1.0]},
+     "ratio must be a number"),
+    ({"type": "ifs_1d", "maps": [{"ratio": 0.25, "offset": 0}, {"ratio": 0.25, "offset": 0.75}],
+      "weights": [0.5, 0.5], "mass_tol": "1e-12"}, "mass_tol must be a number"),
+    # sizes that a few bytes would otherwise demand
+    ({"type": "atomic", "atoms": [{"point": [{"num": 1, "log2_den": 10 ** 12}], "weight": 1.0}]},
+     "log2_den must lie in [0, 1074]"),
+    ({"type": "dyadic_ifs", "dimension": 1, "weights": [0.5, 0.5],
+      "maps": [{"ratio_log2": 10 ** 12, "offset": [0]}, {"ratio_log2": 1, "offset": [0.5]}]},
+     "ratio exponent must be <= 62"),
+    ({"type": "dyadic_density", "depth": 10 ** 12, "values": [1.0]}, "depth must be <= 62"),
+    ({"type": "lebesgue", "dimension": 10 ** 12}, "dimension must be <= 8"),
 ])
 def test_bad_spec_documents_exit_1_without_csv(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
@@ -199,8 +235,10 @@ FUZZ_DOCS = [
         {"coefficient": 0.75, "spec": {"type": "atomic",
                                        "atoms": [{"point": [0.5], "weight": 1.0}]}}]},
 ]
-# small values only: a huge log2_den or depth makes 2 ** e allocate without bound
-BAD_VALUES = [0, -1, None, "x", [], {}, math.nan, math.inf, {"num": 1, "den": 0}, True]
+# non-integral and string numbers, and integers past every size bound (each
+# exponent and dimension is bounded before anything is shifted or built)
+BAD_VALUES = [0, -1, None, "x", [], {}, math.nan, math.inf, {"num": 1, "den": 0}, True,
+              2.5, "2", 10 ** 12]
 
 
 def _positions(node, path=()):
@@ -220,7 +258,8 @@ def broken_documents(draw):
     if isinstance(parent, dict) and draw(st.booleans()):
         del parent[last]
     else:
-        parent[last] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+        parent[last] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)
+                                          | st.integers(1 << 62, 1 << 200)))
     return doc
 
 

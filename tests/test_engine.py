@@ -267,9 +267,9 @@ def test_float_atoms_keep_int64_keys_while_they_fit(request, name):
     # Python-integer keys would make the walks' membership tests and sorts
     # run object by object; they are only needed past 62 position bits
     spec = _spec(request, name)
-    for n in (0, 5, 62 // spec.dim):
-        assert measures._level_frontier(spec, n).keys.dtype == np.int64
-    assert measures._level_frontier(spec, 62 // spec.dim + 1).keys.dtype == object
+    deep = 62 // spec.dim
+    dtypes = [keys.dtype for keys, _ in measures._supports(spec, [0, 5, deep, deep + 1])]
+    assert dtypes == [np.int64] * 3 + [object]
 
 
 def test_deep_3d_atom_positions_stay_exact():
@@ -302,29 +302,25 @@ def _fields(fit):
 def test_order_fit_single_sweep_is_bit_identical(monkeypatch, spec, levels):
     calls = []
 
-    def counted(module, name, impl):
-        def wrapper(spec, n):
-            calls.append((name, n))
-            return impl(spec, n)
-        monkeypatch.setattr(module, name, wrapper)
-
-    def counted_levels(impl):  # s_b_estimate's masses, one call for all levels
+    def counted(module, impl):  # one entry per walk: the module and the levels it reads
         def wrapper(spec, levels):
-            calls.extend(("support_masses", n) for n in levels)
+            calls.append((module.__name__, tuple(levels)))
             return impl(spec, levels)
-        monkeypatch.setattr(spectrum, "_support_masses_at", wrapper)
+        monkeypatch.setattr(module, "_supports", wrapper)
 
-    def cursor_support(spec, n):  # 1D keys are the cube indices
-        cubes, masses = ref.support_with_masses(spec, n)
-        return np.array([c.index[0] for c in cubes], dtype=np.int64), masses
+    def cursor_supports(spec, levels):  # 1D keys are the cube indices
+        for n in levels:
+            cubes, masses = ref.support_with_masses(spec, n)
+            yield np.array([c.index[0] for c in cubes], dtype=np.int64), masses
 
-    counted(kreinfeller, "_support", measures._support)
-    counted_levels(measures._support_masses_at)
+    counted(kreinfeller, measures._supports)
+    counted(spectrum, measures._supports)
     fit = lq.order_fit(spec, levels)
-    assert calls == [("_support", n) for n in levels]
+    assert calls == [("lqspectra.kreinfeller", tuple(levels))]
     # the former route: cursor masses, swept twice (discretize, then s_b_estimate)
-    counted(kreinfeller, "_support", cursor_support)
-    counted_levels(lambda spec, levels: [ref.support_masses(spec, n) for n in levels])
+    counted(kreinfeller, cursor_supports)
+    counted(spectrum, cursor_supports)
     before = lq.order_fit(spec, levels, reference_levels=levels)
-    assert len(calls) == 3 * len(levels)
+    assert calls[1:] == [("lqspectra.kreinfeller", tuple(levels)),
+                         ("lqspectra.spectrum", tuple(levels))]
     assert _fields(fit) == _fields(before)

@@ -173,6 +173,30 @@ def test_order_fit_window_too_small(leb1):
         lq.order_fit(leb1, [6], index_window=(5, 12))
 
 
+@pytest.mark.parametrize("reference_levels", [None, [4]])
+def test_order_fit_checks_its_levels_before_any_solve(monkeypatch, binom, reference_levels):
+    def no_solve(atoms):
+        raise AssertionError("solved before the levels were checked")
+
+    monkeypatch.setattr(kreinfeller, "solve_eigen", no_solve)
+    for levels in ([9, 9, 10], [0, 9], []):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            lq.order_fit(binom, levels, reference_levels=reference_levels)
+
+
+def test_order_fit_accepts_unsorted_levels(binom):
+    assert lq.order_fit(binom, [10, 9]) == lq.order_fit(binom, [9, 10])
+
+
+def test_a_level_is_required_to_discretize(binom, dirac_half):
+    with pytest.raises(ValueError, match="a level is required"):
+        lq.discretize(binom, None)
+    with pytest.raises(ValueError, match="a level is required"):
+        lq.split_counting_check(binom, None, [0.5], [0.1])
+    # an atomic spec ignores the level
+    assert lq.discretize(dirac_half, None).points.tolist() == [0.5]
+
+
 def test_order_fit_respects_decay_bounds(leb1, binom, cantor):
     # universal chain: slope <= -2 (+0.05 fit slack) in 1D, and never slower
     # than the measure's own -1/s_1 target (+0.15)

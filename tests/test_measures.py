@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lqspectra as lq
+from lqspectra import measures
 from lqspectra.measures import cube_containing
 
 from conftest import FIG1_WEIGHTS
@@ -271,6 +272,41 @@ def test_zero_dimensional_specs_rejected():
 
 def test_negative_density_depth_is_a_violation():
     assert _violations(lambda: lq.DyadicDensity(-1, [1.0])) == ["depth must be >= 0"]
+
+
+@pytest.mark.parametrize("big", [63, 10 ** 12])
+def test_exponent_and_dimension_bounds_are_violations(monkeypatch, big):
+    # each bound fires before a shift by the exponent or a map is built
+    image_cube = lq.DyadicMap.image_cube
+
+    def bounded(mp):
+        assert mp.ratio_log2 <= 62
+        return image_cube(mp)
+
+    monkeypatch.setattr(lq.DyadicMap, "image_cube", bounded)
+    maps = (lq.DyadicMap(big, (Fraction(0),)), lq.DyadicMap(1, (Fraction(1, 2),)))
+    assert _violations(lambda: lq.DyadicIFS(1, maps, (0.5, 0.5))) == [
+        "map 0: ratio exponent must be <= 62"]
+    assert _violations(lambda: lq.DyadicDensity(big, [1.0])) == ["depth must be <= 62"]
+    monkeypatch.setattr(measures, "_lebesgue_ifs", None)  # no corner map is built
+    for m in (9, big):
+        assert _violations(lambda: lq.Lebesgue(m)) == ["dimension must be <= 8"]
+
+
+def test_exponents_at_the_bounds_are_accepted():
+    maps = (lq.DyadicMap(62, (Fraction(0),)), lq.DyadicMap(1, (Fraction(1, 2),)))
+    assert lq.validate(lq.DyadicIFS(1, maps, (0.5, 0.5))) == []
+    assert lq.validate(lq.Lebesgue(8)) == []
+    atom = {"type": "atomic", "atoms": [{"point": [{"num": 1, "log2_den": 1074}], "weight": 1.0}]}
+    assert lq.parse_spec(atom).points == ((Fraction(1, 2 ** 1074),),)
+
+
+@pytest.mark.parametrize("log2_den", [-1, 1075, 10 ** 12])
+def test_log2_den_is_bounded_before_the_shift(log2_den):
+    atom = {"type": "atomic",
+            "atoms": [{"point": [{"num": 1, "log2_den": log2_den}], "weight": 1.0}]}
+    with pytest.raises(ValueError, match=r"point log2_den must lie in \[0, 1074\]"):
+        lq.parse_spec(atom)
 
 
 def test_density_values_are_read_only(density2d):

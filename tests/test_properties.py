@@ -1,7 +1,8 @@
 """Mass invariants of the frontier engine on generated specs of every family,
 the adaptive family's card(t) identity and depth-limit naming, the shape of
 the spectra and their certified roots on the same specs, and the oracle's
-breakpoint merge on generated vectors, and JSON round trips of the specs.
+breakpoint merge on generated vectors, JSON round trips of the specs, and
+one support walk over many levels against a walk to each level alone.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 import cursor_reference as ref
 import lqspectra as lq
 import spectrum_reference as spectrum_ref
-from lqspectra import partition
+from lqspectra import measures, partition
 
 MAX_CUBES = 256
 
@@ -201,6 +202,17 @@ def test_json_round_trip_keeps_the_document_and_the_masses(spec):
         if len(masses) > MAX_CUBES:
             break
         assert np.array_equal(lq.support_masses(back, n), masses)
+
+
+@given(specs(float_weights), st.lists(st.integers(0, 6), max_size=4).map(sorted))
+def test_one_walk_gives_each_level_as_a_walk_to_it_alone(spec, levels):
+    walk = list(measures._supports(spec, levels))
+    assert len(walk) == len(levels)
+    for n, (keys, masses) in zip(levels, walk):
+        (alone_keys, alone), = measures._supports(spec, [n])
+        assert np.array_equal(keys, alone_keys)
+        assert masses.tobytes() == alone.tobytes() == lq.support_masses(spec, n).tobytes()
+        assert np.all(masses > 0.0)
 
 
 @st.composite

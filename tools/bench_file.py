@@ -121,7 +121,7 @@ def bench_cli_arguments(workdir: Path, seed: int) -> dict[str, list[str]]:
 
 
 def _env(tree: Path) -> dict[str, str]:
-    env = {k: v for k, v in os.environ.items() if k != "LQSPECTRA_WORKERS"}
+    env = dict(os.environ)
     env.update({"PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
                 "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
     return env
