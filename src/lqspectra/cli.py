@@ -87,6 +87,15 @@ def _levels(text: str) -> list[int]:
     return list(_check_levels(_ints(text)))
 
 
+@_flag_type
+def _count(text: str) -> int:
+    """'50' -> an integer >= 1."""
+    count = int(text)
+    if count < 1:
+        raise ParameterError(f"{text!r} is not an integer >= 1")
+    return count
+
+
 def _max_depth(text: str) -> int:
     depth = int(text)
     if depth < 0:
@@ -268,8 +277,6 @@ def _cmd_eigen(args) -> None:
     atoms = discretize(spec, args.level)
     eigs = solve_eigen(atoms)
     if args.cuts:  # checked before any file is written
-        if args.x_count < 1:
-            raise ParameterError(f"--x-count must be >= 1 (got {args.x_count})")
         lam = eigs.eigenvalues
         xs = np.geomspace(lam[-1] * 0.9, lam[0] * 1.1, args.x_count)
         report = split_counting_check(atoms, args.level, args.cuts, xs)
@@ -387,7 +394,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--level", type=int, default=8)
     p.add_argument("--cuts", type=_floats, default=None, help="comma list of cut points in (0,1)")
-    p.add_argument("--x-count", type=int, default=50)
+    p.add_argument("--x-count", type=_count, default=50)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("order", help="eigenvalue decay order vs -1/s_1")

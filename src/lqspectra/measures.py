@@ -388,8 +388,10 @@ class GeneralIFS1D(MeasureSpec):
         if len(self.maps) < 2:
             out.append("at least two maps are required (one map degenerates to a point mass)")
         out.extend(_check_weights(self.weights, "weights"))
-        if not (0 < self.mass_tol <= 1e-3):
-            out.append("mass_tol must lie in (0, 1e-3]")
+        # the engine's proportional cut mass_tol / 4 stays a normal float; at
+        # 5e-324 it is 0.0, and a chain that stays in the support never ends
+        if not (1e-300 <= self.mass_tol <= 1e-3):
+            out.append("mass_tol must lie in [1e-300, 1e-3]")
         for i, mp in enumerate(self.maps):
             if not (0 < mp.ratio < 1):
                 out.append(f"map {i}: ratio must lie in (0, 1)")
@@ -552,6 +554,14 @@ def ensure_valid(spec: MeasureSpec) -> None:
 # beyond, so positions are exact at any depth.  A mass that sums several
 # terms (IFS images sharing a cube, atoms, mixture components) is correctly
 # rounded, as math.fsum gives it, whatever the order of the terms.
+#
+# Child arrays are (parent, selector) tables filled one selector column at a
+# time, with one ufunc call over all parents per column, and then read row
+# by row.  Broadcasting an (N, 1) parent array against a (1, width) row
+# costs 3-7 times as much: the inner axis is only 2 to 8 long, and numpy
+# pays a fixed cost for each of the N rows.  A selector or factor passed as
+# a scalar is a Python int or float, which stays exact against
+# Python-integer keys (a wide Python int | np.uint8 can overflow).
 # ---------------------------------------------------------------------------
 
 _KEY_BITS = 62
@@ -574,9 +584,27 @@ def _lifted(levels, keys: np.ndarray, m: int, depth: int) -> np.ndarray:
     return keys << m * (depth - levels)
 
 
+def _child_keys(lifted: np.ndarray, selectors: Sequence[int]) -> np.ndarray:
+    """The (parent, selector) table of the keys ``lifted | s``, filled one
+    selector column at a time; the selectors are Python integers, which
+    stay exact against Python-integer keys."""
+    out = np.empty((len(lifted), len(selectors)), dtype=lifted.dtype)
+    for j, sel in enumerate(selectors):
+        np.bitwise_or(lifted, sel, out=out[:, j])
+    return out
+
+
+def _interleaved(*columns: np.ndarray) -> np.ndarray:
+    """The float arrays ``columns`` read row by row: c0[0], c1[0], ..., c0[1], ..."""
+    out = np.empty((len(columns[0]), len(columns)))
+    for j, col in enumerate(columns):
+        out[:, j] = col
+    return out.ravel()
+
+
 def _all_children(keys: np.ndarray, level: int, m: int) -> np.ndarray:
     """Keys of the 2^m children of each cube, in depth-first order."""
-    return (_lifted(level, keys, m, level + 1)[:, None] | np.arange(1 << m)).ravel()
+    return _child_keys(_lifted(level, keys, m, level + 1), range(1 << m)).ravel()
 
 
 def _empty_children(parents: np.ndarray, kids: np.ndarray, level: int, m: int) -> np.ndarray:
@@ -709,7 +737,8 @@ class _IfsEngine(_Engine):
                     depth.append(d + 1)
                     rules[node].append((sel, len(self.pending) - 1, 1.0))
         # (selector, next node, weight factor) per node, padded with NaN factors
-        width = max(map(len, rules))
+        self.width = [len(r) for r in rules]
+        width = max(self.width)
         table = np.array([r + [(0, 0, np.nan)] * (width - len(r)) for r in rules])
         self.node_type = np.min_scalar_type(len(rules))
         self.sel = table[..., 0].astype(np.min_scalar_type(1 << self.m))
@@ -733,16 +762,29 @@ class _IfsEngine(_Engine):
 
     def expand(self, fr):
         w, node = fr.state
-        # one table row serves a frontier that sits at one node, which keeps
-        # the deepest full-support levels free of per-child index arrays
-        rows = node[:1] if len(node) and (node == node[0]).all() else node
-        keys = _lifted(fr.level, fr.keys, self.m, fr.level + 1)[:, None] | self.sel[rows]
-        w = w[:, None] * self.factor[rows]
-        node = np.broadcast_to(self.next[rows], keys.shape)
+        lifted = _lifted(fr.level, fr.keys, self.m, fr.level + 1)
+        if len(node) and (node == node[0]).all():
+            # one table row serves a frontier that sits at one node, which
+            # keeps the deepest full-support levels free of per-child index
+            # arrays; its children are the row's columns before the padding
+            row, width = node[0], self.width[node[0]]
+            keys = _child_keys(lifted, self.sel[row, :width].tolist())
+            kids = np.empty(keys.shape)
+            for j, factor in enumerate(self.factor[row, :width].tolist()):
+                np.multiply(w, factor, out=kids[:, j])
+            return self._frontier(fr.level + 1, keys.ravel(), kids.ravel(),
+                                  np.tile(self.next[row, :width], len(node)))
+        keys = np.empty((len(node), self.sel.shape[1]), dtype=lifted.dtype)
+        kids = np.empty(keys.shape)
+        nodes = np.empty(keys.shape, dtype=self.node_type)
+        for j in range(keys.shape[1]):
+            np.bitwise_or(lifted, self.sel[node, j], out=keys[:, j])
+            np.multiply(w, self.factor[node, j], out=kids[:, j])
+            nodes[:, j] = self.next[node, j]
         if self.full:
-            return self._frontier(fr.level + 1, keys.ravel(), w.ravel(), node.ravel())
-        real = ~np.isnan(w)
-        return self._frontier(fr.level + 1, keys[real], w[real], node[real])
+            return self._frontier(fr.level + 1, keys.ravel(), kids.ravel(), nodes.ravel())
+        real = ~np.isnan(kids)
+        return self._frontier(fr.level + 1, keys[real], kids[real], nodes[real])
 
 
 def _lebesgue_ifs(spec: Lebesgue) -> DyadicIFS:
@@ -767,46 +809,64 @@ class _Ifs1DEngine(_Engine):
     w * y instead (the proportional cut), so F is within mass_tol/4 of the
     exact CDF and each mass within mass_tol/2.  Every gap of the support
     lies between two image hulls at one depth, so F takes one floating point
-    value on all of it and cubes inside a gap get mass exactly 0.  The
-    points of one call share a denominator D: y = N/D with integer N."""
+    value on all of it and cubes inside a gap get mass exactly 0.
+
+    The points of one call share a denominator D: y = N/D with integer N.
+    One step serves every map: the hull ends, written E_i / H over their
+    common denominator H, are ascending, so a binary search of N H among the
+    E_i D counts the hulls that end at or before y, and the next hull's
+    start, inverse map and weight are gathered by that count.  The chains
+    run on int64 when every inverse map is integral (D stays 2^level) and
+    ``bound`` * D < 2^62, where ``bound`` covers H and the inverse maps'
+    coefficients, which bounds N H, E_i D and every term of the map step;
+    otherwise on Python integers."""
 
     def __init__(self, spec: GeneralIFS1D):
         super().__init__(spec)
         maps = sorted(zip(spec.maps, spec.weights), key=lambda mw: mw[0].offset)
         a, b = (mp.offset / (1 - mp.ratio) for mp in (maps[0][0], maps[-1][0]))
         self.cut = spec.mass_tol / 4.0
-        self.p = [p for _, p in maps]
+        self.p = np.array([p for _, p in maps])
         self.below = np.concatenate(([0.0], np.cumsum(self.p)))
-        self.hulls, self.inverse = [], []
+        hulls, inverse = [], []
         for mp, _ in maps:
             r, c = mp.ratio, mp.offset
-            self.hulls.append((c + r * a, c + r * b))
+            hulls.append((c + r * a, c + r * b))
             u, v = 1 / r, c / r  # y -> u y - v = (P y - Q) / R
             den = math.lcm(u.denominator, v.denominator)
-            self.inverse.append((int(u * den), int(v * den), den))
-        self.lcm = math.lcm(*(den for _, _, den in self.inverse))
-        self.bound = max([max(x.numerator, x.denominator) for hull in self.hulls for x in hull]
-                         + [max(pv, qv) for pv, qv, _ in self.inverse])
+            inverse.append((int(u * den), int(v * den), den))
+        self.lcm = math.lcm(*(den for _, _, den in inverse))
+        self.hull_den = math.lcm(*(x.denominator for hull in hulls for x in hull))
+        # per map: hull start and end over hull_den, P, Q and lcm / R
+        columns = [[int(s * self.hull_den) for s, _ in hulls],
+                   [int(e * self.hull_den) for _, e in hulls],
+                   [pv for pv, _, _ in inverse], [qv for _, qv, _ in inverse],
+                   [self.lcm // den for _, _, den in inverse]]
+        self.bound = max(self.hull_den, *columns[2], *columns[3])
+        self.coef = [np.array(col, dtype=object) for col in columns]
+        self.coef64 = ([np.array(col, dtype=np.int64) for col in columns]
+                       if self.lcm == 1 and self.bound < 1 << _KEY_BITS else None)
 
     def _cdf(self, nums: np.ndarray, level: int) -> np.ndarray:
         D = 1 << level
         exact64 = self.lcm == 1 and self.bound * D < 1 << _KEY_BITS
+        starts, ends, pv, qv, scale = self.coef64 if exact64 else self.coef
         N = np.array(nums.tolist(), dtype=np.int64 if exact64 else object)
         F = np.zeros(len(N))
         w = np.ones(len(N))
         live = np.arange(len(N))
+        last = len(self.p) - 1
         while len(live):
-            left = sum((N * e.denominator >= e.numerator * D).astype(np.intp)
-                       for _, e in self.hulls)
+            y = N * self.hull_den
+            left = np.searchsorted(ends * D, y, "right")
             F[live] += w * self.below[left]
-            inside = np.zeros(len(N), dtype=bool)
-            nxt = N.copy()
-            for i, ((s, _), (pv, qv, den)) in enumerate(zip(self.hulls, self.inverse)):
-                rows = (left == i) & (N * s.denominator > s.numerator * D)
-                inside |= rows
-                nxt[rows] = (pv * N[rows] - qv * D) * (self.lcm // den)
-                w[rows] *= self.p[i]
-            N, w, live, D = nxt[inside], w[inside], live[inside], D * self.lcm
+            i = np.minimum(left, last)
+            inside = (left <= last) & (y > starts[i] * D)
+            i, N, live = i[inside], N[inside], live[inside]
+            N = pv[i] * N - qv[i] * D
+            if self.lcm > 1:
+                N *= scale[i]
+            w, D = w[inside] * self.p[i], D * self.lcm
             cut = w < self.cut
             F[live[cut]] += w[cut] * (N[cut] / D).astype(float)
             N, w, live = N[~cut], w[~cut], live[~cut]
@@ -820,7 +880,7 @@ class _Ifs1DEngine(_Engine):
     def expand(self, fr):
         lo, hi = fr.state
         mid = self._cdf(2 * fr.keys + 1, fr.level + 1)
-        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        lo, hi = _interleaved(lo, mid), _interleaved(mid, hi)
         keep = hi - lo > 0.0
         return _Frontier(fr.level + 1, _all_children(fr.keys, fr.level, 1)[keep],
                          (hi - lo)[keep], (lo[keep], hi[keep]))
@@ -833,8 +893,9 @@ class _AtomicEngine(_Engine):
     def __init__(self, spec: Atomic):
         super().__init__(spec)
         self.w = np.asarray(spec.weights, dtype=float)
-        self.num, self.den = (np.array([[getattr(x, part) for x in pt] for pt in spec.points],
-                                       dtype=object).T for part in ("numerator", "denominator"))
+        ratios = zip(*[x.as_integer_ratio() for pt in spec.points for x in pt])
+        self.num, self.den = (np.array(col, dtype=object).reshape(len(spec.points), -1).T
+                              for col in ratios)
         self.int64 = int(self.den.max()) < 1 << _KEY_BITS
         if self.int64:
             self.num64, self.den64 = self.num.astype(np.int64), self.den.astype(np.int64)

@@ -131,7 +131,7 @@ def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, messag
     (["order", "--max-depth", "3"], "unrecognized arguments: --max-depth 3"),
     # these named no flag
     (["order", "--window", "5"], "--window is written lo,hi (got '5')"),
-    (["eigen", "--cuts", "0.5", "--x-count", "0"], "--x-count must be >= 1 (got 0)"),
+    (["eigen", "--cuts", "0.5", "--x-count", "0"], "argument --x-count: '0' is not an integer >= 1"),
     # list and grid flags are parsed by their argparse type, which names the flag
     (["spectrum", "--s-grid", "0:2:-1"], "argument --s-grid: s grid '0:2:-1'"),
     (["spectrum", "--levels", "3..a"], "argument --levels: invalid literal for int()"),
@@ -203,6 +203,9 @@ def test_malformed_json_exits_1(tmp_path, capsys):
      "ratio exponent must be <= 62"),
     ({"type": "dyadic_density", "depth": 10 ** 12, "values": [1.0]}, "depth must be <= 62"),
     ({"type": "lebesgue", "dimension": 10 ** 12}, "dimension must be <= 8"),
+    # a cut mass_tol / 4 of 0.0 never ends a chain that stays in the support
+    ({"type": "ifs_1d", "maps": [{"ratio": 0.25, "offset": 0}, {"ratio": 0.25, "offset": 0.75}],
+      "weights": [0.5, 0.5], "mass_tol": 5e-324}, "mass_tol must lie in [1e-300, 1e-3]"),
 ])
 def test_bad_spec_documents_exit_1_without_csv(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
@@ -235,10 +238,11 @@ FUZZ_DOCS = [
         {"coefficient": 0.75, "spec": {"type": "atomic",
                                        "atoms": [{"point": [0.5], "weight": 1.0}]}}]},
 ]
-# non-integral and string numbers, and integers past every size bound (each
-# exponent and dimension is bounded before anything is shifted or built)
+# non-integral and string numbers, integers past every size bound (each
+# exponent and dimension is bounded before anything is shifted or built) and
+# the smallest float (a mass_tol whose quarter is 0.0)
 BAD_VALUES = [0, -1, None, "x", [], {}, math.nan, math.inf, {"num": 1, "den": 0}, True,
-              2.5, "2", 10 ** 12]
+              2.5, "2", 10 ** 12, 5e-324]
 
 
 def _positions(node, path=()):
@@ -420,6 +424,20 @@ def test_project_single_draw_matches_one_draw_per_budget(request, tmp_path, name
                    _rows_per_budget(spec, ell, q, max_depth, 5000, 7))
     assert (tmp_path / "cli" / "projection_errors.csv").read_bytes() == \
         (tmp_path / "ref" / "projection_errors.csv").read_bytes()
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "2.5"])
+def test_x_count_is_checked_before_the_solve(tmp_path, capsys, monkeypatch, count):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the eigenproblem was built before --x-count was checked")
+    monkeypatch.setattr(cli, "discretize", no_solve)
+    monkeypatch.setattr(cli, "solve_eigen", no_solve)
+    out = tmp_path / "out"
+    assert run_cli("eigen", "--measure", "binomial_07_03", "--level", "12", "--cuts", "0.25,0.75",
+                   "--x-count", count, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "argument --x-count:" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_eigen_sandwich(tmp_path):

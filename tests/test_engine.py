@@ -9,13 +9,17 @@ are truncated at ``mass_tol``) the same cubes with masses within
 profile and the exact oracle built on the engine.
 """
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cursor_reference as ref
+import ifs1d_reference
 import lqspectra as lq
 from lqspectra import kreinfeller, measures, spectrum
 from lqspectra.measures import cube_containing
@@ -285,6 +289,60 @@ def test_deep_3d_atom_positions_stay_exact():
     assert part.cubes == ref.adaptive_partition(atom, 1.0, 2.0 ** -89).cubes
     assert part.max_level == 30 and part.cardinality == 1 + 7 * 30
     assert lq.partition_violations(part) == []
+
+
+# ---------------------------------------------------------------------------
+# GeneralIFS1D: the one-step CDF chain against the per-map loop it replaced
+# ---------------------------------------------------------------------------
+
+def _same_walks(spec, levels):
+    got = measures._supports(spec, levels)
+    for (keys, masses), (want_keys, want) in zip(got, ifs1d_reference.Ifs1DEngine(spec).walk(levels)):
+        assert keys.dtype == want_keys.dtype and keys.tolist() == want_keys.tolist()
+        assert masses.tobytes() == want.tobytes()
+
+
+@st.composite
+def ifs_1d_specs(draw):
+    """2-4 maps in offset order.  With ``integral`` every map is r = 1/a at
+    a multiple of 1/a, so every inverse map y -> a y - j is integral (lcm 1);
+    otherwise the first map has r = 2/a with odd a, whose inverse is not."""
+    n = draw(st.integers(2, 4))
+    integral = draw(st.booleans())
+    maps, start = [], Fraction(0)
+    for i in range(n):
+        if integral or i > 0 and draw(st.booleans()):
+            a = draw(st.integers(2, 4 * n))
+            ratio = Fraction(1, a)
+        else:
+            a = 2 * draw(st.integers(2, 2 * n)) + 1
+            ratio = Fraction(2, a)
+        offset = Fraction(math.ceil(start * a) + draw(st.integers(0, 1)), a)
+        maps.append(lq.Homothety1D(ratio, offset))
+        start = offset + ratio
+    if start > 1:  # shift the images left: keep the grid of each offset
+        return draw(st.nothing())
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    weights = tuple(x / math.fsum(raw) for x in raw)
+    return lq.GeneralIFS1D(tuple(maps), weights, draw(st.sampled_from([1e-12, 1e-9, 1e-6])))
+
+
+@settings(max_examples=100)
+@given(ifs_1d_specs(), st.integers(0, 8))
+def test_cdf_chain_matches_the_per_map_loop(spec, level):
+    _same_walks(spec, list(range(level + 1)))
+
+
+def test_cdf_chain_crosses_from_int64_to_python_integers():
+    # two maps of ratio 2^-10: the chains of a level-n call run on int64
+    # while 2^10 * 2^n < 2^62, so from level 52 on they run on Python
+    # integers, with N past 2^53
+    maps = (lq.Homothety1D(Fraction(1, 1024), Fraction(0)),
+            lq.Homothety1D(Fraction(1, 1024), Fraction(1023, 1024)))
+    spec = lq.GeneralIFS1D(maps, (0.375, 0.625), 1e-6)
+    old = ifs1d_reference.Ifs1DEngine(spec)
+    assert old.exact64(51) and not old.exact64(52)
+    _same_walks(spec, list(range(49, 56)))
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,37 @@ def test_inertia_counts_match_eigen_solve_on_generated_strings(case):
     _assert_counts_match_reference(spec, None, cuts)
 
 
+@st.composite
+def long_strings(draw):
+    """Atomic strings of up to 1,024 atoms with 1-3 cuts that avoid the
+    atoms: equal-weight lattices k/(n+1), or atoms on the 2^-20 grid with
+    log-normal weights; the cuts are odd multiples of half the grid step."""
+    n = draw(st.integers(1, 1024))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        den = n + 1
+        points = np.arange(1, n + 1) / den
+        weights = np.full(n, 1.0 / n)
+    else:
+        den = 1 << 20
+        points = np.sort(rng.choice(np.arange(1, den), n, replace=False)) / den
+        raw = np.exp(draw(st.floats(0.5, 3.0)) * rng.standard_normal(n))
+        weights = raw / raw.sum()
+    cuts = draw(st.lists(st.integers(0, den - 1), min_size=1, max_size=3, unique=True))
+    return lq.AtomicApprox(points, weights), [(2 * k + 1) / (2 * den) for k in cuts]
+
+
+@given(long_strings())
+def test_sandwich_gaps_lie_between_zero_and_the_number_of_cuts(case):
+    # restricting to the functions that vanish at n cut points removes at
+    # most n eigenvalues above any x (interlacing), and adds none
+    atoms, cuts = case
+    lam = lq.solve_eigen(atoms).eigenvalues
+    xs = np.geomspace(lam[-1] / 2, lam[0] * 2, 40)
+    gaps = lq.split_counting_check(atoms, None, cuts, xs).gaps
+    assert gaps.min() >= 0 and gaps.max() <= len(cuts)
+
+
 def test_zero_pivot_is_counted_without_warnings():
     # atoms 1/4 and 3/4: K = [[6, -2], [-2, 6]], W = diag(3/4, 1/4).  At
     # x = 1/8 the first pivot 6 - (3/4)/(1/8) is exactly 0; K - 8W has one

@@ -242,6 +242,22 @@ def test_validate_ifs1d_overlap():
     assert any("overlap" in v for v in bad)
 
 
+@pytest.mark.parametrize("mass_tol", [5e-324, 1e-310, 9.9e-301, 0.0, -1e-12, 2e-3, math.nan])
+def test_mass_tol_outside_its_range_is_a_violation(mass_tol):
+    # at 5e-324 the cut mass_tol / 4 is 0.0, and the chain of the point 1/4,
+    # which the Cantor maps keep in the support, never ended
+    bad = _violations(lambda: lq.cantor_measure(mass_tol=mass_tol))
+    assert bad == ["mass_tol must lie in [1e-300, 1e-3]"]
+
+
+def test_mass_tol_at_its_bounds_gives_masses():
+    want = dict(zip(*lq.support_with_masses(lq.cantor_measure(), 10)))
+    for mass_tol in (1e-300, 1e-3):
+        got = dict(zip(*lq.support_with_masses(lq.cantor_measure(mass_tol=mass_tol), 10)))
+        assert all(abs(got.get(c, 0.0) - want.get(c, 0.0)) <= mass_tol + 1e-12
+                   for c in got.keys() | want.keys())
+
+
 def test_validate_mixture_dimension_mismatch():
     bad = _violations(lambda: lq.Mixture(((0.5, lq.Lebesgue(1)), (0.5, lq.Lebesgue(2)))))
     assert any("dimension" in v for v in bad)

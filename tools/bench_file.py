@@ -29,8 +29,8 @@ sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
 binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
 the binomial at levels 14, 16 and 18 and of the workload's 1000-atom spec
 at levels 8, 12 and 16, and ``spectrum_curve`` of the binomial at level 18
-on the workload's 20-point s grid; one for the mass engine,
-``support_masses`` of the 1000-atom spec at level 16; and five for the polyapprox
+on the workload's 20-point s grid; five for the mass engine (see
+:func:`measures_cases`); and five for the polyapprox
 layer at the sizes of the ``partitions`` workload, timed the same way:
 ``sample_measure`` of the binomial and of the density at 10^5 points, the
 ell = 1 ``evaluate`` of the binomial's budget partition at 10^5 points,
@@ -188,12 +188,21 @@ def spectrum_cases(seed: int) -> list[tuple[str, str]]:
 
 
 def measures_cases(seed: int) -> list[tuple[str, str]]:
-    """(case, child code) of the mass engine row: ``support_masses`` of the
-    ``levels`` workload's 1000-atom spec at its mass level."""
+    """(case, child code) of the mass engine rows: ``support_masses`` of the
+    ``levels`` workload's 1000-atom spec at its mass level, of its binomial
+    at level 18, its tetrahedron at level 9 and its Cantor measure at level
+    10, and of the 2/5-3/5 GeneralIFS1D at level 16."""
     inputs = make_inputs("levels", seed)
+    specs = inputs["specs"]
     n = inputs["params"]["atomic"]["mass_level"]
-    return [(f"support_masses(atomic, 1000 atoms, {n}); cubes",
-             _case_code(inputs["specs"]["atomic"], f"lq.support_masses(spec, {n})", "len(result)"))]
+    p = specs["binomial"]["args"][0]
+    cases = [(f"support_masses(atomic, 1000 atoms, {n}); cubes", specs["atomic"], n),
+             (f"support_masses(binomial_ifs({p:.4g}), 18); cubes", specs["binomial"], 18),
+             ("support_masses(tetra, 9); cubes", specs["tetra"], 9),
+             ("support_masses(cantor_measure(), 10); cubes", specs["cantor"], 10),
+             ("support_masses(GeneralIFS1D 2/5 x, 3/5 x + 2/5, 16); cubes", TWO_FIFTHS, 16)]
+    return [(case, _case_code(entry, f"lq.support_masses(spec, {level})", "len(result)"))
+            for case, entry, level in cases]
 
 
 def partition_cases(seed: int) -> list[tuple[str, str]]:
