@@ -5,8 +5,8 @@ rendered.  Every table carries a header naming the emitted quantities, and
 identical configuration plus seed produces byte-identical files.
 
 Exit codes: 0 on success, 1 on parameter errors (bad flags, malformed or
-invalid measure files, a partition deeper than --max-depth), 2 on failed
-internal assertions.
+invalid measure files, a partition deeper than --max-depth, levels too deep
+for the memory at hand), 2 on failed internal assertions.
 """
 
 from __future__ import annotations
@@ -411,6 +411,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _out_of_memory(args) -> str:
+    """The error text of a subcommand that ran out of memory: the deepest
+    level it was asked for and the flag that sets it."""
+    if args.command == "eigen":
+        return f"out of memory at level {args.level}; lower --level"
+    if args.command in ("partition", "project"):
+        return (f"out of memory in a walk that may reach depth {args.max_depth}; "
+                "lower --max-depth")
+    if args.command == "entropy":
+        return (f"out of memory at levels up to {args.levels[-1]} or in a walk that may "
+                f"reach depth {args.max_depth}; lower --levels or --max-depth")
+    if args.command == "demo":
+        return "out of memory"
+    return f"out of memory at levels up to {args.levels[-1]}; lower --levels"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -422,6 +438,9 @@ def main(argv=None) -> int:
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: {_out_of_memory(args)}", file=sys.stderr)
         return 1
     except MaxDepthExceeded as exc:
         print(f"error: a cube at depth {exc.cube.level} still has J_a = {exc.j_value!r} "

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .measures import Atomic, MeasureSpec, _supports
-from .spectrum import _check_levels, _fixed_point, s_b_estimate
+from .spectrum import _check_levels, _fixed_point, _mass_groups, s_b_estimate
 
 __all__ = [
     "AtomicApprox",
@@ -326,7 +326,7 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
     finest_slope = slopes[-1][1]
     drift = max(abs(s - finest_slope) for _, s in slopes)
     if reference_levels is None and not isinstance(spec, Atomic):
-        s1 = _fixed_point(1.0, levels, map(np.log2, raw)).s_hat
+        s1 = _fixed_point(1.0, levels, map(_mass_groups, raw)).s_hat
     else:
         ref_levels = list(reference_levels) if reference_levels is not None else levels
         s1 = s_b_estimate(spec, 1.0, ref_levels).s_hat

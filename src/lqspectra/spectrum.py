@@ -4,24 +4,37 @@ The level-n spectrum of a probability measure nu is
 
     beta_n(s) = log2( sum over positive-mass level-n cubes of nu(C)^s ) / n,
 
-a convex, non-increasing function of s >= 0 with beta_n(1) = 0.  Sums are
-evaluated in log space with a max shift, so skewed weights at depth (cube
-masses around 1e-300) do not underflow.  For s = 0 the sum counts the
-positive-mass cubes, i.e. zero-mass cubes are excluded rather than given
-the value 0^0 = 1.  The shift is s * max_i l_i for the log2 masses l_i:
-rounding is monotone, so for s >= 0 it equals the largest rounded product
-s * l_i, and no pass over the products is needed to find it.
+a convex, non-increasing function of s >= 0 with beta_n(1) = 0.  For s = 0
+the sum counts the positive-mass cubes, i.e. zero-mass cubes are excluded
+rather than given the value 0^0 = 1.
+
+A level's masses take few distinct values on self-similar measures (the
+binomial at level 18 has 262,144 cubes and 31 distinct log2 masses), so
+each level is read once into its distinct log2 masses l_1 < ... < l_K and
+their cube counts c_k (distinct masses whose log2 rounds to the same value
+are merged), and every evaluation is the grouped sum
+
+    sum_C nu(C)^s = 2^shift * sum_k c_k 2^(s*l_k - shift)
+
+over K values instead of N cubes.  Sums are evaluated in log space with a
+max shift, so skewed weights at depth (cube masses around 1e-300) do not
+underflow.  The shift is s * l_K: rounding is monotone, so for s >= 0 it
+equals the largest rounded product s * l_k, and no pass over the products
+is needed to find it.  The counts are held as floats, exact below 2^53;
+when every count is 1 the multiply by c_k is skipped, which changes no value.
 
 Fixed points: for b > 0 the function g(s) = beta_n(s) - b*s is continuous
 and strictly decreasing wherever it matters, non-negative at 0 and negative
 at 1, so it has a unique root s_{n,b} in [0, 1].  Bisection on [0, 1] finds
 it, halving down to a width below 1e-14 (47 midpoints); the sign of the
-computed g at each midpoint decides the step.
+computed g at each midpoint decides the step.  A level of one cube has
+beta_n(0) = 0 and root 0; a level of N > 1 equal masses is one group, and
+its root is not 0 (m / (m + b) for Lebesgue measure in dimension m).
 
 Most of those signs are certain before they are computed.  Let g~ be g as
-an exact function of the computed log2 masses l_i, and g^ the computed g.
-If max l_i <= 0, g~ is strictly decreasing (g~' = sum_i w_i l_i / n - b <=
--b with weights w_i >= 0), and an a-priori bound E >= |g^ - g~| on [0, 1]
+an exact function of the computed log2 masses l_k, and g^ the computed g.
+If max l_k <= 0, g~ is strictly decreasing (g~' = sum_k w_k l_k / n - b <=
+-b with weights w_k >= 0), and an a-priori bound E >= |g^ - g~| on [0, 1]
 turns two evaluations into a certified bracket (a, c): once g^(a) > 2E, every
 s <= a has g^(s) >= g~(s) - E >= g~(a) - E >= g^(a) - 2E > 0, and once
 g^(c) < -2E every s >= c has g^(s) < 0.  The bisection then takes the step
@@ -32,24 +45,28 @@ left because g is convex and decreasing, put a and c a few E/|g'| either
 side of it; a check that fails widens the bracket a few times and then
 gives it up, and the bisection evaluates every midpoint.
 
-The bound E, for N cubes, M = -min l_i, L = log2 N and u = 2^-53, follows
-the evaluation step by step for s in [0, 1]:
+The bound E, for N cubes (N = sum_k c_k, not the number K of groups),
+M = -min l_k, L = log2 N and u = 2^-53, follows the evaluation step by step
+for s in [0, 1]:
 
-- the products s*l_i and the differences from the shift err by at most
+- the products s*l_k and the differences from the shift err by at most
   2.01 u s M in the exponents, which moves the log2 of the sum by as much
   (the rounding of the shift itself cancels: the same computed shift is
   added back);
-- exp2 errs by about one ulp per term, terms that underflow lose at most
-  2^-1075 each against a sum >= 1 (its largest term is 2^0), and numpy's
-  pairwise sum errs by at most (L + 16) u in relative terms, all positive
-  terms; log2 turns a relative error e into at most e / ln 2;
+- exp2 errs by about one ulp per term, and the multiply by the exact count
+  c_k rounds once more, a relative u per term; terms that underflow lose at
+  most c_k 2^-1075 each, N 2^-1075 in all, against a sum >= 1 (its largest
+  term is at least 2^0); numpy's pairwise sum of the K <= N terms errs by at
+  most (L + 16) u in relative terms, all positive terms; log2 turns a
+  relative error e into at most e / ln 2, and 1 / ln 2 < 2;
 - log2 of the sum, which lies in [1, N], errs by about u L, and adding the
   shift back by u (s M + L);
 - dividing by n errs by u |beta_n|, with |beta_n| <= (L + M) / n on
   [0, 1], and b*s and the final difference by u b and u (|beta_n| + b).
 
-Together E0 = u ((4M + 5L + 32) / n + 2 (L + M) / n + 2b) <= u ((6M + 7L +
-32) / n + 2b), and the code uses E = 64 E0: the factor covers exp2 and log2
+Together E0 = u ((4M + 5L + 34) / n + 2 (L + M) / n + 2b) <= u ((6M + 7L +
+34) / n + 2b), of which the rounding of the count multiply gives 2 of the
+34, and the code uses E = 64 E0: the factor covers exp2 and log2
 implementations up to tens of ulps off.  The bound needs a finite b.
 
 The limit behaviour in n is estimated by the max of the roots over the tail
@@ -62,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,25 +126,45 @@ def _bisect(positive: Callable[[float], bool], lo: float, hi: float, relative: b
     return 0.5 * (lo + hi)
 
 
-def _log2_moment(log2_masses: np.ndarray, s: float, lmax: float,
+class _MassGroups(NamedTuple):
+    """One level's positive cube masses as distinct log2 values with counts."""
+
+    log2: np.ndarray  # the distinct l_k, ascending
+    counts: np.ndarray | None  # the float c_k, or None when every c_k is 1
+    cubes: int  # N = sum_k c_k
+
+
+def _mass_groups(masses: np.ndarray) -> _MassGroups:
+    """The :class:`_MassGroups` of the positive masses of one level."""
+    distinct, counts = np.unique(masses, return_counts=True)
+    log2 = np.log2(distinct)
+    # distinct masses whose log2 rounds to one value are adjacent: merge them
+    starts = np.flatnonzero(np.diff(log2, prepend=-np.inf))
+    if len(starts) < len(log2):
+        log2, counts = log2[starts], np.add.reduceat(counts, starts)
+    return _MassGroups(log2, None if len(log2) == len(masses) else counts.astype(float),
+                       len(masses))
+
+
+def _log2_moment(groups: _MassGroups, s: float,
                  out: np.ndarray | None = None) -> tuple[float, float]:
-    """(shift, total) with sum_i 2^(s*l_i) = 2^shift * total, for s >= 0 and
-    lmax = max_i l_i; ``out``, shaped like the l_i, is left holding the
-    terms 2^(s*l_i - shift)."""
-    x = np.multiply(log2_masses, s, out=out)
-    shift = s * lmax
+    """(shift, total) with sum_k c_k 2^(s*l_k) = 2^shift * total, for s >= 0
+    and the shift s * max_k l_k; ``out``, shaped like the l_k, is left holding
+    the terms c_k 2^(s*l_k - shift)."""
+    x = np.multiply(groups.log2, s, out=out)
+    shift = s * float(groups.log2[-1])
     np.subtract(x, shift, out=x)
     with np.errstate(under="ignore"):
         np.exp2(x, out=x)
+    if groups.counts is not None:
+        np.multiply(x, groups.counts, out=x)
     return shift, float(x.sum())
 
 
-def _beta_from_masses(log2_masses: np.ndarray, n: int, s: float, lmax: float,
-                      out: np.ndarray | None = None) -> float:
-    """beta_n(s) from the log2 masses and their max; ``out``, shaped like
-    them, is scratch space that a caller evaluating many s can pass to every
-    call."""
-    shift, total = _log2_moment(log2_masses, s, lmax, out)
+def _beta(groups: _MassGroups, n: int, s: float, out: np.ndarray | None = None) -> float:
+    """beta_n(s) of one level; ``out``, shaped like its l_k, is scratch space
+    that a caller evaluating many s can pass to every call."""
+    shift, total = _log2_moment(groups, s, out)
     return (shift + math.log2(total)) / n
 
 
@@ -142,8 +179,7 @@ def beta_n(spec: MeasureSpec, n: int, s: float) -> float:
         raise ValueError("level must be >= 1")
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be finite and >= 0 (s={s!r})")
-    logm = np.log2(support_masses(spec, n))
-    return _beta_from_masses(logm, n, s, float(logm.max()))
+    return _beta(_mass_groups(support_masses(spec, n)), n, s)
 
 
 @dataclass(frozen=True)
@@ -170,10 +206,9 @@ def spectrum_curve(spec: MeasureSpec, n: int, s_grid: Sequence[float]) -> Spectr
         raise ValueError("s must be >= 0")
     if n < 1:
         raise ValueError("level must be >= 1")
-    logm = np.log2(support_masses(spec, n))
-    lmax = float(logm.max())
-    buf = np.empty_like(logm)
-    vals = np.array([_beta_from_masses(logm, n, float(si), lmax, buf) for si in s])
+    groups = _mass_groups(support_masses(spec, n))
+    buf = np.empty_like(groups.log2)
+    vals = np.array([_beta(groups, n, float(si), buf) for si in s])
     return SpectrumCurve(n, s, vals)
 
 
@@ -185,43 +220,49 @@ def s_nb(spec: MeasureSpec, n: int, b: float) -> float:
     _check_positive("b", b)
     if n < 1:
         raise ValueError("level must be >= 1")
-    logm = np.log2(support_masses(spec, n))
-    return _root_from_masses(logm, n, b)
+    return _root(_mass_groups(support_masses(spec, n)), n, b)
 
 
-def _root_from_masses(log2_masses: np.ndarray, n: int, b: float) -> float:
-    if len(log2_masses) == 1:
+def _root(groups: _MassGroups, n: int, b: float) -> float:
+    """s_{n,b} of one level's mass groups."""
+    if groups.cubes == 1:
         return 0.0  # beta_n(0) = log2(1) / n = 0: the root is 0
-    lmax = float(log2_masses.max())
-    buf = np.empty_like(log2_masses)
+    buf = np.empty_like(groups.log2)
 
     def g(s):
-        return _beta_from_masses(log2_masses, n, s, lmax, buf) - b * s
+        return _beta(groups, n, s, buf) - b * s
 
     certified = (-math.inf, math.inf)
-    if lmax <= 0.0:  # g~ strictly decreasing: a bracket can be certified
-        certified = _certified_bracket(g, log2_masses, n, b, lmax, buf)
+    if groups.log2[-1] <= 0.0:  # g~ strictly decreasing: a bracket can be certified
+        certified = _certified_bracket(g, groups, n, b, buf)
     return _bisect(lambda s: g(s) > 0.0, 0.0, 1.0, certified=certified)
 
 
-def _certified_bracket(g: Callable[[float], float], log2_masses: np.ndarray, n: int, b: float,
-                       lmax: float, buf: np.ndarray) -> tuple[float, float]:
+def _rounding_bound(groups: _MassGroups, n: int, b: float) -> float:
+    """E0 of the module docstring: a bound on |g^ - g~| over [0, 1]."""
+    spread = -float(groups.log2[0])
+    return 2.0 ** -53 * ((6.0 * spread + 7.0 * math.log2(groups.cubes) + 34.0) / n + 2.0 * b)
+
+
+def _certified_bracket(g: Callable[[float], float], groups: _MassGroups, n: int, b: float,
+                       buf: np.ndarray) -> tuple[float, float]:
     """(a, c) with g(a) > 2E and g(c) < -2E for the bound E of the module
     docstring, or an infinite end where no such point was found in (0, 1)."""
-    count = len(log2_masses)
-    spread = -float(log2_masses.min())
-    err = CERT_SAFETY * 2.0 ** -53 * ((6.0 * spread + 7.0 * math.log2(count) + 32.0) / n + 2.0 * b)
+    err = CERT_SAFETY * _rounding_bound(groups, n, b)
+    count = groups.cubes
     # Newton from s = 0, where g = log2(count) / n and g' = mean(l) / n - b
     s, value = 0.0, math.log2(count) / n
-    slope = float(log2_masses.sum()) / (count * n) - b
+    l_sum = float(groups.log2.sum() if groups.counts is None
+                  else np.dot(groups.counts, groups.log2))
+    slope = l_sum / (count * n) - b
     for _ in range(NEWTON_STEPS):
         step = -value / slope
         s += step
         if abs(step) < NEWTON_TOL:
             break
-        shift, total = _log2_moment(log2_masses, s, lmax, buf)
+        shift, total = _log2_moment(groups, s, buf)
         value = (shift + math.log2(total)) / n - b * s
-        slope = float(np.dot(buf, log2_masses)) / (total * n) - b
+        slope = float(np.dot(buf, groups.log2)) / (total * n) - b
     half_width = 4.0 * err / -slope
 
     def end(sign):
@@ -265,10 +306,10 @@ def _fixed_points(spec: MeasureSpec, bs: Sequence[float],
     for b in bs:
         _check_positive("b", b)
     levels = _check_levels(levels)
-    # one walk to the deepest level, keeping each level's log2 masses; the
+    # one walk to the deepest level, keeping each level's mass groups; the
     # roots are solved after it, when no frontier is left
-    log2_masses = list(map(np.log2, map(itemgetter(1), _supports(spec, levels))))
-    return [_fixed_point(b, levels, log2_masses) for b in bs]
+    per_level = list(map(_mass_groups, map(itemgetter(1), _supports(spec, levels))))
+    return [_fixed_point(b, levels, per_level) for b in bs]
 
 
 def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
@@ -281,16 +322,15 @@ def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
 
 
 def _fixed_point(b: float, levels: tuple[int, ...],
-                 log2_masses: Iterable[np.ndarray]) -> FixedPoint:
-    """s_b_estimate from the log2 of the positive cube masses of each level,
-    as :func:`support_masses` returns them."""
+                 per_level: Iterable[_MassGroups]) -> FixedPoint:
+    """s_b_estimate from the :func:`_mass_groups` of the positive cube masses
+    of each level, as :func:`support_masses` returns them."""
     roots = []
     residuals = []
-    for n, logm in zip(levels, log2_masses):
-        r = _root_from_masses(logm, n, b)
+    for n, groups in zip(levels, per_level):
+        r = _root(groups, n, b)
         roots.append(r)
-        residuals.append(abs(_beta_from_masses(logm, n, r, float(logm.max())) - b * r)
-                         if r > 0.0 else 0.0)
+        residuals.append(abs(_beta(groups, n, r) - b * r) if r > 0.0 else 0.0)
     tail = (len(levels) + 1) // 2
     return FixedPoint(
         b=float(b),

@@ -1,7 +1,12 @@
-"""The spectrum layer before certified brackets, kept as the reference of the
-differential tests: plain bisections that evaluate every midpoint, beta_n
-with its own pass for the max shift, and one engine walk per level in
-s_b_estimate."""
+"""The spectrum layer before certified brackets and mass groups, kept as the
+reference of the differential tests: plain bisections that evaluate every
+midpoint, beta_n summed over every cube with its own pass for the max
+shift, and one engine walk per level in s_b_estimate.
+
+``grouped_root`` and ``grouped_s_b_estimate`` are the same plain bisection
+over the package's grouped evaluator ``spectrum._beta``: the certified roots
+must equal them bit for bit, while the full-N functions agree with the
+grouped ones only to within a rounding bound."""
 
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ import math
 import numpy as np
 
 import lqspectra as lq
+from lqspectra import spectrum
 
 MAX_BISECT = 200
 
@@ -46,6 +52,43 @@ def root_from_masses(log2_masses, n, b, seen=None):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _plain_bisection(g, seen):
+    if g(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-14:
+            break
+        if seen is not None:
+            seen.append(mid)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def grouped_root(groups, n, b, seen=None):
+    """Root of beta_n(s) = b*s on [0, 1] from one level's mass groups, every
+    midpoint evaluated by ``spectrum._beta``; the midpoints are appended to
+    ``seen`` if it is given."""
+    buf = np.empty_like(groups.log2)
+    return _plain_bisection(lambda s: spectrum._beta(groups, n, s, buf) - b * s, seen)
+
+
+def grouped_s_b_estimate(spec, b, levels):
+    """(roots, residuals, s_hat) of :func:`grouped_root`, one engine walk per level."""
+    roots, residuals = [], []
+    for n in levels:
+        groups = spectrum._mass_groups(lq.support_masses(spec, n))
+        r = grouped_root(groups, n, b)
+        roots.append(r)
+        residuals.append(abs(spectrum._beta(groups, n, r) - b * r) if r > 0.0 else 0.0)
+    tail = (len(levels) + 1) // 2
+    return np.asarray(roots), np.asarray(residuals), float(max(roots[-tail:]))
 
 
 def s_nb(spec, n, b):

@@ -287,6 +287,33 @@ def test_bad_flag_exits_1(capsys):
     assert run_cli("spectrum") == 1  # --measure missing
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--measure", "binomial_07_03", "--levels", "3,27"],
+     "out of memory at levels up to 27; lower --levels"),
+    (["fixedpoint", "--measure", "fig1_tetraeder", "--levels", "2..9"],
+     "out of memory at levels up to 9; lower --levels"),
+    (["order", "--measure", "binomial_07_03", "--levels", "8..11"],
+     "out of memory at levels up to 11; lower --levels"),
+    (["entropy", "--measure", "fig1_tetraeder", "--levels", "2..8"],
+     "out of memory at levels up to 8 or in a walk that may reach depth 60; "
+     "lower --levels or --max-depth"),
+    (["eigen", "--measure", "binomial_07_03", "--level", "30"],
+     "out of memory at level 30; lower --level"),
+    (["partition", "--measure", "binomial_07_03", "--a", "1", "--t", "1e-9"],
+     "out of memory in a walk that may reach depth 60; lower --max-depth"),
+])
+def test_out_of_memory_exits_1_with_the_level(tmp_path, capsys, monkeypatch, argv, message):
+    # the engine raises as numpy does when a level's arrays do not fit
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+    monkeypatch.setattr(lq.measures, "_engine", no_memory)
+    monkeypatch.setattr(lq.partition, "_engine", no_memory)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_internal_assertion_exits_2(tmp_path, monkeypatch):
     def boom(args):
         raise RuntimeError("internal check tripped")

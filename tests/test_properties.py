@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import cursor_reference as ref
 import lqspectra as lq
 import spectrum_reference as spectrum_ref
-from lqspectra import measures, partition
+from lqspectra import measures, partition, spectrum
 
 MAX_CUBES = 256
 
@@ -394,7 +394,41 @@ def test_spectrum_shape_and_certified_roots(spec, b):
         assert np.all(np.diff(values) <= 1e-12)
         assert np.all(np.diff(values, 2) >= -1e-9)
         assert 0.0 <= root <= 1.0 and residual <= 1e-10
-        assert root == spectrum_ref.root_from_masses(np.log2(masses), n, b)
+        assert root == spectrum_ref.grouped_root(spectrum._mass_groups(masses), n, b)
+
+
+@st.composite
+def mass_vectors(draw):
+    """Positive masses <= 1: all distinct, or few values with many ties; with
+    neighbouring floats of tiny masses, whose log2 values round to one."""
+    values = draw(st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=40, unique=True))
+    if draw(st.booleans()):  # heavy ties
+        counts = draw(st.lists(st.integers(1, 60), min_size=len(values), max_size=len(values)))
+        values = [v for v, c in zip(values, counts) for _ in range(c)]
+    if draw(st.booleans()):
+        values += [float(np.nextafter(1e-250, 1.0)), 1e-250, float(np.nextafter(1e-250, 0.0))]
+    return np.array(draw(st.permutations(values)))
+
+
+@given(mass_vectors(), st.integers(1, 20), st.sampled_from([0.01, 0.3, 1.0, 2.5, 8.0]))
+def test_grouped_spectrum_within_the_rounding_bound_of_the_full_sum(masses, n, b):
+    # the groups are the distinct log2 masses with their cube counts; beta
+    # and the root lie within the bounds of test_spectrum_certified's
+    # docstring of the full sum over every cube
+    groups = spectrum._mass_groups(masses)
+    log2_masses = np.log2(masses)
+    distinct, counts = np.unique(log2_masses, return_counts=True)
+    assert np.array_equal(groups.log2, distinct) and groups.cubes == len(masses)
+    assert np.array_equal(np.ones(len(distinct)) if groups.counts is None else groups.counts,
+                          counts)
+    assert (groups.counts is None) == (len(distinct) == len(masses))
+    e0 = spectrum._rounding_bound(groups, n, b)
+    for s in S_GRID:
+        beta_bound = 2.0 * spectrum._rounding_bound(groups, n, 0.0) * max(1.0, s)
+        assert abs(spectrum._beta(groups, n, s)
+                   - spectrum_ref.beta_from_masses(log2_masses, n, s)) <= beta_bound
+    assert abs(spectrum._root(groups, n, b)
+               - spectrum_ref.root_from_masses(log2_masses, n, b)) <= 2.0 * e0 / b + 2e-14
 
 
 @st.composite

@@ -240,32 +240,36 @@ def test_order_bound_rejects_inconsistent_s_rho():
 # the bisection's scratch buffer
 # ---------------------------------------------------------------------------
 
-def _beta_from_masses_fresh(log2_masses, n, s, lmax=None, out=None):
-    """The formula before the scratch buffer: three fresh temporaries, and
-    the max shift found by a pass (``lmax`` is not used)."""
-    x = s * log2_masses
+def _beta_fresh(groups, n, s, out=None):
+    """The formula before the scratch buffer: fresh temporaries, and the max
+    shift found by a pass (``out`` is not used)."""
+    x = s * groups.log2
     shift = float(x.max())
     with np.errstate(under="ignore"):
-        total = float(np.exp2(x - shift).sum())
-    return (shift + math.log2(total)) / n
+        terms = np.exp2(x - shift)
+    if groups.counts is not None:
+        terms = terms * groups.counts
+    return (shift + math.log2(float(terms.sum()))) / n
 
 
 def test_scratch_buffer_keeps_beta_and_roots_bit_identical(monkeypatch, binom, tetra, cantor):
     # one buffer reused across many s (and across underflowing terms) must
-    # give every value and root of the fresh-temporaries formula
+    # give every value and root of the fresh-temporaries formula, on levels
+    # with counts (binomial, tetrahedron, Cantor) and without (the atoms)
     cases = [(binom, 14), (tetra, 5), (cantor, 12), (lq.exp_decay_atoms(40), 10)]
     s_grid = [0.0, 1e-3, 0.37, 0.5, 1.0, 1.9, 7.3, 64.0]
     for spec, n in cases:
-        logm = np.log2(lq.support_masses(spec, n))
-        buf = np.empty_like(logm)
-        lmax = float(logm.max())
+        groups = spectrum._mass_groups(lq.support_masses(spec, n))
+        buf = np.empty_like(groups.log2)
         for s in s_grid:
-            want = _beta_from_masses_fresh(logm, n, s)
-            assert spectrum._beta_from_masses(logm, n, s, lmax) == want
-            assert spectrum._beta_from_masses(logm, n, s, lmax, buf) == want
+            want = _beta_fresh(groups, n, s)
+            assert spectrum._beta(groups, n, s) == want
+            assert spectrum._beta(groups, n, s, buf) == want
+    assert [spectrum._mass_groups(lq.support_masses(spec, n)).counts is None
+            for spec, n in cases] == [False, False, False, True]
     got = [(lq.s_nb(spec, n, b), lq.spectrum_curve(spec, n, s_grid).values)
            for spec, n in cases for b in (0.4, 1.0, 3.0)]
-    monkeypatch.setattr(spectrum, "_beta_from_masses", _beta_from_masses_fresh)
+    monkeypatch.setattr(spectrum, "_beta", _beta_fresh)
     want = [(lq.s_nb(spec, n, b), lq.spectrum_curve(spec, n, s_grid).values)
             for spec, n in cases for b in (0.4, 1.0, 3.0)]
     for (root, curve), (root_want, curve_want) in zip(got, want):

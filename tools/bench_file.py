@@ -24,12 +24,15 @@ untimed call): ``adaptive_partition`` on the binomial and the tetrahedron,
 ``entropy_estimate`` of the binomial, and ``budget_partition`` at the
 budgets of the workload's two error chains and of its tetrahedron
 polynomial reproduction; three for the exact oracle (see
-:func:`oracle_cases`); and five for the spectrum layer at the
+:func:`oracle_cases`); and eight for the spectrum layer at the
 sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
 binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
 the binomial at levels 14, 16 and 18 and of the workload's 1000-atom spec
 at levels 8, 12 and 16, and ``spectrum_curve`` of the binomial at level 18
-on the workload's 20-point s grid; five for the mass engine (see
+and of the tetrahedron at level 9 on the workload's 20-point s grids, and
+two more on a 2-D density at depth 9 whose 262,144 level-9 masses are all
+distinct: ``spectrum_curve`` on the grid and ``s_nb`` at the b of the
+workload's density; five for the mass engine (see
 :func:`measures_cases`); and five for the polyapprox
 layer at the sizes of the ``partitions`` workload, timed the same way:
 ``sample_measure`` of the binomial and of the density at 10^5 points, the
@@ -153,8 +156,9 @@ def _cli_seconds(tree: Path, argv: list[str], out: Path) -> float:
 
 def _case_code(entry: dict, run: str, units: str, setup: str = "") -> str:
     """Child code timing ``run`` on the spec built by a workload's spec entry
-    (a constructor call or a spec document)."""
+    (a constructor call or a spec document) or by a Python expression."""
     spec = (f"lq.parse_spec({entry['doc']!r})" if "doc" in entry
+            else entry["expr"] if "expr" in entry
             else f"lq.{entry['call']}(*{entry['args']!r})")
     return CASE_CHILD.format(spec=spec, setup=setup, run=run, units=units)
 
@@ -165,9 +169,11 @@ def spectrum_cases(seed: int) -> list[tuple[str, str]]:
     inputs = make_inputs("levels", seed)
     specs, prm = inputs["specs"], inputs["params"]
     binomial, tetra, atomic = prm["binomial"], prm["tetra"], prm["atomic"]
+    density = prm["density2d"]
     p = specs["binomial"]["args"][0]
     n_bin, n_tet, levels = binomial["nb_level"], tetra["nb_level"], binomial["est_levels"]
     n_curve, grid = binomial["curve_level"], binomial["s_grid"]
+    n_tet_curve, tet_grid = tetra["curve_level"], tetra["s_grid"]
     return [
         (f"s_nb(binomial_ifs({p:.4g}), {n_bin}, b={binomial['b_nb']}); roots",
          _case_code(specs["binomial"], f"lq.s_nb(spec, {n_bin}, {binomial['b_nb']!r})", "1")),
@@ -184,7 +190,23 @@ def spectrum_cases(seed: int) -> list[tuple[str, str]]:
          "s-grid points",
          _case_code(specs["binomial"], f"lq.spectrum_curve(spec, {n_curve}, {grid!r})",
                     str(len(grid)))),
+        (f"spectrum_curve(tetra, {n_tet_curve}, {len(tet_grid)}-point s grid); s-grid points",
+         _case_code(specs["tetra"], f"lq.spectrum_curve(spec, {n_tet_curve}, {tet_grid!r})",
+                    str(len(tet_grid)))),
+        # every level-9 mass of this density differs from the others: one
+        # group per cube, the case where grouping the masses saves nothing
+        (f"spectrum_curve(2-D density, depth 9, 262,144 distinct masses, 9, "
+         f"{len(density['s_grid'])}-point s grid); s-grid points",
+         _case_code(DISTINCT_DENSITY, f"lq.spectrum_curve(spec, 9, {density['s_grid']!r})",
+                    str(len(density["s_grid"])))),
+        (f"s_nb(2-D density, depth 9, 262,144 distinct masses, 9, b={density['b_nb']}); roots",
+         _case_code(DISTINCT_DENSITY, f"lq.s_nb(spec, 9, {density['b_nb']!r})", "1")),
     ]
+
+
+# a 2-D density at depth 9 with 262,144 distinct level-9 masses
+DISTINCT_DENSITY = {"expr": "(lambda v: lq.DyadicDensity(9, v / v.mean()))("
+                            "np.random.default_rng(0).uniform(0.5, 1.5, (512, 512)))"}
 
 
 def measures_cases(seed: int) -> list[tuple[str, str]]:
