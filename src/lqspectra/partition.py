@@ -33,9 +33,9 @@ Two independent routes to the same optimisation are provided:
 * :func:`gamma_dyadic_oracle` computes the exact minimum of max J_a over
   all partitions into at most n dyadic cubes of bounded depth by dynamic
   programming over the subdivision tree.  Each subtree's optimum is a
-  non-increasing vector over budgets, so two subtrees combine by merging
-  their breakpoint lists (one sort) instead of a quadratic min-max
-  convolution.  The tree is the one the profile's walk visits, and a
+  non-increasing vector over budgets, so a split cube combines all 2^m of
+  its children at once, by one sort of their vectors' entries, instead of
+  min-max convolutions.  The tree is the one the profile's walk visits, and a
   certificate on the result (or a walk at a lower cut) proves that no
   partition outside it does better.  It is the test oracle for the
   minimality of the adaptive partitions.
@@ -92,6 +92,7 @@ __all__ = [
 
 DEFAULT_MAX_DEPTH = 60
 _TINY = math.ulp(0.0)  # the least positive float: J_a >= _TINY means J_a > 0
+_ZERO = np.zeros(1)  # the oracle vector of an empty cube
 
 
 class MaxDepthExceeded(RuntimeError):
@@ -270,6 +271,12 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
 # The adaptive family: one walk, one sorted multiset of J values
 # ---------------------------------------------------------------------------
 
+def _check_budget(name: str, n) -> None:
+    """Raise unless the cube budget ``n`` is a Python or numpy integer >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{name} must be an integer cube budget >= 1 ({name}={n!r})")
+
+
 class _Level(NamedTuple):
     """The cubes of one level that a walk visited, in key order."""
 
@@ -297,6 +304,8 @@ def _walk(spec: MeasureSpec, a: float, cut: float, max_depth: int,
     _check_positive("a", a)
     if not 0 < cut < math.inf:
         raise ValueError(f"threshold t must be finite and > 0 (t={cut!r})")
+    if not max_depth >= 0:
+        raise ValueError(f"max_depth must be >= 0 (max_depth={max_depth!r})")
     m = spec.dim
     eng = _engine(spec)
     fr = eng.root()
@@ -452,14 +461,13 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
     raises :class:`MaxDepthExceeded` naming the first such cube of that
     state in depth-first (key) order.
     """
+    _check_budget("budget_cap", budget_cap)
     return _profile(spec, a, budget_cap, max_depth)[0]
 
 
 def _profile(spec: MeasureSpec, a: float, budget_cap: int,
              max_depth: int) -> tuple[np.ndarray, list[_Level]]:
     """The states of :func:`refinement_profile` and the levels of its walk."""
-    if budget_cap < 1:
-        raise ValueError("budget_cap must be >= 1")
     m = spec.dim
     k = (1 << m) - 1
     levels, cut = _walk(spec, a, _TINY, max_depth, top=(budget_cap - 1) // k + 1)
@@ -494,7 +502,8 @@ def budget_partition(spec: MeasureSpec, a: float, budget: int,
                      max_depth: int = DEFAULT_MAX_DEPTH) -> Partition:
     """The adaptive-family partition of largest cardinality <= budget (the
     one whose max J_a realises gamma_hat(budget))."""
-    states, levels = _profile(spec, a, int(budget), max_depth)
+    _check_budget("budget", budget)
+    states, levels = _profile(spec, a, budget, max_depth)
     j_top = states[int(np.searchsorted(states[:, 0], budget, side="right")) - 1, 1]
     # every cube of that state has J_a <= j_top, so the threshold just above
     # j_top reproduces it exactly; the profile's walk split every cube of
@@ -509,9 +518,11 @@ def gamma_adaptive_profile(spec: MeasureSpec, a: float, budgets: Sequence[int],
                            max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
     """Upper bounds gamma_hat(n) on the optimal max J_a for each cube budget
     n, from the adaptive family (the best adaptive state of cardinality <= n)."""
-    budgets = [int(n) for n in budgets]
-    if any(n < 1 for n in budgets):
-        raise ValueError("budgets must be >= 1")
+    budgets = list(budgets)
+    if not budgets:
+        raise ValueError("budgets must not be empty")
+    for n in budgets:
+        _check_budget("budgets", n)
     states = refinement_profile(spec, a, max(budgets), max_depth=max_depth)
     # state 0 has cardinality 1, so every budget >= 1 has a state
     return states[np.searchsorted(states[:, 0], budgets, side="right") - 1, 1]
@@ -521,32 +532,14 @@ def gamma_adaptive_profile(spec: MeasureSpec, a: float, budgets: Sequence[int],
 # Exact dyadic oracle (dynamic programming over the subdivision tree)
 # ---------------------------------------------------------------------------
 
-def _minmax_fold(A: np.ndarray, B: np.ndarray, size: int) -> np.ndarray:
-    """out[k] = min over i+j=k (i, j >= 1) of max(A[i], B[j]) for k < size,
-    inf where no such pair exists.  A[1:] and B[1:] must be non-increasing.
-
-    For such inputs out[k] = min{T : c_A(T) + c_B(T) <= k} over the values
-    T of A and B with T >= max(min A, min B), where
-    c_X(T) = min{i >= 1 : X[i] <= T} = 1 + #{i : X[i] > T}.  So
-    c_A(T) + c_B(T) = 2 + #{values of A and B above T}, and the least such T
-    is the (k-1)-th largest value of the merged breakpoint lists, raised to
-    max(min A, min B): one sort, and every output is an element of A or B."""
-    a, b = A[1:], B[1:]
-    out = np.full(size, np.inf)
-    n = min(size, len(a) + len(b) + 1)
-    if len(a) and len(b) and n > 2:
-        merged = np.sort(np.concatenate((a, b)))[::-1]
-        out[2:n] = np.maximum(merged[:n - 2], max(a[-1], b[-1]))
-    return out
-
-
 def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
                         max_depth: int = DEFAULT_MAX_DEPTH) -> np.ndarray:
     """vector v with v[k] = exact min over partitions of the unit cube into at
     most k dyadic cubes of depth <= max_depth of the max J_a, for k = 1..k_max
     (v[0] = inf).  ``max_depth`` binds on every family.
 
-    The vector folds the tree of one walk (:func:`_fold`): the walk of
+    The vector folds the tree of one walk (:func:`_fold`, one sort of all
+    the children's entries per split cube): the walk of
     :func:`refinement_profile` that splits the K = floor((k_max - 1) /
     (2^m - 1)) + 1 largest effective weights, down to its final ``cut``.  It
     is accepted when v[k_max] >= cut; otherwise the cut is halved and the
@@ -568,8 +561,7 @@ def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
     v*[k] gives one the fold reaches with the same max: v[k] = v*[k].  The
     argument needs neither monotone J_a nor the adaptive tie rule; those only
     make the first walk's certificate hold, so that one walk is enough."""
-    if k_max < 1:
-        raise ValueError("infeasible budget: k_max must be >= 1")
+    _check_budget("k_max", k_max)
     m = spec.dim
     levels, cut = _walk(spec, a, _TINY, max_depth, top=(k_max - 1) // ((1 << m) - 1) + 1)
     while True:
@@ -584,51 +576,51 @@ def _fold(levels: list[_Level], m: int, size: int) -> np.ndarray:
     """The oracle vector (length ``size``) over the partitions into cubes of
     the tree a walk visited and the empty children of the cubes it split.
 
-    Bottom-up, a cube's vector is its own J_a (one cube) if the walk left it
-    unsplit, and otherwise the smaller of that and the fold of its
-    children's vectors, an empty child being a leaf of J_a 0.  These vectors
-    are non-increasing in k, so each fold is the breakpoint merge of
-    :func:`_minmax_fold`; the leaves among the children fold at once (g
-    leaves cost g cubes and their max J_a).  A vector stops at the leaf
-    count of its subtree, beyond which it is constant."""
-    nkids = 1 << m
-    infs = np.full(nkids, np.inf)
-    below: list[np.ndarray] = []  # the vectors of the level under this one
-    for depth in range(len(levels) - 1, -1, -1):
-        lv = levels[depth]
-        if depth + 1 == len(levels):  # the walk stopped here: every cube is a leaf
-            split = [False] * len(lv.j)
-        else:
-            split = lv.split.tolist()
-            # the children of row i are rows kids[i]:kids[i + 1] of the level below
-            kids = np.searchsorted(levels[depth + 1].parent, np.arange(len(lv.j) + 1)).tolist()
-        here = []
-        for row, j in enumerate(lv.j.tolist()):
-            if not split[row]:
-                here.append(np.array([np.inf, j]))
-                continue
-            # the children that are leaves and the empty ones (J_a 0) cost one
-            # cube each and together their max J_a, x
-            parts, x = [], 0.0
-            for r in range(kids[row], kids[row + 1]):
-                if len(below[r]) > 2:
-                    parts.append(below[r])
-                else:
-                    x = max(x, below[r][1])
-            acc = parts[0] if parts else np.zeros(1)  # no cube, no cost
-            for part in parts[1:]:
-                acc = _minmax_fold(acc, part, min(size, len(acc) + len(part) - 1))
-            group = nkids - len(parts)
-            if group:
-                acc = np.concatenate((infs[:group], np.maximum(acc, x)))[:size]
-            vec = np.minimum(acc, j)
-            vec[0] = np.inf
+    Bottom-up, each cube gets its vector X from index 1 on (X[k]: the least
+    max J_a with k cubes), non-increasing and cut at its subtree's leaf count
+    (constant beyond) or at ``size - 1`` entries: [J_a] if the walk left it
+    unsplit, [0.0] if empty, else one merge of its g = 2^m children's
+    vectors (:func:`_merge`), capped by its own J_a.  Take T >= every
+    child's last entry: child X reaches max <= T with 1 + #{entries of X
+    above T} cubes, so k cubes reach max <= T exactly when g + #{entries
+    above T} <= k.  For k >= g the least such T is the (k - g)-th largest
+    entry (from 0) raised to the largest last entry: one sort, and every
+    output is an entry or J_a.  With N entries in all, k = N reaches that
+    last entry, so the merge has N entries too."""
+    lead, cap = np.full((1 << m) - 1, np.inf), size - 1
+    ends = levels[-1].j.tolist()  # the walk stopped at its last level: leaves only
+    below = [np.array([j]) for j in ends]
+    for lv, down in zip(levels[-2::-1], levels[:0:-1]):
+        # the children of row i are rows kids[i]:kids[i + 1] of the level below
+        kids = np.searchsorted(down.parent, np.arange(len(lv.j) + 1)).tolist()
+        here, last = [], []
+        for j, split, lo, hi in zip(lv.j.tolist(), lv.split.tolist(), kids, kids[1:]):
+            vec, end = (_merge(below[lo:hi], ends[lo:hi], j, lead, cap) if split
+                        else (np.array([j]), j))
             here.append(vec)
-        below = here
-    top = below[0]
-    v = np.full(size, top[-1])
-    v[:len(top)] = top
+            last.append(end)
+        below, ends = here, last
+    v = np.full(size, ends[0])
+    v[0] = np.inf
+    v[1:1 + len(below[0])] = below[0]
     return v
+
+
+def _merge(kids: list[np.ndarray], ends: list[float], j: float, lead: np.ndarray,
+           cap: int) -> tuple[np.ndarray, float]:
+    """One split cube of :func:`_fold`: its vector (at most ``cap`` entries)
+    and last entry, from its weight ``j``, the vectors ``kids`` of its
+    nonempty children and their last entries ``ends``; ``lead`` holds g - 1
+    inf, which sort first and stand for the budgets below g."""
+    g = len(lead) + 1
+    merged = np.concatenate(kids + [_ZERO] * (g - len(kids)) + [lead])
+    merged[::-1].sort()  # descending, the g - 1 inf first
+    t0 = max(ends) if ends else 0.0
+    n = len(merged) - g + 1  # the N entries
+    vec = merged[:min(n, cap)]
+    np.maximum(vec, t0, out=vec)
+    np.minimum(vec, j, out=vec)
+    return vec, (min(t0, j) if n <= cap else float(vec[-1]))
 
 
 def gamma_dyadic_oracle(spec: MeasureSpec, a: float, n_cells: int,
@@ -637,6 +629,7 @@ def gamma_dyadic_oracle(spec: MeasureSpec, a: float, n_cells: int,
     of depth <= max_depth.  Serves as the independent oracle for the
     adaptive partitions and as an upper bound for the optimisation over
     arbitrary axis-aligned subcubes."""
+    _check_budget("n_cells", n_cells)
     return float(gamma_dyadic_vector(spec, a, n_cells, max_depth)[n_cells])
 
 
@@ -644,6 +637,7 @@ def minimal_dyadic_cardinality(spec: MeasureSpec, a: float, t: float,
                                k_cap: int, max_depth: int = DEFAULT_MAX_DEPTH) -> int:
     """Smallest k with an exact dyadic partition of max J_a < t, searched up
     to k_cap; raises if no budget up to k_cap is feasible."""
+    _check_budget("k_cap", k_cap)
     v = gamma_dyadic_vector(spec, a, k_cap, max_depth)
     feasible = np.nonzero(v < t)[0]
     if len(feasible) == 0:

@@ -1,12 +1,14 @@
 """The frontier engine against the cursor descent it replaced.
 
 ``cursor_reference`` holds the former per-cube cursors and the walks built on
-them.  On every shipped spec, every fixture and a few specs whose cubes sum
-three or more terms, the engine must give the same cubes in the same
-depth-first order and bit-identical masses; for GeneralIFS1D (whose masses
-are truncated at ``mass_tol``) the same cubes with masses within
-``mass_tol``.  The same holds for the adaptive partitions, the refinement
-profile and the exact oracle built on the engine.
+them, and ``fold_reference`` the oracle's former pairwise fold.  On every
+shipped spec, every fixture and a few specs whose cubes sum three or more
+terms, the engine must give the same cubes in the same depth-first order and
+bit-identical masses; for GeneralIFS1D (whose masses are truncated at
+``mass_tol``) the same cubes with masses within ``mass_tol``.  The same holds
+for the adaptive partitions, the refinement profile and the exact oracle
+built on the engine, and the oracle's one merge per split cube gives the
+bytes of the pairwise fold on the same walks.
 """
 
 import math
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cursor_reference as ref
+import fold_reference
 import ifs1d_reference
 import lqspectra as lq
 from lqspectra import kreinfeller, measures, spectrum
@@ -133,6 +136,31 @@ def test_partition_walks_match_cursor_walks(request, name):
     for oracle_spec in (wrapped, spec):
         got = lq.gamma_dyadic_vector(oracle_spec, 1.0, k_max, max_depth=depth)
         assert _same_masses(spec, got, want)
+
+
+# the oracle budgets of the differential fold test, by dimension
+FOLD_K_MAX = {1: 448, 2: 300, 3: 400}
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_one_merge_per_split_cube_matches_pairwise_fold(request, monkeypatch, name):
+    # every walk the oracle folds (the profile's and any at a halved cut) is
+    # folded both ways, and the vectors must agree to the byte
+    spec = _spec(request, name)
+    k_max = FOLD_K_MAX[spec.dim]
+    fold, folds = lq.partition._fold, []
+
+    def both(levels, m, size):
+        got = fold(levels, m, size)
+        assert got.tobytes() == fold_reference._fold(levels, m, size).tobytes()
+        folds.append(len(levels))
+        return got
+
+    monkeypatch.setattr(lq.partition, "_fold", both)
+    for a in (0.5, 1.0, 1.7):
+        for depth in (lq.partition.DEFAULT_MAX_DEPTH, 4):
+            lq.gamma_dyadic_vector(spec, a, k_max, max_depth=depth)
+    assert len(folds) >= 6 and max(folds) > 1
 
 
 def _outcome(walk, *args):

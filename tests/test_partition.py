@@ -266,6 +266,41 @@ def test_oracle_rejects_infeasible_budget(leb1):
         lq.gamma_dyadic_oracle(leb1, 1.0, 0)
 
 
+BAD_COUNTS = {
+    "budget_cap": lambda s: lq.refinement_profile(s, 1.0, 2.5),
+    "k_max": lambda s: lq.gamma_dyadic_vector(s, 1.0, 5.5),
+    "n_cells": lambda s: lq.gamma_dyadic_oracle(s, 1.0, 5.0),
+    "k_cap": lambda s: lq.minimal_dyadic_cardinality(s, 1.0, 0.1, k_cap=10.5),
+    "budget": lambda s: lq.budget_partition(s, 1.0, 7.5),
+    "budgets": lambda s: lq.gamma_adaptive_profile(s, 1.0, []),
+    "max_depth": lambda s: lq.gamma_dyadic_vector(s, 1.0, 5, max_depth=-1),
+    "max_depth-adaptive": lambda s: lq.adaptive_partition(s, 1.0, 0.1, max_depth=-1),
+    "max_depth-counting": lambda s: lq.counting_N(s, 1.0, 10.0, max_depth=-1),
+    "max_depth-entropy": lambda s: lq.entropy_estimate(s, 1.0, [1, 2, 3, 4], max_depth=-1),
+    "max_depth-profile": lambda s: lq.refinement_profile(s, 1.0, 10, max_depth=-1),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_bad_budgets_and_depths_name_their_parameter(binom, case):
+    # a fractional budget or a negative depth is refused before any walk,
+    # with a ValueError that names the parameter
+    name = case.split("-")[0]
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        BAD_COUNTS[case](binom)
+
+
+def test_numpy_integer_budgets_count_as_integers(binom):
+    k = np.int64(9)
+    assert lq.gamma_dyadic_vector(binom, 1.0, k).tobytes() == \
+        lq.gamma_dyadic_vector(binom, 1.0, 9).tobytes()
+    assert lq.gamma_dyadic_oracle(binom, 1.0, k) == lq.gamma_dyadic_oracle(binom, 1.0, 9)
+    assert lq.budget_partition(binom, 1.0, k).cardinality == \
+        lq.budget_partition(binom, 1.0, 9).cardinality
+    assert np.array_equal(lq.gamma_adaptive_profile(binom, 1.0, np.array([2, 9])),
+                          lq.gamma_adaptive_profile(binom, 1.0, [2, 9]))
+
+
 def test_oracle_vector_monotone(binom):
     v = lq.gamma_dyadic_vector(binom, 1.0, 24)
     assert np.all(np.diff(v[1:]) <= 1e-18)
@@ -413,19 +448,24 @@ def test_walk_folds_only_non_increasing_vectors(monkeypatch):
     spec = lq.DyadicDensity(1, np.array([2.0, math.ldexp(1.0, -1073)]))
     assert lq.support_masses(spec, 1)[1] == math.ldexp(1.0, -1074)
     assert len(lq.support_masses(spec, 2)) == 2
-    fold = lq.partition._minmax_fold
+    merge = partition._merge
+    childless = []  # the weights of split cubes merged without a child row
 
-    def checked(A, B, size):
-        assert np.all(np.diff(A[1:]) <= 0) and np.all(np.diff(B[1:]) <= 0)
-        return fold(A, B, size)
+    def checked(kids, ends, j, lead, cap):
+        for kid, end in zip(kids, ends):
+            assert np.all(np.diff(kid) <= 0) and kid[-1] == end
+        if not kids:
+            childless.append(j)
+        return merge(kids, ends, j, lead, cap)
 
-    monkeypatch.setattr(lq.partition, "_minmax_fold", checked)
+    monkeypatch.setattr(partition, "_merge", checked)
     v = lq.gamma_dyadic_vector(spec, 0.01, 12)
     assert np.all(np.diff(v[1:]) <= 0)
     # with max_depth = 3 the support holds fewer than 12 positive cubes, so the
     # walk splits that cube too
     v = lq.gamma_dyadic_vector(spec, 0.01, 12, max_depth=3)
     assert np.all(np.diff(v[1:]) <= 0)
+    assert set(childless) == {2.0 ** -0.01 * math.ldexp(1.0, -1074)}
     assert v.tobytes() == ref.gamma_dyadic_vector(lq.Mixture(((1.0, spec),)), 0.01, 12,
                                                   max_depth=3).tobytes()
 

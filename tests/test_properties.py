@@ -1,8 +1,9 @@
 """Mass invariants of the frontier engine on generated specs of every family,
 the adaptive family's card(t) identity and depth-limit naming, the shape of
-the spectra and their certified roots on the same specs, and the oracle's
-breakpoint merge on generated vectors, JSON round trips of the specs, and
-one support walk over many levels against a walk to each level alone.
+the spectra and their certified roots on the same specs, the oracle's
+merge of a split cube's children on generated vectors, JSON round trips of
+the specs, and one support walk over many levels against a walk to each
+level alone.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
@@ -215,24 +216,40 @@ def test_one_walk_gives_each_level_as_a_walk_to_it_alone(spec, levels):
         assert np.all(masses > 0.0)
 
 
+ORACLE_VALUES = st.sampled_from([0.0, 0.125, 0.5, 1.0, 3.0]) | st.floats(0.0, 4.0)
+
+
 @st.composite
-def oracle_vectors(draw):
-    """inf, then an optional run of inf, then non-increasing values with
-    ties (a few exact values, 0 among them, or any floats)."""
-    body = draw(st.lists(st.sampled_from([0.0, 0.125, 0.5, 1.0, 3.0]) | st.floats(0.0, 4.0),
-                         max_size=24))
-    head = [math.inf] * draw(st.integers(1, 4))
-    return np.array(head + sorted(body, reverse=True))
+def split_cubes(draw):
+    """A split cube: g = 2^m children, 0 to g of them with a vector of 1 to
+    24 non-increasing entries with ties (a few exact values, 0 among them, or
+    any floats), the rest empty; the cube's own J_a; and a length cap."""
+    g = draw(st.sampled_from([2, 4, 8]))
+    kids = [np.array(sorted(body, reverse=True)) for body in
+            draw(st.lists(st.lists(ORACLE_VALUES, min_size=1, max_size=24), max_size=g))]
+    n = sum(len(kid) for kid in kids) + g - len(kids)
+    return g, kids, draw(ORACLE_VALUES), draw(st.integers(1, n + 2))
 
 
 @settings(max_examples=100)
-@given(oracle_vectors(), oracle_vectors(), st.integers(0, 60))
-def test_breakpoint_merge_equals_quadratic_fold(A, B, size):
-    got = partition._minmax_fold(A, B, size)
-    # the reference folds equal lengths: pad with inf, which no pair needs
-    n = max(size, len(A), len(B))
-    want = ref._minmax_fold(*(np.concatenate((X, np.full(n - len(X), np.inf))) for X in (A, B)))
-    assert np.array_equal(got, want[:size])
+@given(split_cubes())
+def test_breakpoint_merge_equals_quadratic_fold(cube):
+    g, kids, j, cap = cube
+    got, end = partition._merge(kids, [float(kid[-1]) for kid in kids], j,
+                                np.full(g - 1, np.inf), cap)
+    # the reference folds two vectors of equal length at a time, index 0
+    # inf; a vector is constant beyond its last entry, an empty child is
+    # [inf, 0.0], and one cube reaches J_a
+    n = sum(len(kid) for kid in kids) + g - len(kids)
+    full = [np.concatenate(([math.inf], kid, np.full(n + 2 - len(kid), kid[-1])))
+            for kid in kids + [np.zeros(1)] * (g - len(kids))]
+    want = full[0]
+    for vec in full[1:]:
+        want = ref._minmax_fold(want, vec)
+    want = np.minimum(want, j)[1:]
+    assert want[n - 1:].tobytes() == np.full(3, want[n - 1]).tobytes()  # n entries suffice
+    assert got.tobytes() == want[:min(n, cap)].tobytes()
+    assert end == got[-1]
 
 
 @given(specs(float_weights), st.sampled_from([0.5, 1.0, 1.7]), st.integers(1, 16),

@@ -23,7 +23,7 @@ untimed call): ``adaptive_partition`` on the binomial and the tetrahedron,
 ``gamma_adaptive_profile`` of the tetrahedron to 32,768 cubes,
 ``entropy_estimate`` of the binomial, and ``budget_partition`` at the
 budgets of the workload's two error chains and of its tetrahedron
-polynomial reproduction; three for the exact oracle (see
+polynomial reproduction; five for the exact oracle (see
 :func:`oracle_cases`); and eight for the spectrum layer at the
 sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
 binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
@@ -276,9 +276,11 @@ def oracle_cases(seed: int) -> list[tuple[str, str]]:
     """(case, child code) of the oracle rows: ``gamma_dyadic_vector`` of the
     binomial at the size of the ``partitions`` workload's profile and oracle
     jobs, that workload's 12 ``minimal_dyadic_cardinality`` calls as one row
-    (their adaptive partitions are built untimed), and the 2/5-3/5
-    GeneralIFS1D at k = 16.  The work units are budget cubes (k_max, or the
-    sum of the k_cap values)."""
+    (their adaptive partitions are built untimed), the 2/5-3/5
+    GeneralIFS1D at k = 16, and the workload's tetrahedron at a = 0.5, k =
+    400 and 2-D Lebesgue measure at a = 1, k = 300, where a split cube has 8
+    and 4 children.  The work units are budget cubes (k_max, or the sum of
+    the k_cap values)."""
     inputs = make_inputs("partitions", seed)
     specs, prm = inputs["specs"], inputs["params"]
     pf = prm["profile"]
@@ -298,7 +300,9 @@ def oracle_cases(seed: int) -> list[tuple[str, str]]:
                     "for s, a, t, k, d in cases]", "sum(case[3] for case in cases)", minimality)),
         ("gamma_dyadic_vector(GeneralIFS1D 2/5 x, 3/5 x + 2/5, a=1.0, 16); budget cubes",
          _case_code(TWO_FIFTHS, "lq.gamma_dyadic_vector(spec, 1.0, 16)", "16")),
-    ]
+    ] + [(f"gamma_dyadic_vector({name}, a={a}, {k}); budget cubes",
+          _case_code(specs[name], f"lq.gamma_dyadic_vector(spec, {a!r}, {k})", str(k)))
+         for name, a, k in (("tetra", 0.5, 400), ("lebesgue2", 1.0, 300))]
 
 
 def polyapprox_cases(seed: int) -> list[tuple[str, str]]:
