@@ -8,6 +8,9 @@ The package computes, at desk scale, the chain
             -> 1D Krein-Feller eigenvalue decay,
 
 with closed forms for self-similar measures as cross-checks throughout.
+
+Counts (levels, budgets, depths) are Python or numpy integers, not bools or floats; reals
+are finite; level lists strictly increase; a ValueError names a parameter that breaks this.
 """
 
 from .measures import (

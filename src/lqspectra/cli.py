@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import measures
+from . import _checks, measures
 from .kreinfeller import discretize, order_fit, solve_eigen, split_counting_check
 from .measures import MeasureSpec, load_spec
 from .partition import (
@@ -33,10 +33,8 @@ from .partition import (
 from .polyapprox import FunctionHandle, error_from_sample, error_sample, kappa, piecewise_project
 from .spectrum import (
     OrderParams,
-    _check_levels,
     _fixed_points,
     s_b_estimate,
-    selfsimilar_beta,
     selfsimilar_s_rho,
     spectrum_curve,
 )
@@ -84,7 +82,7 @@ def _ints(text: str) -> list[int]:
 @_flag_type
 def _levels(text: str) -> list[int]:
     """Strictly increasing :func:`_ints`."""
-    return list(_check_levels(_ints(text)))
+    return list(_checks.levels("levels", _ints(text)))
 
 
 @_flag_type
@@ -143,7 +141,7 @@ def _window(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParameterError(f"--window is written lo,hi (got {text!r})")
-    return int(parts[0]), int(parts[1])
+    return _checks.count("lo", int(parts[0])), int(parts[1])
 
 
 def _resolve_measure(name: str) -> MeasureSpec:

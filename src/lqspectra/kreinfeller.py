@@ -36,8 +36,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _checks
 from .measures import Atomic, MeasureSpec, _supports
-from .spectrum import _check_levels, _fixed_point, _mass_groups, s_b_estimate
+from .spectrum import _fixed_point, _mass_groups, s_b_estimate
 
 __all__ = [
     "AtomicApprox",
@@ -243,8 +244,7 @@ def solve_eigen(atoms: AtomicApprox, eigenvectors: bool = False) -> EigenSystem:
 
 def counting_function(eigs: EigenSystem, x: float) -> int:
     """N(x) = number of eigenvalues >= x (binary search on the sorted list)."""
-    if x <= 0:
-        raise ValueError("x must be > 0")
+    _checks.real("x", x)
     asc = eigs.eigenvalues[::-1]
     return int(len(asc) - np.searchsorted(asc, x, side="left"))
 
@@ -252,9 +252,7 @@ def counting_function(eigs: EigenSystem, x: float) -> int:
 def width_from_eigen(eigs: EigenSystem, n: int) -> float:
     """Exact Kolmogorov n-width for the discretized measure: sqrt of the
     (n+1)-st eigenvalue, and 0 beyond the finite rank."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n >= eigs.size:
+    if _checks.count("n", n, least=0) >= eigs.size:
         return 0.0
     return float(math.sqrt(eigs.eigenvalues[n]))
 
@@ -290,7 +288,7 @@ def _fit_window(n_eigs: int, index_window) -> tuple[int, int]:
         # drop the top few (pre-asymptotic) and the tail third (corrupted by
         # the finite-rank truncation of the discretization)
         return 5, max(5, (2 * n_eigs) // 3)
-    lo, hi = int(index_window[0]), int(index_window[1])
+    lo, hi = (_checks.count(f"index_window[{i}]", n) for i, n in enumerate(index_window))
     return lo, min(hi, n_eigs)
 
 
@@ -303,10 +301,10 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
     level; coarser levels always use the default policy scaled to their own
     rank.  Raises when the finest window holds fewer than 10 points.
     """
-    levels = _check_levels(sorted(int(l) for l in levels))
+    levels = _checks.levels("levels", sorted(levels))
+    _fit_window(0, index_window)  # an explicit window is checked before any solve
     slopes = []
-    stderr_finest = None
-    window_finest = None
+    stderr_finest = window_finest = None
     raw = []  # each level's masses, reused by the fixed-point step below
     for lvl, (atoms, masses) in zip(levels, _discretize(spec, levels)):
         raw.append(masses)

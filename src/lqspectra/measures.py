@@ -35,9 +35,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
+
+from . import _checks
 
 __all__ = [
     "DyadicCube",
@@ -203,7 +205,7 @@ def children(cube: DyadicCube) -> list[DyadicCube]:
 def cube_containing(point: Sequence[Rational], level: int) -> DyadicCube:
     """The unique level-n cube whose half-open body contains ``point``."""
     idx = []
-    scale = 1 << level
+    scale = 1 << _checks.count("level", level, least=0)
     for x in point:
         xf = _as_fraction(x)
         if not (0 < xf <= 1):
@@ -1059,11 +1061,10 @@ def _supports(spec: MeasureSpec, levels: Sequence[int]) -> Iterator[tuple[np.nda
     walk expands to level n+1: a loop variable keeps its pair until the next
     is bound, and ``list(map(f, map(itemgetter(1), _supports(...))))`` keeps
     only the results of f."""
-    if levels and levels[0] < 0:
-        raise ValueError("level must be >= 0")
     eng = _engine(spec)
     fr = eng.root()
     for n in levels:
+        _checks.count("level", n, least=0)
         while fr.level < n:
             fr = eng.expand(fr)
         keep = slice(None) if fr.masses.all() else fr.masses > 0.0
@@ -1277,8 +1278,7 @@ def exp_decay_atoms(cutoff: int = 30) -> Atomic:
     moment sum collapses, which makes all fixed points of the level spectra
     degenerate to 0.  (Points start at k=2 to stay inside the open cube.)
     """
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
+    _checks.count("cutoff", cutoff, least=2)
     ks = range(2, cutoff + 2)
     raw = [math.exp(-k) for k in ks]
     total = math.fsum(raw)

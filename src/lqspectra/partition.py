@@ -60,6 +60,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _checks
 from .measures import (
     DyadicCube,
     MeasureSpec,
@@ -72,7 +73,6 @@ from .measures import (
     _engine,
     _key_masses,
 )
-from .spectrum import _check_positive
 
 __all__ = [
     "Partition",
@@ -91,6 +91,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 60
+_BUDGET = "an integer cube budget"
 _TINY = math.ulp(0.0)  # the least positive float: J_a >= _TINY means J_a > 0
 _ZERO = np.zeros(1)  # the oracle vector of an empty cube
 
@@ -127,7 +128,7 @@ def j_weight(spec: MeasureSpec, cube: DyadicCube, a: float) -> float:
 def _key_j(spec: MeasureSpec, levels: np.ndarray, keys: np.ndarray, a: float) -> np.ndarray:
     """J_a of the cubes with the given levels and Morton keys, from one
     engine walk for all of them."""
-    _check_positive("a", a)
+    _checks.real("a", a)
     m = spec.dim
     vols = np.empty(len(levels))
     for level, rows in _by_level(levels):
@@ -271,12 +272,6 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
 # The adaptive family: one walk, one sorted multiset of J values
 # ---------------------------------------------------------------------------
 
-def _check_budget(name: str, n) -> None:
-    """Raise unless the cube budget ``n`` is a Python or numpy integer >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"{name} must be an integer cube budget >= 1 ({name}={n!r})")
-
-
 class _Level(NamedTuple):
     """The cubes of one level that a walk visited, in key order."""
 
@@ -301,11 +296,9 @@ def _walk(spec: MeasureSpec, a: float, cut: float, max_depth: int,
     rises to the top-th largest effective weight met so far, ties included:
     a cube below it cannot be among the ``top`` heaviest, nor can its
     descendants.  Returns the visited levels and the final cut."""
-    _check_positive("a", a)
-    if not 0 < cut < math.inf:
-        raise ValueError(f"threshold t must be finite and > 0 (t={cut!r})")
-    if not max_depth >= 0:
-        raise ValueError(f"max_depth must be >= 0 (max_depth={max_depth!r})")
+    _checks.real("a", a)
+    _checks.real("t", cut)
+    _checks.count("max_depth", max_depth, least=0)
     m = spec.dim
     eng = _engine(spec)
     fr = eng.root()
@@ -408,8 +401,7 @@ def counting_N(spec: MeasureSpec, a: float, t: float,
     """Minimal cardinality of a dyadic partition with max J_a < 1/t (the
     cardinality of the adaptive partition at threshold 1/t); an upper bound
     for the unconstrained partition problem over arbitrary subcubes."""
-    if not (t > 0):
-        raise ValueError("t must be > 0")
+    _checks.real("t", t)
     threshold = 1.0 / t
     return int(_cards(_bad_weights(spec, a, [threshold], max_depth), threshold, spec.dim))
 
@@ -461,7 +453,7 @@ def refinement_profile(spec: MeasureSpec, a: float, budget_cap: int,
     raises :class:`MaxDepthExceeded` naming the first such cube of that
     state in depth-first (key) order.
     """
-    _check_budget("budget_cap", budget_cap)
+    _checks.count("budget_cap", budget_cap, what=_BUDGET)
     return _profile(spec, a, budget_cap, max_depth)[0]
 
 
@@ -502,7 +494,7 @@ def budget_partition(spec: MeasureSpec, a: float, budget: int,
                      max_depth: int = DEFAULT_MAX_DEPTH) -> Partition:
     """The adaptive-family partition of largest cardinality <= budget (the
     one whose max J_a realises gamma_hat(budget))."""
-    _check_budget("budget", budget)
+    _checks.count("budget", budget, what=_BUDGET)
     states, levels = _profile(spec, a, budget, max_depth)
     j_top = states[int(np.searchsorted(states[:, 0], budget, side="right")) - 1, 1]
     # every cube of that state has J_a <= j_top, so the threshold just above
@@ -522,7 +514,7 @@ def gamma_adaptive_profile(spec: MeasureSpec, a: float, budgets: Sequence[int],
     if not budgets:
         raise ValueError("budgets must not be empty")
     for n in budgets:
-        _check_budget("budgets", n)
+        _checks.count("budgets", n, what=_BUDGET)
     states = refinement_profile(spec, a, max(budgets), max_depth=max_depth)
     # state 0 has cardinality 1, so every budget >= 1 has a state
     return states[np.searchsorted(states[:, 0], budgets, side="right") - 1, 1]
@@ -561,7 +553,7 @@ def gamma_dyadic_vector(spec: MeasureSpec, a: float, k_max: int,
     v*[k] gives one the fold reaches with the same max: v[k] = v*[k].  The
     argument needs neither monotone J_a nor the adaptive tie rule; those only
     make the first walk's certificate hold, so that one walk is enough."""
-    _check_budget("k_max", k_max)
+    _checks.count("k_max", k_max, what=_BUDGET)
     m = spec.dim
     levels, cut = _walk(spec, a, _TINY, max_depth, top=(k_max - 1) // ((1 << m) - 1) + 1)
     while True:
@@ -629,7 +621,7 @@ def gamma_dyadic_oracle(spec: MeasureSpec, a: float, n_cells: int,
     of depth <= max_depth.  Serves as the independent oracle for the
     adaptive partitions and as an upper bound for the optimisation over
     arbitrary axis-aligned subcubes."""
-    _check_budget("n_cells", n_cells)
+    _checks.count("n_cells", n_cells, what=_BUDGET)
     return float(gamma_dyadic_vector(spec, a, n_cells, max_depth)[n_cells])
 
 
@@ -637,7 +629,7 @@ def minimal_dyadic_cardinality(spec: MeasureSpec, a: float, t: float,
                                k_cap: int, max_depth: int = DEFAULT_MAX_DEPTH) -> int:
     """Smallest k with an exact dyadic partition of max J_a < t, searched up
     to k_cap; raises if no budget up to k_cap is feasible."""
-    _check_budget("k_cap", k_cap)
+    _checks.count("k_cap", k_cap, what=_BUDGET)
     v = gamma_dyadic_vector(spec, a, k_cap, max_depth)
     feasible = np.nonzero(v < t)[0]
     if len(feasible) == 0:

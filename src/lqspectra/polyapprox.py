@@ -44,7 +44,6 @@ and the stream left at the same place.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -53,6 +52,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
+from . import _checks
 from .measures import (
     Atomic,
     DyadicCube,
@@ -98,8 +98,8 @@ _OUTSIDE = "some points lie outside the partition (expected (0,1]^m)"
 
 def kappa(m: int, ell: int) -> int:
     """Dimension of the m-variate polynomials of total degree <= ell-1."""
-    if m < 1 or ell < 1:
-        raise ValueError("m and ell must be >= 1")
+    _checks.count("m", m)
+    _checks.count("ell", ell)
     return math.comb(m + ell - 1, m)
 
 
@@ -203,15 +203,13 @@ def _nodes(corner: np.ndarray, side: np.ndarray, n_nodes: int) -> tuple[np.ndarr
 def _project(u, cubes: _CubeKeys, ell: int, q_extra: int) -> np.ndarray:
     """Coefficients (k, kappa) of the projections of u on the cubes, one
     oracle call per block of cubes."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    k = len(cubes.levels)
+    coeffs = np.empty((k, kappa(cubes.dim, ell)))  # kappa checks ell
     n_nodes = ell + q_extra
     geometry = _geometry(*cubes)
     corner, side, _ = geometry
-    k = len(cubes.levels)
     per = n_nodes ** cubes.dim
     step = max(1, _BLOCK // per)
-    coeffs = np.empty((k, kappa(cubes.dim, ell)))
     for s in range(0, k, step):
         blk = slice(s, s + step)
         pts, w = _nodes(corner[blk], side[blk], n_nodes)
@@ -394,9 +392,12 @@ class PiecewisePoly:
     def from_json_dict(cls, doc: dict) -> "PiecewisePoly":
         if doc.get("basis") != BASIS_TAG:
             raise ValueError(f"unknown basis tag {doc.get('basis')!r}")
+        order = _checks.count("order", doc["order"])
         cubes = [DyadicCube(p["level"], tuple(p["index"])) for p in doc["pieces"]]
         coeffs = np.asarray([p["coefficients"] for p in doc["pieces"]], dtype=float)
-        return cls(order=int(doc["order"]), cubes=cubes, coeffs=coeffs)
+        if not cubes or coeffs.shape != (len(cubes), kappa(cubes[0].dim, order)):
+            raise ValueError(f"pieces need kappa(m, order) coefficients each, not {coeffs.shape}")
+        return cls(order=order, cubes=cubes, coeffs=coeffs)
 
 
 def piecewise_project(u, partition: Union[Partition, Sequence[DyadicCube]],
@@ -549,10 +550,8 @@ def error_sample(u, spec: MeasureSpec, q: float, n_samples: int = 100_000,
     Requires a finite q >= 1 and n_samples >= 2 (a standard error needs two
     draws).
     """
-    if not 1 <= q < math.inf:
-        raise ValueError(f"q must be finite and >= 1 (q={q})")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2 (n_samples={n_samples})")
+    _checks.real("q", q, 1.0, inclusive=True)
+    _checks.count("n_samples", n_samples, least=2)
     if isinstance(spec, Atomic):
         pts = np.array([[float(c) for c in p] for p in spec.points])
         weights = np.asarray(spec.weights)
@@ -621,15 +620,12 @@ def width_upper_sequence(spec: MeasureSpec, params: OrderParams,
     fitted decay order of the bound sequence."""
     if spec.dim != params.m:
         raise ValueError(f"measure dimension {spec.dim} != params.m {params.m}")
-    ns = [int(n) for n in n_list]
-    if not ns or any(n < 1 for n in ns) or any(x >= y for x, y in zip(ns, ns[1:])):
-        raise ValueError("n_list must be nonempty, strictly increasing, >= 1")
     a = params.rho / params.m
     kap = kappa(params.m, params.ell)
-    dims = np.array([kap * n for n in ns])
+    dims = kap * np.array(_checks.levels("n_list", n_list))
     gammas = gamma_adaptive_profile(spec, a, dims, max_depth=max_depth)
     bounds = gammas ** (1.0 / params.q)
-    if len(ns) >= 2:
+    if len(dims) >= 2:
         slope = float(np.polyfit(np.log(dims), np.log(bounds), 1)[0])
     else:
         slope = float("nan")

@@ -83,6 +83,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _checks
 from .measures import MeasureSpec, _supports, support_masses
 
 __all__ = [
@@ -168,17 +169,10 @@ def _beta(groups: _MassGroups, n: int, s: float, out: np.ndarray | None = None) 
     return (shift + math.log2(total)) / n
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0 ({name}={value!r})")
-
-
 def beta_n(spec: MeasureSpec, n: int, s: float) -> float:
     """Level-n L^q-spectrum beta_n(s); requires n >= 1 and finite s >= 0."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    if not 0 <= s < math.inf:
-        raise ValueError(f"s must be finite and >= 0 (s={s!r})")
+    _checks.count("n", n, what="a level")
+    _checks.real("s", s, inclusive=True)
     return _beta(_mass_groups(support_masses(spec, n)), n, s)
 
 
@@ -204,8 +198,7 @@ def spectrum_curve(spec: MeasureSpec, n: int, s_grid: Sequence[float]) -> Spectr
         raise ValueError("s_grid must be strictly increasing")
     if s[0] < 0:
         raise ValueError("s must be >= 0")
-    if n < 1:
-        raise ValueError("level must be >= 1")
+    _checks.count("n", n, what="a level")
     groups = _mass_groups(support_masses(spec, n))
     buf = np.empty_like(groups.log2)
     vals = np.array([_beta(groups, n, float(si), buf) for si in s])
@@ -217,9 +210,8 @@ def s_nb(spec: MeasureSpec, n: int, b: float) -> float:
 
     Returns 0 when beta_n(0) <= 0 already (single-cube support).
     """
-    _check_positive("b", b)
-    if n < 1:
-        raise ValueError("level must be >= 1")
+    _checks.real("b", b)
+    _checks.count("n", n, what="a level")
     return _root(_mass_groups(support_masses(spec, n)), n, b)
 
 
@@ -304,21 +296,12 @@ def _fixed_points(spec: MeasureSpec, bs: Sequence[float],
                   levels: Sequence[int]) -> list[FixedPoint]:
     """:func:`s_b_estimate` for each b of ``bs``, from one walk of the levels."""
     for b in bs:
-        _check_positive("b", b)
-    levels = _check_levels(levels)
+        _checks.real("b", b)
+    levels = _checks.levels("levels", levels)
     # one walk to the deepest level, keeping each level's mass groups; the
     # roots are solved after it, when no frontier is left
     per_level = list(map(_mass_groups, map(itemgetter(1), _supports(spec, levels))))
     return [_fixed_point(b, levels, per_level) for b in bs]
-
-
-def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
-    levels = tuple(int(n) for n in levels)
-    if not levels or any(n < 1 for n in levels) or any(
-        a >= c for a, c in zip(levels, levels[1:])
-    ):
-        raise ValueError("levels must be a nonempty strictly increasing list of integers >= 1")
-    return levels
 
 
 def _fixed_point(b: float, levels: tuple[int, ...],
@@ -360,8 +343,7 @@ def _check_ifs_data(weights, ratios):
 def selfsimilar_beta(weights: Sequence[float], ratios: Sequence[float], s: float) -> float:
     """Spectrum value beta(s) of a self-similar measure: the unique root in
     beta of sum_i p_i^s r_i^beta = 1 (strictly decreasing in beta)."""
-    if not 0 <= s < math.inf:
-        raise ValueError(f"s must be finite and >= 0 (s={s!r})")
+    _checks.real("s", s, inclusive=True)
     w, r = _check_ifs_data(weights, ratios)
     logw = np.log(w)
     logr = np.log(r)
@@ -381,7 +363,7 @@ def selfsimilar_beta(weights: Sequence[float], ratios: Sequence[float], s: float
 def selfsimilar_s_rho(weights: Sequence[float], ratios: Sequence[float], rho: float) -> float:
     """Fixed point of the self-similar spectrum against the line rho*s: the
     unique root in (0, 1) of sum_i (p_i r_i^rho)^s = 1."""
-    _check_positive("rho", rho)
+    _checks.real("rho", rho)
     w, r = _check_ifs_data(weights, ratios)
     if len(w) == 1:
         return 0.0  # single-map system: point mass, degenerate fixed point
@@ -413,8 +395,8 @@ class OrderParams:
             raise ValueError(
                 f"standing assumption violated: q >= p fails (q={self.q}, p={self.p})"
             )
-        if self.ell < 1 or self.m < 1:
-            raise ValueError("ell and m must be positive integers")
+        _checks.count("ell", self.ell)
+        _checks.count("m", self.m)
         if not self.ell * self.p / self.m > 1:
             raise ValueError(
                 f"standing assumption violated: ell*p/m > 1 fails "

@@ -143,6 +143,9 @@ def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, messag
     (["spectrum", "--levels", "1,1"], "argument --levels: levels must be a nonempty strictly"),
     (["fixedpoint", "--levels", "1,1"], "argument --levels: levels must be a nonempty strictly"),
     (["order", "--levels", "0..2"], "argument --levels: '0..2' is not a list of integers >= 1"),
+    # a window from 0 or below reached LAPACK, which printed to stderr
+    (["order", "--levels", "6..8", "--window", "0,50"], "argument --window: lo must be >= 1"),
+    (["order", "--levels", "6..8", "--window=-5,50"], "argument --window: lo must be >= 1"),
 ])
 def test_depth_limits_and_empty_lists_exit_1_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -173,6 +173,20 @@ def test_order_fit_window_too_small(leb1):
         lq.order_fit(leb1, [6], index_window=(5, 12))
 
 
+@pytest.mark.parametrize("window, end", [((0, 50), 0), ((-5, 50), 0), ((5.0, 50), 0),
+                                         ((5, 0), 1)])
+def test_order_fit_window_ends_are_counts(monkeypatch, leb1, window, end):
+    # a window from 0 or below took log(0) and read lam[-1]: LAPACK printed
+    # to stderr and the least-squares SVD failed to converge; the window is
+    # now checked before any solve
+    def no_solve(atoms):
+        raise AssertionError("solved before the window was checked")
+
+    monkeypatch.setattr(kreinfeller, "solve_eigen", no_solve)
+    with pytest.raises(ValueError, match=rf"^index_window\[{end}\] must be >= 1"):
+        lq.order_fit(leb1, [6, 7], index_window=window)
+
+
 @pytest.mark.parametrize("reference_levels", [None, [4]])
 def test_order_fit_checks_its_levels_before_any_solve(monkeypatch, binom, reference_levels):
     def no_solve(atoms):

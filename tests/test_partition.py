@@ -278,13 +278,33 @@ BAD_COUNTS = {
     "max_depth-counting": lambda s: lq.counting_N(s, 1.0, 10.0, max_depth=-1),
     "max_depth-entropy": lambda s: lq.entropy_estimate(s, 1.0, [1, 2, 3, 4], max_depth=-1),
     "max_depth-profile": lambda s: lq.refinement_profile(s, 1.0, 10, max_depth=-1),
+    # the other modules share the rules: a fractional or boolean count, an
+    # infinite or NaN real; these returned numbers, raised foreign errors or
+    # named the wrong value
+    "n-beta_n": lambda s: lq.beta_n(s, 2.5, 0.0),
+    "n-s_nb": lambda s: lq.s_nb(s, 2.5, 1.0),
+    "n-spectrum_curve": lambda s: lq.spectrum_curve(s, 2.5, [0.0, 1.0]),
+    "level-support_masses": lambda s: lq.support_masses(s, 2.5),
+    "level-support_masses_bool": lambda s: lq.support_masses(s, True),
+    "levels-s_b_estimate": lambda s: lq.s_b_estimate(s, 1.0, [2.5, 4]),
+    "n_list": lambda s: lq.width_upper_sequence(s, lq.OrderParams(2, 2, 1, 1), [2.7, 4.2]),
+    "max_depth-profile_fraction": lambda s: lq.refinement_profile(s, 1.0, 100, max_depth=2.5),
+    "max_depth-oracle_fraction": lambda s: lq.gamma_dyadic_vector(s, 1.0, 100, max_depth=2.5),
+    "level-discretize": lambda s: lq.discretize(s, 2.5),
+    "n_samples": lambda s: lq.error_sample(lambda x: x[:, 0], s, 2.0, n_samples=2.5),
+    "m-kappa": lambda s: lq.kappa(1.5, 2),
+    "t-counting_N": lambda s: lq.counting_N(s, 1.0, math.inf),
+    "x-counting_function": lambda s: lq.counting_function(
+        lq.solve_eigen(lq.discretize(s, 4)), math.nan),
+    "n-width_from_eigen": lambda s: lq.width_from_eigen(lq.solve_eigen(lq.discretize(s, 4)), 2.5),
+    "ell-OrderParams": lambda s: lq.OrderParams(2, 2, 1.5, 1),
 }
 
 
 @pytest.mark.parametrize("case", BAD_COUNTS)
 def test_bad_budgets_and_depths_name_their_parameter(binom, case):
-    # a fractional budget or a negative depth is refused before any walk,
-    # with a ValueError that names the parameter
+    # a bad count or real is refused before any walk, with a ValueError
+    # that names the parameter
     name = case.split("-")[0]
     with pytest.raises(ValueError, match=f"^{name} must"):
         BAD_COUNTS[case](binom)
@@ -299,6 +319,12 @@ def test_numpy_integer_budgets_count_as_integers(binom):
         lq.budget_partition(binom, 1.0, 9).cardinality
     assert np.array_equal(lq.gamma_adaptive_profile(binom, 1.0, np.array([2, 9])),
                           lq.gamma_adaptive_profile(binom, 1.0, [2, 9]))
+    # levels and depths too; a level list comes back as Python ints
+    assert lq.beta_n(binom, np.int64(5), 0.5) == lq.beta_n(binom, 5, 0.5)
+    levels = lq.s_b_estimate(binom, 1.0, np.arange(2, 5)).levels
+    assert levels == (2, 3, 4) and all(type(n) is int for n in levels)
+    assert lq.gamma_dyadic_vector(binom, 1.0, 9, max_depth=np.int64(12)).tobytes() == \
+        lq.gamma_dyadic_vector(binom, 1.0, 9, max_depth=12).tobytes()
 
 
 def test_oracle_vector_monotone(binom):

@@ -169,6 +169,19 @@ def test_piecewise_json_roundtrip():
         lq.PiecewisePoly.from_json_dict({"basis": "other", "order": 1, "pieces": []})
 
 
+def test_piecewise_json_refuses_bad_orders_and_coefficient_counts():
+    # an order of 2.7 was read as 2 and True as 1; an order-1 document with
+    # two coefficients per piece evaluated with the first of them only
+    halves = [lq.DyadicCube(1, (0,)), lq.DyadicCube(1, (1,))]
+    doc = lq.piecewise_project(poly_u([1.0, 2.0]), halves, 2).to_json_dict()
+    for order in (2.7, True):
+        with pytest.raises(ValueError, match="^order must"):
+            lq.PiecewisePoly.from_json_dict({**doc, "order": order})
+    for order, pieces in ((1, doc["pieces"]), (2, [])):
+        with pytest.raises(ValueError, match="^pieces need kappa"):
+            lq.PiecewisePoly.from_json_dict({**doc, "order": order, "pieces": pieces})
+
+
 # ---------------------------------------------------------------------------
 # empirical L^q errors
 # ---------------------------------------------------------------------------

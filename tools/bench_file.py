@@ -17,9 +17,10 @@ with one row for ``import lqspectra`` (time inside a fresh interpreter),
 one per ``lqspectra`` subcommand at the arguments of the ``cli`` workload of
 ``perfbench`` (wall time of a fresh interpreter, as that workload times
 it), one for ``split_counting_check`` at level 12 (in-process, after one
-untimed call), and seven for the partition layer at the sizes of the
-``partitions`` workload (in-process, the median of five calls after one
-untimed call): ``adaptive_partition`` on the binomial and the tetrahedron,
+untimed call), four for the eigen solve and fit (see :func:`eigen_cases`),
+and seven for the partition layer at the sizes of the ``partitions``
+workload (in-process, the median of five calls after one untimed call):
+``adaptive_partition`` on the binomial and the tetrahedron,
 ``gamma_adaptive_profile`` of the tetrahedron to 32,768 cubes,
 ``entropy_estimate`` of the binomial, and ``budget_partition`` at the
 budgets of the workload's two error chains and of its tetrahedron
@@ -305,6 +306,20 @@ def oracle_cases(seed: int) -> list[tuple[str, str]]:
          for name, a, k in (("tetra", 0.5, 400), ("lebesgue2", 1.0, 300))]
 
 
+def eigen_cases() -> list[tuple[str, str]]:
+    """(case, child code) of the Krein-Feller rows, timed like the partition
+    rows: ``solve_eigen(discretize(binomial_ifs(0.7), n))`` and
+    ``order_fit(binomial_ifs(0.7), [n])`` at n = 13 and 14, where every one
+    of the 2^n atoms has positive mass and every eigenvalue is solved for.
+    The work units are atoms."""
+    binomial = {"call": "binomial_ifs", "args": [0.7]}
+    return [case for n in (13, 14) for case in (
+        (f"solve_eigen(discretize(binomial_ifs(0.7), {n})); atoms",
+         _case_code(binomial, f"lq.solve_eigen(lq.discretize(spec, {n}))", "result.size")),
+        (f"order_fit(binomial_ifs(0.7), [{n}]); atoms",
+         _case_code(binomial, f"lq.order_fit(spec, [{n}])", str(1 << n))))]
+
+
 def polyapprox_cases(seed: int) -> list[tuple[str, str]]:
     """(case, child code) of the polyapprox rows, at the sizes of the
     ``partitions`` workload with this seed: the workload's two
@@ -360,6 +375,9 @@ def main() -> None:
         cases.append(("kreinfeller",
                       "split_counting_check(binomial_ifs(0.7), 12, cuts [0.25, 0.75], 50 x); atoms",
                       4096, lambda tree: (_child_seconds(tree, SPLIT_CHILD), 4096)))
+        for case, code in eigen_cases():
+            cases.append(("kreinfeller", case, None,
+                          lambda tree, code=code: _child_units(tree, code)))
         for layer, layer_cases in (("partition", partition_cases), ("oracle", oracle_cases),
                                    ("measures", measures_cases), ("spectrum", spectrum_cases),
                                    ("polyapprox", polyapprox_cases)):
