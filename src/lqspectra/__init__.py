@@ -10,7 +10,8 @@ The package computes, at desk scale, the chain
 with closed forms for self-similar measures as cross-checks throughout.
 
 Counts (levels, budgets, depths) are Python or numpy integers, not bools or floats; reals
-are finite; level lists strictly increase; a ValueError names a parameter that breaks this.
+are finite; level lists strictly increase; weights are finite, > 0 and sum to 1 within 1e-12;
+AtomicApprox points strictly increase in (0, 1); a ValueError names a parameter that breaks this.
 """
 
 from .measures import (

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+NORMALIZATION_TOL = 1e-12  # the most a weight, density or mixture sum may miss 1 by
+
 
 def _integer(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
@@ -29,3 +31,22 @@ def levels(name: str, values) -> tuple[int, ...]:
             or any(a >= c for a, c in zip(values, values[1:]))):
         raise ValueError(f"{name} must be a nonempty strictly increasing list of integers >= 1")
     return tuple(map(int, values))
+
+
+def probability_defects(name: str, weights) -> list[str]:
+    """What keeps ``weights`` from being a probability vector: every weight
+    finite and > 0, and their fsum within NORMALIZATION_TOL of 1."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all((0 < w) & (w < math.inf)):  # a NaN fails too
+        return [f"{name} must be finite and positive"]
+    try:
+        total = math.fsum(w.tolist())
+    except OverflowError:  # a sum beyond the largest float
+        total = math.inf
+    return [] if abs(total - 1.0) <= NORMALIZATION_TOL else [f"{name} sum to {total!r}, not 1"]
+
+
+def probabilities(name: str, weights) -> None:
+    """Raise the :func:`probability_defects` of ``weights``, if it has any."""
+    if defects := probability_defects(name, weights):
+        raise ValueError("; ".join(defects))

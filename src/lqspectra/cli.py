@@ -306,16 +306,15 @@ def _cmd_demo(args) -> None:
     if args.name != "fig1":
         raise ParameterError(f"unknown demo {args.name!r} (available: fig1)")
     spec = _resolve_measure("fig1_tetraeder")
-    weights = list(spec.weights)
-    ratios = [0.5] * 4
+    ratios = [math.ldexp(1.0, -mp.ratio_log2) for mp in spec.maps]
     rho = 2.0
-    m = 3
+    m = spec.dim
     sgrid = np.linspace(0.0, 1.4, 57)
     curve = spectrum_curve(spec, 6, sgrid)
     _write_csv(Path(args.out) / "fig1_curve.csv", ["s", "beta_n"],
                zip(curve.s_grid, curve.values))
     beta0 = float(curve.values[0])
-    s_rho = selfsimilar_s_rho(weights, ratios, rho)
+    s_rho = selfsimilar_s_rho(spec.weights, ratios, rho)
     s_n2 = s_b_estimate(spec, rho, [4, 6, 8, 10]).s_hat
     rows = [
         ("beta_n(0)", beta0, 2.0, abs(beta0 - 2.0) < 1e-12),

@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-8
-WEIGHT_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class AtomicApprox:
     """Finite atomic stand-in for a 1D measure.
 
     points : strictly increasing positions in (0, 1)
-    weights : positive masses summing to 1 (within 1e-10)
+    weights : positive masses summing to 1 (within 1e-12)
     provenance : free-form note on where the atoms came from
     """
 
@@ -78,12 +77,8 @@ class AtomicApprox:
         object.__setattr__(self, "weights", w)
         if pts.ndim != 1 or pts.shape != w.shape or len(pts) == 0:
             raise ValueError("points and weights must be equal-length 1D arrays")
-        if pts[0] <= 0.0 or pts[-1] >= 1.0 or np.any(np.diff(pts) <= 0):
-            raise ValueError("points must be strictly increasing inside (0, 1)")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        if abs(math.fsum(w) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {math.fsum(w)!r}, not 1")
+        _gaps(pts)
+        _checks.probabilities("weights", w)
 
     @property
     def size(self) -> int:
@@ -134,12 +129,17 @@ def stiffness_tridiagonal(points: np.ndarray, lo: float = 0.0, hi: float = 1.0
     """Diagonal and off-diagonal of the hat-function stiffness matrix on
     (lo, hi) with Dirichlet ends: K_jj = 1/g_j + 1/g_{j+1}, K_{j,j+1} =
     -1/g_{j+1} for the gaps g between consecutive nodes (endpoints included)."""
-    x = np.concatenate(([lo], np.asarray(points, dtype=float), [hi]))
-    gaps = np.diff(x)
-    if np.any(gaps <= 0):
-        raise ValueError("points must be strictly increasing strictly inside the interval")
-    inv = 1.0 / gaps
+    inv = 1.0 / _gaps(points, lo, hi)
     return inv[:-1] + inv[1:], -inv[1:-1]
+
+
+def _gaps(points, lo: float = 0.0, hi: float = 1.0, name: str = "points") -> np.ndarray:
+    """The gaps between lo, the points and hi, when the points strictly increase inside (lo, hi)."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: a NaN gap, which fails
+        gaps = np.diff(np.concatenate(([lo], np.asarray(points, dtype=float), [hi])))
+    if not np.all(gaps > 0):  # a NaN fails too
+        raise ValueError(f"{name} must be strictly increasing inside ({lo}, {hi})")
+    return gaps
 
 
 @dataclass(eq=False)
@@ -303,6 +303,8 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
     """
     levels = _checks.levels("levels", sorted(levels))
     _fit_window(0, index_window)  # an explicit window is checked before any solve
+    if reference_levels is not None:  # and so are reference levels
+        reference_levels = _checks.levels("reference_levels", reference_levels)
     slopes = []
     stderr_finest = window_finest = None
     raw = []  # each level's masses, reused by the fixed-point step below
@@ -326,8 +328,7 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
     if reference_levels is None and not isinstance(spec, Atomic):
         s1 = _fixed_point(1.0, levels, map(_mass_groups, raw)).s_hat
     else:
-        ref_levels = list(reference_levels) if reference_levels is not None else levels
-        s1 = s_b_estimate(spec, 1.0, ref_levels).s_hat
+        s1 = s_b_estimate(spec, 1.0, reference_levels or levels).s_hat
     reference = -1.0 / s1 if s1 > 0 else -math.inf
     return OrderFit(
         slope=finest_slope,
@@ -427,8 +428,7 @@ def split_counting_check(spec: MeasureSpec | AtomicApprox, level: int | None,
     cuts = tuple(sorted(float(c) for c in cuts))
     if not cuts:
         raise ValueError("at least one cut point is required")
-    if not all(0.0 < c < 1.0 for c in cuts) or len(set(cuts)) != len(cuts):
-        raise ValueError("cuts must be distinct points strictly inside (0, 1)")
+    _gaps(cuts, name="cuts")  # sorted, so distinct
     for c in cuts:
         if np.any(atoms.points == c):
             raise ValueError(f"cut {c} coincides with an atom; the sandwich needs nu(cut)=0")

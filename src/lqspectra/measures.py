@@ -72,7 +72,6 @@ __all__ = [
     "exp_decay_atoms",
 ]
 
-NORMALIZATION_TOL = 1e-12
 # Bounds on what a few bytes of a spec document can demand: every float's
 # denominator divides 2^1074, and Lebesgue measure runs as the IFS of its 2^m
 # corner maps, checked pairwise (O(4^m), 0.04 s at m = 8).  Ratio exponents
@@ -139,13 +138,10 @@ class DyadicCube:
     index: tuple[int, ...]
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("cube level must be >= 0")
-        top = 1 << self.level
-        if not self.index or any(l < 0 or l >= top for l in self.index):
-            raise ValueError(
-                f"cube index {self.index} out of range for level {self.level}"
-            )
+        if type(self.level) is not int or self.level < 0:  # the count rule, at int's speed
+            _checks.count("level", self.level, least=0)
+        if not self.index or min(self.index) < 0 or max(self.index) >= 1 << self.level:
+            raise ValueError(f"cube index {self.index} out of range for level {self.level}")
 
     @property
     def dim(self) -> int:
@@ -307,7 +303,7 @@ class DyadicIFS(MeasureSpec):
             # the invariant measure of one map is a point mass at its fixed point
             out.append("at least two maps are required (one map degenerates to a point mass)")
             return out
-        out.extend(_check_weights(self.weights, "weights"))
+        out.extend(_checks.probability_defects("weights", self.weights))
         images = []
         for i, mp in enumerate(self.maps):
             if mp.ratio_log2 < 1:
@@ -389,7 +385,7 @@ class GeneralIFS1D(MeasureSpec):
             return ["maps and weights must have equal length"]
         if len(self.maps) < 2:
             out.append("at least two maps are required (one map degenerates to a point mass)")
-        out.extend(_check_weights(self.weights, "weights"))
+        out.extend(_checks.probability_defects("weights", self.weights))
         # the engine's proportional cut mass_tol / 4 stays a normal float; at
         # 5e-324 it is 0.0, and a chain that stays in the support never ends
         if not (1e-300 <= self.mass_tol <= 1e-3):
@@ -435,7 +431,7 @@ class Atomic(MeasureSpec):
                 out.append(f"atom {i}: point must lie in the open cube (0,1)^m")
         if len(set(self.points)) != len(self.points):
             out.append("duplicate atom positions")
-        out.extend(_check_weights(self.weights, "weights"))
+        out.extend(_checks.probability_defects("weights", self.weights))
         return out
 
 
@@ -475,7 +471,7 @@ class DyadicDensity(MeasureSpec):
         if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
             out.append("density values must be finite and >= 0")
         total = float(self.values.sum()) * math.ldexp(1.0, -self.depth * self.dim)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if abs(total - 1.0) > _checks.NORMALIZATION_TOL:
             out.append(f"total mass is {total!r}, not 1")
         return out
 
@@ -497,22 +493,12 @@ class Mixture(MeasureSpec):
         coefs = [c for c, _ in self.components]
         if any(not (math.isfinite(c) and c >= 0) for c in coefs):
             out.append("mixture coefficients must be finite and >= 0")
-        if abs(sum(coefs) - 1.0) > NORMALIZATION_TOL:
+        if abs(sum(coefs) - 1.0) > _checks.NORMALIZATION_TOL:
             out.append(f"coefficients sum to {sum(coefs)!r}, not 1")
         dims = {spec.dim for _, spec in self.components}
         if len(dims) > 1:
             out.append(f"components have mixed dimensions {sorted(dims)}")
         return out
-
-
-def _check_weights(weights: Sequence[float], label: str) -> list[str]:
-    out = []
-    if any((not math.isfinite(w)) or w <= 0 for w in weights):
-        out.append(f"{label} must be finite and > 0")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        out.append(f"{label} sum to {total!r}, not 1")
-    return out
 
 
 class InvalidMeasureError(ValueError):
@@ -530,8 +516,7 @@ def validate(spec: MeasureSpec) -> list[str]:
 
 def ensure_valid(spec: MeasureSpec) -> None:
     """Raise :class:`InvalidMeasureError` on violations (a built spec passes)."""
-    bad = spec.violations()
-    if bad:
+    if bad := spec.violations():
         raise InvalidMeasureError(bad)
 
 
@@ -1220,9 +1205,7 @@ def parse_spec(doc: dict) -> MeasureSpec:
 
 
 def load_spec(path: str | Path) -> MeasureSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return parse_spec(doc)
+    return parse_spec(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def save_spec(spec: MeasureSpec, path: str | Path) -> None:

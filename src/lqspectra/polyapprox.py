@@ -205,7 +205,7 @@ def _project(u, cubes: _CubeKeys, ell: int, q_extra: int) -> np.ndarray:
     oracle call per block of cubes."""
     k = len(cubes.levels)
     coeffs = np.empty((k, kappa(cubes.dim, ell)))  # kappa checks ell
-    n_nodes = ell + q_extra
+    n_nodes = ell + _checks.count("q_extra", q_extra, least=0)
     geometry = _geometry(*cubes)
     corner, side, _ = geometry
     per = n_nodes ** cubes.dim
@@ -236,21 +236,19 @@ def polynomial_values(cube: DyadicCube, ell: int, coeffs: np.ndarray,
 
 
 def _cube_residual(u, cube: DyadicCube, ell: int, coeffs: np.ndarray,
-                   n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tensor Gauss points and weights of the cube, and u minus the
-    polynomial with the given coefficients on them."""
-    corner, side, norm = _geometry(*_CubeKeys.of([cube]))
-    pts, w = _nodes(corner, side, n_nodes)
-    diff = _eval_u(u, pts) - _basis(pts, corner[0], side[0], norm[0], ell) @ np.asarray(coeffs)
-    return pts, w, diff
+                   n_nodes: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor Gauss points and weights of the cube, n_nodes per axis (by
+    default the doubled order 2 (ell + 4)), and u minus the polynomial with
+    the given coefficients on them."""
+    corner, side, _ = _geometry(*_CubeKeys.of([cube]))
+    pts, w = _nodes(corner, side, 2 * (ell + 4) if n_nodes is None else n_nodes)
+    return pts, w, _eval_u(u, pts) - polynomial_values(cube, ell, coeffs, pts)
 
 
 def moment_residuals(u, cube: DyadicCube, ell: int, coeffs: np.ndarray,
                      n_nodes: int | None = None) -> np.ndarray:
     """Residuals int x^k (u - r) dLambda over the cube for all |k| <= ell-1,
     evaluated with an independent (by default doubled-order) quadrature."""
-    if n_nodes is None:
-        n_nodes = 2 * (ell + 4)
     pts, w, diff = _cube_residual(u, cube, ell, coeffs, n_nodes)
     out = []
     for k in multi_indices(cube.dim, ell):
@@ -268,8 +266,6 @@ def projection_l2_error(u, cube: DyadicCube, ell: int,
     """L^2(cube) error of the projection (or of a supplied coefficient vector)."""
     if coeffs is None:
         coeffs = project_poly(u, cube, ell)
-    if n_nodes is None:
-        n_nodes = 2 * (ell + 4)
     pts, w, diff = _cube_residual(u, cube, ell, coeffs, n_nodes)
     return float(np.sqrt(np.sum(diff * diff * w)))
 
@@ -466,6 +462,7 @@ def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.nd
     CDF cut, in buffers reused over the steps; atoms, density cells and
     mixture components are located by the cell table of :func:`_located`.
     """
+    _checks.count("n", n, least=0)
     m = spec.dim
     if isinstance(spec, Lebesgue):
         return 1.0 - rng.random((n, m))

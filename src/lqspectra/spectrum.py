@@ -329,14 +329,12 @@ def _fixed_point(b: float, levels: tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 def _check_ifs_data(weights, ratios):
-    w = np.asarray(weights, dtype=float)
-    r = np.asarray(ratios, dtype=float)
+    w, r = np.asarray(weights, dtype=float), np.asarray(ratios, dtype=float)
     if w.shape != r.shape or w.ndim != 1 or len(w) < 1:
         raise ValueError("weights and ratios must be 1D arrays of equal length")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-    if np.any(w <= 0) or np.any((r <= 0) | (r >= 1)):
-        raise ValueError("weights must be positive and ratios in (0, 1)")
+    if not np.all((0 < r) & (r < 1)):  # a NaN ratio fails too
+        raise ValueError("ratios must lie in (0, 1)")
+    _checks.probabilities("weights", w)
     return w, r
 
 

@@ -42,6 +42,20 @@ def test_discretize_rejects_multidim(leb2):
         lq.discretize(leb2, 3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: lq.AtomicApprox([math.nan, 0.5], [0.5, 0.5]),
+    lambda: lq.AtomicApprox([0.2, math.nan, 0.7], [0.25, 0.5, 0.25]),
+    lambda: lq.stiffness_tridiagonal([0.2, math.nan, 0.7]),
+    lambda: lq.stiffness_tridiagonal([0.2, 0.7], math.nan, 1.0),
+    lambda: lq.stiffness_tridiagonal([math.inf, math.inf]),
+], ids=["atoms-first", "atoms-middle", "stiffness-middle", "stiffness-end", "stiffness-inf"])
+def test_non_finite_points_are_refused(build):
+    # each used to pass, and the stiffness matrix came back full of NaN; two
+    # infinite points made a NaN gap with a RuntimeWarning
+    with pytest.raises(ValueError, match="^points must be strictly increasing"):
+        build()
+
+
 def test_atomic_approx_invariants():
     with pytest.raises(ValueError, match="increasing"):
         lq.AtomicApprox(np.array([0.6, 0.4]), np.array([0.5, 0.5]))
@@ -187,7 +201,7 @@ def test_order_fit_window_ends_are_counts(monkeypatch, leb1, window, end):
         lq.order_fit(leb1, [6, 7], index_window=window)
 
 
-@pytest.mark.parametrize("reference_levels", [None, [4]])
+@pytest.mark.parametrize("reference_levels", [None, [4], [0, 3]])
 def test_order_fit_checks_its_levels_before_any_solve(monkeypatch, binom, reference_levels):
     def no_solve(atoms):
         raise AssertionError("solved before the levels were checked")
@@ -196,6 +210,9 @@ def test_order_fit_checks_its_levels_before_any_solve(monkeypatch, binom, refere
     for levels in ([9, 9, 10], [0, 9], []):
         with pytest.raises(ValueError, match="strictly increasing"):
             lq.order_fit(binom, levels, reference_levels=reference_levels)
+    if reference_levels == [0, 3]:  # good levels, bad reference levels
+        with pytest.raises(ValueError, match="^reference_levels must"):
+            lq.order_fit(binom, [12, 13, 14], reference_levels=reference_levels)
 
 
 def test_order_fit_accepts_unsorted_levels(binom):

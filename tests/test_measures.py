@@ -54,6 +54,15 @@ def test_cube_index_range_enforced():
         lq.DyadicCube(-1, (0,))
 
 
+@pytest.mark.parametrize("level", [2.5, True], ids=["float", "bool"])
+def test_cube_level_follows_the_count_rule(level):
+    # a float level used to fail in 1 << level with a TypeError, and True
+    # passed as level 1
+    with pytest.raises(ValueError, match="^level must be >= 0, an integer"):
+        lq.DyadicCube(level, (1,) if level is True else (0,))
+    assert lq.DyadicCube(np.int64(2), (3,)).index == (3,)
+
+
 def test_children_partition_parent_exactly():
     cube = lq.DyadicCube(2, (3, 1))
     total = sum(k.volume_fraction() for k in cube.children())
@@ -277,6 +286,44 @@ def test_invalid_spec_rejected_by_operations():
     # an invalid spec cannot be built, so no operation ever receives one
     bad = _violations(lambda: lq.Atomic(((Fraction(1, 2),),), (0.9,)))
     assert bad == ["weights sum to 0.9, not 1"]
+
+
+# every site that takes weights holds them to one rule: each weight finite
+# and > 0, and their fsum within 1e-12 of 1
+WEIGHT_SITES = {
+    "DyadicIFS": lambda w: lq.DyadicIFS(1, lq.binomial_ifs(0.5).maps, tuple(w)),
+    "GeneralIFS1D": lambda w: lq.cantor_measure(weights=w),
+    "Atomic": lambda w: lq.Atomic(((Fraction(1, 3),), (Fraction(2, 3),)), tuple(w)),
+    "selfsimilar_beta": lambda w: lq.selfsimilar_beta(w, [0.5, 0.5], 1.0),
+    "selfsimilar_s_rho": lambda w: lq.selfsimilar_s_rho(w, [0.5, 0.5], 2.0),
+    "AtomicApprox": lambda w: lq.AtomicApprox([1 / 3, 2 / 3], w),
+}
+REFUSED_WEIGHTS = {
+    "nan": [math.nan, 0.5],
+    "inf": [math.inf, 0.5],
+    "-inf": [-math.inf, 0.5],
+    "zero": [0.0, 1.0],
+    "negative": [-0.5, 1.5],
+    "sum 1 + 2e-12": [0.5, 0.5 + 2e-12],
+    "sum 1 - 2e-12": [0.5, 0.5 - 2e-12],
+    "sum beyond the floats": [1e308, 1e308],
+}
+
+
+@pytest.mark.parametrize("weights", REFUSED_WEIGHTS.values(), ids=REFUSED_WEIGHTS)
+def test_every_weight_site_refuses_with_one_message(weights):
+    messages = {}
+    for site, build in WEIGHT_SITES.items():
+        with pytest.raises(ValueError, match="weights") as err:
+            build(weights)
+        messages[site] = str(err.value).removeprefix("invalid measure spec: ")
+    assert len(set(messages.values())) == 1, messages
+    assert messages["AtomicApprox"].startswith("weights ")
+
+
+def test_every_weight_site_accepts_a_sum_within_the_tolerance():
+    for build in WEIGHT_SITES.values():
+        build([0.5, 0.5 + 1e-13])
 
 
 def test_zero_dimensional_specs_rejected():

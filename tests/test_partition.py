@@ -298,6 +298,12 @@ BAD_COUNTS = {
         lq.solve_eigen(lq.discretize(s, 4)), math.nan),
     "n-width_from_eigen": lambda s: lq.width_from_eigen(lq.solve_eigen(lq.discretize(s, 4)), 2.5),
     "ell-OrderParams": lambda s: lq.OrderParams(2, 2, 1.5, 1),
+    "n-sample_measure": lambda s: lq.sample_measure(s, 2.5, np.random.default_rng(0)),
+    "n-sample_measure_negative": lambda s: lq.sample_measure(s, -1, np.random.default_rng(0)),
+    "q_extra-project_poly": lambda s: lq.project_poly(
+        lambda x: x[:, 0], lq.unit_cube(1), 2, q_extra=-3),
+    "q_extra-piecewise_project": lambda s: lq.piecewise_project(
+        lambda x: x[:, 0], [lq.unit_cube(1)], 2, q_extra=2.5),
 }
 
 

@@ -185,6 +185,14 @@ def test_selfsimilar_s_rho_geometric_weights():
     assert got == pytest.approx(delta / (1 + delta), abs=1e-12)
 
 
+@pytest.mark.parametrize("closed_form", [lq.selfsimilar_beta, lq.selfsimilar_s_rho])
+@pytest.mark.parametrize("ratios", [[math.nan, 0.5], [0.5, math.nan]])
+def test_selfsimilar_closed_forms_refuse_nan_ratios(closed_form, ratios):
+    # a NaN ratio used to give -1.0 (beta) or a root near 0 (s_rho)
+    with pytest.raises(ValueError, match="^ratios must lie in"):
+        closed_form([0.5, 0.5], ratios, 1.0)
+
+
 def test_selfsimilar_s_rho_residual():
     s = lq.selfsimilar_s_rho(FIG1_WEIGHTS, FIG1_RATIOS, 2.0)
     resid = abs(sum((p * 0.25) ** s for p in FIG1_WEIGHTS) - 1.0)

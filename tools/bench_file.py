@@ -17,14 +17,16 @@ with one row for ``import lqspectra`` (time inside a fresh interpreter),
 one per ``lqspectra`` subcommand at the arguments of the ``cli`` workload of
 ``perfbench`` (wall time of a fresh interpreter, as that workload times
 it), one for ``split_counting_check`` at level 12 (in-process, after one
-untimed call), four for the eigen solve and fit (see :func:`eigen_cases`),
-and seven for the partition layer at the sizes of the ``partitions``
-workload (in-process, the median of five calls after one untimed call):
-``adaptive_partition`` on the binomial and the tetrahedron,
-``gamma_adaptive_profile`` of the tetrahedron to 32,768 cubes,
+untimed call), five for discretization, the eigen solve and the fit (see
+:func:`eigen_cases`), and eight for the partition layer, seven at the
+sizes of the ``partitions`` workload (in-process, the median of five calls
+after one untimed call): ``adaptive_partition`` on the binomial and the
+tetrahedron, ``gamma_adaptive_profile`` of the tetrahedron to 32,768 cubes,
 ``entropy_estimate`` of the binomial, and ``budget_partition`` at the
 budgets of the workload's two error chains and of its tetrahedron
-polynomial reproduction; five for the exact oracle (see
+polynomial reproduction, and one that reads ``Partition.cubes`` of
+``adaptive_partition(binomial_ifs(0.7), 1.0, 1e-5)`` (377 DyadicCube
+objects built per read, 100 reads per call); five for the exact oracle (see
 :func:`oracle_cases`); and eight for the spectrum layer at the
 sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
 binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
@@ -264,6 +266,14 @@ def partition_cases(seed: int) -> list[tuple[str, str]]:
         add(f"budget_partition({item['spec']}, a={item['a']:.4g}, {item['budget']}); cubes",
             item["spec"], f"lq.budget_partition(spec, {item['a']!r}, {item['budget']})",
             "result.cardinality")
+    # a partition builds its DyadicCube objects on the first read of
+    # ``cubes``; each shallow copy of an unread one builds them again
+    cases.append(("Partition.cubes of adaptive_partition(binomial_ifs(0.7), a=1.0, t=1e-05), "
+                  "100 reads; cubes",
+                  _case_code({"call": "binomial_ifs", "args": [0.7]},
+                             "[copy.copy(part).cubes for _ in range(100)]",
+                             "sum(map(len, result))",
+                             "import copy\npart = lq.adaptive_partition(spec, 1.0, 1e-5)")))
     return cases
 
 
@@ -308,12 +318,15 @@ def oracle_cases(seed: int) -> list[tuple[str, str]]:
 
 def eigen_cases() -> list[tuple[str, str]]:
     """(case, child code) of the Krein-Feller rows, timed like the partition
-    rows: ``solve_eigen(discretize(binomial_ifs(0.7), n))`` and
-    ``order_fit(binomial_ifs(0.7), [n])`` at n = 13 and 14, where every one
-    of the 2^n atoms has positive mass and every eigenvalue is solved for.
-    The work units are atoms."""
+    rows: ``discretize(binomial_ifs(0.7), 18)``, which builds and checks a
+    262,144-atom AtomicApprox, and ``solve_eigen(discretize(binomial_ifs(0.7),
+    n))`` and ``order_fit(binomial_ifs(0.7), [n])`` at n = 13 and 14, where
+    every one of the 2^n atoms has positive mass and every eigenvalue is
+    solved for.  The work units are atoms."""
     binomial = {"call": "binomial_ifs", "args": [0.7]}
-    return [case for n in (13, 14) for case in (
+    return [("discretize(binomial_ifs(0.7), 18); atoms",
+             _case_code(binomial, "lq.discretize(spec, 18)", "result.size"))] + [
+        case for n in (13, 14) for case in (
         (f"solve_eigen(discretize(binomial_ifs(0.7), {n})); atoms",
          _case_code(binomial, f"lq.solve_eigen(lq.discretize(spec, {n}))", "result.size")),
         (f"order_fit(binomial_ifs(0.7), [{n}]); atoms",
