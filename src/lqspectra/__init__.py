@@ -11,7 +11,9 @@ with closed forms for self-similar measures as cross-checks throughout.
 
 Counts (levels, budgets, depths) are Python or numpy integers, not bools or floats; reals
 are finite; level lists strictly increase; weights are finite, > 0 and sum to 1 within 1e-12;
-AtomicApprox points strictly increase in (0, 1); a ValueError names a parameter that breaks this.
+AtomicApprox points strictly increase in (0, 1); grids are 1-D, finite and strictly increasing:
+s_grid >= 0, t_grid > 0 with >= 4 values, x_grid > 0 in any order; a cube, partition or
+OrderParams has the measure's dimension; a ValueError starting with its name refuses a parameter.
 """
 
 from .measures import (

@@ -24,6 +24,28 @@ def count(name: str, n, least: int = 1, what: str = "an integer") -> int:
     return n
 
 
+def grid(name: str, values, least: int = 1, inclusive: bool = False,
+         increasing: bool = True) -> np.ndarray:
+    """``values`` as a 1-D float array, when it holds >= ``least`` finite values, each > 0
+    (>= 0 when ``inclusive``), strictly increasing when ``increasing``."""
+    try:
+        g = np.asarray(list(values), dtype=float)
+    except (TypeError, ValueError):  # a scalar, a ragged list or an entry that is no number
+        g = np.empty((0, 0))
+    if not (g.ndim == 1 and len(g) >= least
+            and np.all((g >= 0 if inclusive else g > 0) & (g < math.inf))  # a NaN fails too
+            and not (increasing and np.any(np.diff(g) <= 0))):
+        raise ValueError(f"{name} must be a {'strictly increasing ' * increasing}1-D grid of "
+                         f">= {least} finite {'nonnegative' if inclusive else 'positive'} values")
+    return g
+
+
+def dimension(name: str, dim: int, measure_dim: int) -> None:
+    """Raise unless ``name``, of dimension ``dim``, lives in the measure's ``measure_dim``."""
+    if dim != measure_dim:
+        raise ValueError(f"{name} has dimension {dim}, not the measure dimension {measure_dim}")
+
+
 def levels(name: str, values) -> tuple[int, ...]:
     """``values`` as Python ints, when nonempty, strictly increasing and >= 1."""
     values = tuple(values)

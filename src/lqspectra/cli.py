@@ -5,8 +5,9 @@ rendered.  Every table carries a header naming the emitted quantities, and
 identical configuration plus seed produces byte-identical files.
 
 Exit codes: 0 on success, 1 on parameter errors (bad flags, malformed or
-invalid measure files, a partition deeper than --max-depth, levels too deep
-for the memory at hand), 2 on failed internal assertions.
+invalid measure files, a partition deeper than --max-depth, levels or grids
+too large for the memory at hand, also while the flags are read), 2 on
+failed internal assertions.
 """
 
 from __future__ import annotations
@@ -40,13 +41,9 @@ from .spectrum import (
 )
 
 
-class ParameterError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
-        raise ParameterError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +62,7 @@ def _flag_type(parse):
 
 def _nonempty(out: list, text: str) -> list:
     if not out:
-        raise ParameterError(f"the list {text!r} is empty")
+        raise ValueError(f"the list {text!r} is empty")
     return out
 
 
@@ -75,7 +72,7 @@ def _ints(text: str) -> list[int]:
     lo, dots, hi = text.partition("..")
     ints = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in text.split(",") if x]
     if min(_nonempty(ints, text)) < 1:
-        raise ParameterError(f"{text!r} is not a list of integers >= 1")
+        raise ValueError(f"{text!r} is not a list of integers >= 1")
     return ints
 
 
@@ -85,20 +82,9 @@ def _levels(text: str) -> list[int]:
     return list(_checks.levels("levels", _ints(text)))
 
 
-@_flag_type
-def _count(text: str) -> int:
-    """'50' -> an integer >= 1."""
-    count = int(text)
-    if count < 1:
-        raise ParameterError(f"{text!r} is not an integer >= 1")
-    return count
-
-
-def _max_depth(text: str) -> int:
-    depth = int(text)
-    if depth < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (got {depth})")
-    return depth
+def _count(name: str, least: int = 1):
+    """The flag type of an integer >= ``least``, by the shared count rule."""
+    return _flag_type(lambda text: _checks.count(name, int(text), least))
 
 
 @_flag_type
@@ -112,14 +98,14 @@ def _grid(text: str) -> np.ndarray:
     """Geometric grid 'start,factor,count'."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise ParameterError("geometric grids are written start,factor,count")
+        raise ValueError("geometric grids are written start,factor,count")
     start, factor, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not (0 < start < math.inf and 1 < factor < math.inf and count >= 2):
-        raise ParameterError("need finite start > 0, finite factor > 1, count >= 2")
+        raise ValueError("need finite start > 0, finite factor > 1, count >= 2")
     with np.errstate(over="ignore"):
         grid = start * factor ** np.arange(count)
     if not np.all(np.isfinite(grid)):
-        raise ParameterError(f"the grid {text!r} overflows to inf")
+        raise ValueError(f"the grid {text!r} overflows to inf")
     return grid
 
 
@@ -128,10 +114,10 @@ def _sgrid(text: str) -> np.ndarray:
     """Uniform grid 'start:stop:count'."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ParameterError("s grids are written start:stop:count")
+        raise ValueError("s grids are written start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not (math.isfinite(start) and math.isfinite(stop) and count >= 1):
-        raise ParameterError(f"s grid {text!r}: start and stop must be finite values, count >= 1")
+        raise ValueError(f"s grid {text!r}: start and stop must be finite values, count >= 1")
     return np.linspace(start, stop, count)
 
 
@@ -140,7 +126,7 @@ def _window(text: str) -> tuple[int, int]:
     """Eigenvalue index window 'lo,hi'."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParameterError(f"--window is written lo,hi (got {text!r})")
+        raise ValueError(f"--window is written lo,hi (got {text!r})")
     return _checks.count("lo", int(parts[0])), int(parts[1])
 
 
@@ -150,7 +136,7 @@ def _resolve_measure(name: str) -> MeasureSpec:
         return load_spec(path)
     res = resources.files("lqspectra").joinpath(f"data/{name}.json")
     if not res.is_file():
-        raise ParameterError(
+        raise ValueError(
             f"measure {name!r}: no such file, and no shipped spec of that name"
         )
     return measures.parse_spec(json.loads(res.read_text()))
@@ -203,7 +189,7 @@ def _cmd_fixedpoint(args) -> None:
 def _cmd_partition(args) -> None:
     spec = _resolve_measure(args.measure)
     if args.t is None and args.t_grid is None:
-        raise ParameterError("give --t or --t-grid")
+        raise ValueError("give --t or --t-grid")
     thresholds = [args.t] if args.t is not None else list(args.t_grid)
     rows = []
     for t in thresholds:
@@ -245,7 +231,7 @@ def _cmd_project(args) -> None:
     spec = _resolve_measure(args.measure)
     params = OrderParams(p=args.p, q=args.q, ell=args.ell, m=spec.dim)
     if args.function not in _TEST_FUNCTIONS:
-        raise ParameterError(f"unknown test function {args.function!r}")
+        raise ValueError(f"unknown test function {args.function!r}")
     u = FunctionHandle(_TEST_FUNCTIONS[args.function])
     a = params.rho / params.m
     kap = kappa(params.m, params.ell)
@@ -257,7 +243,7 @@ def _cmd_project(args) -> None:
         try:
             part = budget_partition(spec, a, n, max_depth=args.max_depth)
         except MaxDepthExceeded as exc:
-            raise ParameterError(
+            raise ValueError(
                 f"budget {n} needs cubes deeper than --max-depth {args.max_depth} "
                 f"(a cube at depth {exc.cube.level} still has J_a = {exc.j_value!r}); "
                 "raise --max-depth or lower the budget"
@@ -304,7 +290,7 @@ def _cmd_order(args) -> None:
 
 def _cmd_demo(args) -> None:
     if args.name != "fig1":
-        raise ParameterError(f"unknown demo {args.name!r} (available: fig1)")
+        raise ValueError(f"unknown demo {args.name!r} (available: fig1)")
     spec = _resolve_measure("fig1_tetraeder")
     ratios = [math.ldexp(1.0, -mp.ratio_log2) for mp in spec.maps]
     rho = 2.0
@@ -346,7 +332,7 @@ def _build_parser() -> _Parser:
                            help="measure spec JSON path, or a shipped name like lebesgue_1d")
         p.add_argument("--out", default=".", help="output directory")
         if max_depth:
-            p.add_argument("--max-depth", type=_max_depth, default=60)
+            p.add_argument("--max-depth", type=_count("max_depth", least=0), default=60)
 
     p = sub.add_parser("spectrum", help="level spectra beta_n over an s grid")
     common(p)
@@ -391,7 +377,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--level", type=int, default=8)
     p.add_argument("--cuts", type=_floats, default=None, help="comma list of cut points in (0,1)")
-    p.add_argument("--x-count", type=_count, default=50)
+    p.add_argument("--x-count", type=_count("x_count"), default=50)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("order", help="eigenvalue decay order vs -1/s_1")
@@ -410,8 +396,14 @@ def _build_parser() -> _Parser:
 
 def _out_of_memory(args) -> str:
     """The error text of a subcommand that ran out of memory: the deepest
-    level it was asked for and the flag that sets it."""
+    level it was asked for and the flag that sets it.  ``args`` is None when
+    a flag type ran out, before the flags were all read."""
+    if args is None:
+        return "out of memory while reading the flags; lower the count of --s-grid or --t-grid"
     if args.command == "eigen":
+        if args.cuts:
+            return (f"out of memory at level {args.level} or in the {args.x_count}-point "
+                    "x grid; lower --level or --x-count")
         return f"out of memory at level {args.level}; lower --level"
     if args.command in ("partition", "project"):
         return (f"out of memory in a walk that may reach depth {args.max_depth}; "
@@ -425,13 +417,9 @@ def _out_of_memory(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

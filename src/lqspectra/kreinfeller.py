@@ -120,7 +120,7 @@ def _midpoint_atoms(n, support):
     keys, masses = support
     # a 1D key is the cube's index l; the midpoint is (2l + 1) 2^-(n+1)
     pts = np.asarray((2 * keys + 1) * math.ldexp(1.0, -(n + 1)), dtype=float)
-    return AtomicApprox(pts, masses / math.fsum(masses),
+    return AtomicApprox(pts, masses / math.fsum(masses.tolist()),
                         provenance=f"level-{n} midpoint discretization"), masses
 
 
@@ -432,9 +432,7 @@ def split_counting_check(spec: MeasureSpec | AtomicApprox, level: int | None,
     for c in cuts:
         if np.any(atoms.points == c):
             raise ValueError(f"cut {c} coincides with an atom; the sandwich needs nu(cut)=0")
-    xs = np.asarray(list(x_grid), dtype=float)
-    if len(xs) == 0 or not np.all(np.isfinite(xs) & (xs > 0)):
-        raise ValueError("x_grid must contain finite positive values")
+    xs = _checks.grid("x_grid", x_grid, increasing=False)
 
     pts, w = atoms.points, atoms.weights
     n_full = _inertia_counts(*stiffness_tridiagonal(pts), w, xs)

@@ -1004,8 +1004,7 @@ def cube_mass(spec: MeasureSpec, cube: DyadicCube) -> float:
     Exact (a finite sum of weight products) for Lebesgue, DyadicIFS, Atomic,
     DyadicDensity and mixtures thereof; within ``mass_tol`` for GeneralIFS1D.
     """
-    if cube.dim != spec.dim:
-        raise ValueError(f"cube dimension {cube.dim} != measure dimension {spec.dim}")
+    _checks.dimension("cube", cube.dim, spec.dim)
     return float(_key_masses(spec, *_cube_keys([cube], spec.dim))[0])
 
 

@@ -120,8 +120,7 @@ class MaxDepthExceeded(RuntimeError):
 
 def j_weight(spec: MeasureSpec, cube: DyadicCube, a: float) -> float:
     """J_a(cube) = vol(cube)^a * nu(cube)."""
-    if cube.dim != spec.dim:
-        raise ValueError(f"cube dimension {cube.dim} != measure dimension {spec.dim}")
+    _checks.dimension("cube", cube.dim, spec.dim)
     return float(_key_j(spec, *_cube_keys([cube], spec.dim), a)[0])
 
 
@@ -256,8 +255,7 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
     if total != 1:
         out.append(f"volumes sum to {total}, not 1: the cubes do not tile the unit cube")
     if spec is not None:
-        if m != spec.dim:
-            raise ValueError(f"cube dimension {m} != measure dimension {spec.dim}")
+        _checks.dimension("part", m, spec.dim)
         again = _key_j(spec, levels, keys, part.a)
         bad = np.flatnonzero(np.abs(again - part.j_values) > atol * np.maximum(1.0, np.abs(again)))
         if len(bad):
@@ -669,9 +667,7 @@ def entropy_estimate(spec: MeasureSpec, a: float, t_grid: Sequence[float],
     threshold 1/t_max and sorts them; every cardinality is then card(1/t) =
     1 + (2^m - 1) #{J_a >= 1/t}, a binary search, so the fit costs about one
     adaptive partition at 1/t_max instead of one per grid point."""
-    t = np.asarray(list(t_grid), dtype=float)
-    if len(t) < 4 or not np.all(np.isfinite(t)) or np.any(t <= 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("degenerate grid: need >= 4 strictly increasing positive finite t values")
+    t = _checks.grid("t_grid", t_grid, least=4)
     # one walk to the least threshold; every card reads the same sorted weights
     thresholds = 1.0 / t
     bad = _bad_weights(spec, a, thresholds.tolist(), max_depth)

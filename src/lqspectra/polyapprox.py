@@ -615,8 +615,7 @@ def width_upper_sequence(spec: MeasureSpec, params: OrderParams,
                          max_depth: int = DEFAULT_MAX_DEPTH) -> WidthBounds:
     """Width bound pairs (kappa*n, gamma_hat_{rho/m, kappa*n}^(1/q)) plus the
     fitted decay order of the bound sequence."""
-    if spec.dim != params.m:
-        raise ValueError(f"measure dimension {spec.dim} != params.m {params.m}")
+    _checks.dimension("params", params.m, spec.dim)
     a = params.rho / params.m
     kap = kappa(params.m, params.ell)
     dims = kap * np.array(_checks.levels("n_list", n_list))

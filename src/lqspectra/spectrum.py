@@ -191,13 +191,7 @@ class SpectrumCurve:
 
 def spectrum_curve(spec: MeasureSpec, n: int, s_grid: Sequence[float]) -> SpectrumCurve:
     """Evaluate beta_n on a strictly increasing grid, reusing one mass sweep."""
-    s = np.asarray(list(s_grid), dtype=float)
-    if s.ndim != 1 or len(s) < 1 or not np.all(np.isfinite(s)):
-        raise ValueError("s_grid must be a nonempty list of finite values")
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("s_grid must be strictly increasing")
-    if s[0] < 0:
-        raise ValueError("s must be >= 0")
+    s = _checks.grid("s_grid", s_grid, inclusive=True)
     _checks.count("n", n, what="a level")
     groups = _mass_groups(support_masses(spec, n))
     buf = np.empty_like(groups.log2)

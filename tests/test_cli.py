@@ -118,7 +118,8 @@ def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, messag
     (["partition", "--a", "1", "--t", "1e-6", "--max-depth", "3"], "--max-depth (now 3)"),
     (["partition", "--a", "1", "--t-grid", "1e-2,10,3", "--max-depth", "3"], "--max-depth (now 3)"),
     (["entropy", "--max-depth", "3"], "--max-depth (now 3)"),
-    (["partition", "--a", "1", "--t", "1e-3", "--max-depth", "-1"], "--max-depth: must be >= 0"),
+    (["partition", "--a", "1", "--t", "1e-3", "--max-depth", "-1"],
+     "argument --max-depth: max_depth must be >= 0"),
     (["spectrum", "--levels", "5..3"], "'5..3' is empty"),
     (["fixedpoint", "--levels", ","], "',' is empty"),
     (["project", "--n-list", "9..2"], "'9..2' is empty"),
@@ -131,7 +132,7 @@ def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, messag
     (["order", "--max-depth", "3"], "unrecognized arguments: --max-depth 3"),
     # these named no flag
     (["order", "--window", "5"], "--window is written lo,hi (got '5')"),
-    (["eigen", "--cuts", "0.5", "--x-count", "0"], "argument --x-count: '0' is not an integer >= 1"),
+    (["eigen", "--cuts", "0.5", "--x-count", "0"], "argument --x-count: x_count must be >= 1"),
     # list and grid flags are parsed by their argparse type, which names the flag
     (["spectrum", "--s-grid", "0:2:-1"], "argument --s-grid: s grid '0:2:-1'"),
     (["spectrum", "--levels", "3..a"], "argument --levels: invalid literal for int()"),
@@ -286,6 +287,47 @@ def test_broken_spec_documents_exit_0_or_1_with_a_message(doc):
             assert not (Path(tmp) / "spectrum.csv").exists()
 
 
+# each subcommand at a desk size, and the numeric flags it reads
+FUZZ_COMMANDS = {
+    "spectrum": (["--levels", "1..3", "--s-grid", "0:2:5"], ["--levels", "--s-grid"]),
+    "fixedpoint": (["--levels", "1..4", "--b", "1"], ["--levels", "--b"]),
+    "partition": (["--a", "1", "--t", "1e-2", "--max-depth", "20"],
+                  ["--a", "--t", "--t-grid", "--max-depth"]),
+    "entropy": (["--a", "1", "--t-grid", "10,2,4", "--levels", "1..4", "--max-depth", "20"],
+                ["--a", "--t-grid", "--levels", "--max-depth"]),
+    "project": (["--n-list", "2,4", "--samples", "1000", "--max-depth", "20"],
+                ["--seed", "--ell", "--p", "--q", "--n-list", "--samples", "--max-depth"]),
+    "eigen": (["--level", "4", "--cuts", "0.5", "--x-count", "10"],
+              ["--level", "--cuts", "--x-count"]),
+    "order": (["--levels", "5..6", "--window", "2,12"], ["--levels", "--window"]),
+}
+# no token is a count that allocates or a level above 8
+FLAG_TOKENS = ["nan", "inf", "-inf", "-1", "0", "1", "2.5", "8", "", " ", "x", "1e999",
+               "5..3", "3..5", "..", ",", "1,1", "2,1", "0,1", "0.25,0.75", "1e-3,nan,3",
+               "10,2,3", "0:nan:3", "0:2:3", "2:0:3", "0:1:1", "-1:1:3"]
+
+
+@st.composite
+def fuzzed_flags(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    base, flags = FUZZ_COMMANDS[command]
+    flag = draw(st.sampled_from(flags))
+    return [command, *base, f"{flag}={draw(st.sampled_from(FLAG_TOKENS))}"]
+
+
+@settings(max_examples=100)
+@given(fuzzed_flags())
+def test_fuzzed_flags_exit_0_or_1_with_a_message(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--measure", "binomial_07_03", "--out", tmp])
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error:")
+            assert not list(Path(tmp).glob("*.csv"))
+
+
 def test_bad_flag_exits_1(capsys):
     assert run_cli("spectrum") == 1  # --measure missing
 
@@ -304,16 +346,39 @@ def test_bad_flag_exits_1(capsys):
      "out of memory at level 30; lower --level"),
     (["partition", "--measure", "binomial_07_03", "--a", "1", "--t", "1e-9"],
      "out of memory in a walk that may reach depth 60; lower --max-depth"),
+    # an atomic measure needs no engine: the x grid of the sandwich is what fails
+    (["eigen", "--measure", "dirac_half", "--level", "6", "--cuts", "0.25",
+      "--x-count", "10000000000"],
+     "out of memory at level 6 or in the 10000000000-point x grid; lower --level or --x-count"),
 ])
 def test_out_of_memory_exits_1_with_the_level(tmp_path, capsys, monkeypatch, argv, message):
     # the engine raises as numpy does when a level's arrays do not fit
-    def no_memory(spec):
+    def no_memory(*args):
         raise MemoryError("Unable to allocate 2.00 GiB for an array")
     monkeypatch.setattr(lq.measures, "_engine", no_memory)
     monkeypatch.setattr(lq.partition, "_engine", no_memory)
+    monkeypatch.setattr(np, "geomspace", no_memory)
     assert run_cli(*argv, "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--measure", "lebesgue_1d", "--levels", "1..2", "--s-grid", "0:2:10000000000"],
+    ["entropy", "--measure", "lebesgue_1d", "--levels", "1..2",
+     "--t-grid", "10,1.000001,10000000000"],
+])
+def test_out_of_memory_while_reading_the_flags_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # a grid flag's type builds the grid: a count too large for memory ended
+    # in a traceback from inside argparse
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+    monkeypatch.setattr(np, "linspace", no_memory)
+    monkeypatch.setattr(np, "arange", no_memory)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == ("error: out of memory while reading the flags; "
+                                       "lower the count of --s-grid or --t-grid\n")
     assert not any(tmp_path.iterdir())
 
 

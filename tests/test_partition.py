@@ -316,6 +316,66 @@ def test_bad_budgets_and_depths_name_their_parameter(binom, case):
         BAD_COUNTS[case](binom)
 
 
+# the three grids of the chain share one rule: a 1-D list of enough finite
+# values above the site's bound, strictly increasing where the site needs it
+GRID_SITES = {
+    "s_grid": lambda s, g: lq.spectrum_curve(s, 4, g).values,
+    "t_grid": lambda s, g: lq.entropy_estimate(s, 1.0, g).cards,
+    "x_grid": lambda s, g: lq.split_counting_check(lq.discretize(s, 6), None, [0.5], g).n_full,
+}
+REFUSED_GRIDS = [
+    *((site, case, grid) for site in GRID_SITES for case, grid in {
+        "nan": [0.1, math.nan, 0.3, 0.4],
+        "inf": [0.1, 0.2, 0.3, math.inf],
+        "-inf": [-math.inf, 0.2, 0.3, 0.4],
+        "scalar": 0.5,
+        "2-D": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]],
+        "ragged": [[0.1, 0.2], 0.3, 0.4, 0.5],
+        "text": ["x", 0.2, 0.3, 0.4],
+    }.items()),
+    ("s_grid", "below 0", [-1e-9, 0.2, 0.3, 0.4]),
+    ("t_grid", "zero", [0.0, 0.2, 0.3, 0.4]),
+    ("x_grid", "zero", [0.0, 0.2, 0.3, 0.4]),
+    ("s_grid", "empty", []),
+    ("t_grid", "three points", [0.1, 0.2, 0.3]),
+    ("x_grid", "empty", []),
+    ("s_grid", "repeated", [0.1, 0.1, 0.3, 0.4]),
+    ("t_grid", "decreasing", [0.4, 0.3, 0.2, 0.1]),
+]
+
+
+@pytest.mark.parametrize("site, case, grid", REFUSED_GRIDS,
+                         ids=[f"{site}-{case}" for site, case, _ in REFUSED_GRIDS])
+def test_every_grid_site_refuses_with_its_name(binom, site, case, grid):
+    # a scalar or 2-D grid raised a TypeError or numpy broadcast error that
+    # named no parameter
+    with pytest.raises(ValueError, match=f"^{site} must be a "):
+        GRID_SITES[site](binom, grid)
+
+
+@pytest.mark.parametrize("site", GRID_SITES)
+def test_every_grid_site_accepts_any_1d_sequence(binom, site):
+    grid = [0.1, 0.2, 0.3, 0.4]
+    want = GRID_SITES[site](binom, grid)
+    for same in (tuple(grid), np.array(grid), (g for g in grid)):
+        assert np.array_equal(GRID_SITES[site](binom, same), want)
+    if site == "x_grid":  # counts need no order
+        assert np.array_equal(GRID_SITES[site](binom, grid[::-1]), want[::-1])
+
+
+def test_every_dimension_site_names_its_argument(binom):
+    cube2 = lq.DyadicCube(1, (0, 0))
+    part2 = lq.adaptive_partition(lq.Lebesgue(2), 1.0, 0.5)
+    for name, call in [
+        ("cube", lambda: lq.cube_mass(binom, cube2)),
+        ("cube", lambda: lq.j_weight(binom, cube2, 1.0)),
+        ("part", lambda: lq.partition_violations(part2, binom)),
+        ("params", lambda: lq.width_upper_sequence(binom, lq.OrderParams(2, 2, 2, 2), [1, 2])),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} has dimension 2, not the measure dimension 1"):
+            call()
+
+
 def test_numpy_integer_budgets_count_as_integers(binom):
     k = np.int64(9)
     assert lq.gamma_dyadic_vector(binom, 1.0, k).tobytes() == \
