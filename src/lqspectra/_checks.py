@@ -29,7 +29,8 @@ def grid(name: str, values, least: int = 1, inclusive: bool = False,
     """``values`` as a 1-D float array, when it holds >= ``least`` finite values, each > 0
     (>= 0 when ``inclusive``), strictly increasing when ``increasing``."""
     try:
-        g = np.asarray(list(values), dtype=float)
+        # an array is read as it is: a copy through a list takes several times its memory
+        g = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
     except (TypeError, ValueError):  # a scalar, a ragged list or an entry that is no number
         g = np.empty((0, 0))
     if not (g.ndim == 1 and len(g) >= least

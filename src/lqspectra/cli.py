@@ -26,6 +26,7 @@ from . import _checks, measures
 from .kreinfeller import discretize, order_fit, solve_eigen, split_counting_check
 from .measures import MeasureSpec, load_spec
 from .partition import (
+    DEFAULT_MAX_DEPTH,
     MaxDepthExceeded,
     adaptive_partition,
     budget_partition,
@@ -188,8 +189,6 @@ def _cmd_fixedpoint(args) -> None:
 
 def _cmd_partition(args) -> None:
     spec = _resolve_measure(args.measure)
-    if args.t is None and args.t_grid is None:
-        raise ValueError("give --t or --t-grid")
     thresholds = [args.t] if args.t is not None else list(args.t_grid)
     rows = []
     for t in thresholds:
@@ -230,8 +229,6 @@ _TEST_FUNCTIONS = {
 def _cmd_project(args) -> None:
     spec = _resolve_measure(args.measure)
     params = OrderParams(p=args.p, q=args.q, ell=args.ell, m=spec.dim)
-    if args.function not in _TEST_FUNCTIONS:
-        raise ValueError(f"unknown test function {args.function!r}")
     u = FunctionHandle(_TEST_FUNCTIONS[args.function])
     a = params.rho / params.m
     kap = kappa(params.m, params.ell)
@@ -289,8 +286,6 @@ def _cmd_order(args) -> None:
 
 
 def _cmd_demo(args) -> None:
-    if args.name != "fig1":
-        raise ValueError(f"unknown demo {args.name!r} (available: fig1)")
     spec = _resolve_measure("fig1_tetraeder")
     ratios = [math.ldexp(1.0, -mp.ratio_log2) for mp in spec.maps]
     rho = 2.0
@@ -332,7 +327,8 @@ def _build_parser() -> _Parser:
                            help="measure spec JSON path, or a shipped name like lebesgue_1d")
         p.add_argument("--out", default=".", help="output directory")
         if max_depth:
-            p.add_argument("--max-depth", type=_count("max_depth", least=0), default=60)
+            p.add_argument("--max-depth", type=_count("max_depth", least=0),
+                           default=DEFAULT_MAX_DEPTH)
 
     p = sub.add_parser("spectrum", help="level spectra beta_n over an s grid")
     common(p)
@@ -349,8 +345,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("partition", help="adaptive threshold partitions")
     common(p, max_depth=True)
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--t-grid", type=_grid, default=None, help="start,factor,count of thresholds")
+    thresholds = p.add_mutually_exclusive_group(required=True)
+    thresholds.add_argument("--t", type=float)
+    thresholds.add_argument("--t-grid", type=_grid, help="start,factor,count of thresholds")
     p.add_argument("--dump", action="store_true", help="write partition.json")
     p.set_defaults(func=_cmd_partition)
 
@@ -368,8 +365,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--n-list", type=_ints, default="2,4,8,16,32,64", help="cube budgets")
-    p.add_argument("--function", default="expsum",
-                   help=f"test oracle, one of {sorted(_TEST_FUNCTIONS)}")
+    p.add_argument("--function", default="expsum", choices=sorted(_TEST_FUNCTIONS),
+                   help="test oracle")
     p.add_argument("--samples", type=int, default=100_000)
     p.set_defaults(func=_cmd_project)
 
@@ -387,7 +384,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("demo", help="reproduce shipped reference computations")
-    p.add_argument("name", help="demo name (fig1)")
+    p.add_argument("name", choices=["fig1"], help="demo name")
     common(p, measure=False)
     p.set_defaults(func=_cmd_demo)
 
@@ -405,9 +402,12 @@ def _out_of_memory(args) -> str:
             return (f"out of memory at level {args.level} or in the {args.x_count}-point "
                     "x grid; lower --level or --x-count")
         return f"out of memory at level {args.level}; lower --level"
-    if args.command in ("partition", "project"):
+    if args.command == "partition":
         return (f"out of memory in a walk that may reach depth {args.max_depth}; "
                 "lower --max-depth")
+    if args.command == "project":
+        return (f"out of memory in the {args.samples}-point sample or in a walk that may "
+                f"reach depth {args.max_depth}; lower --samples or --max-depth")
     if args.command == "entropy":
         return (f"out of memory at levels up to {args.levels[-1]} or in a walk that may "
                 f"reach depth {args.max_depth}; lower --levels or --max-depth")

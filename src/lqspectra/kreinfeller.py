@@ -63,12 +63,10 @@ class AtomicApprox:
 
     points : strictly increasing positions in (0, 1)
     weights : positive masses summing to 1 (within 1e-12)
-    provenance : free-form note on where the atoms came from
     """
 
     points: np.ndarray
     weights: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -108,8 +106,7 @@ def _discretize(spec: MeasureSpec, levels: Sequence[int]
     if isinstance(spec, Atomic):
         pts = np.array([float(p[0]) for p in spec.points])
         order = np.argsort(pts)
-        atoms = AtomicApprox(pts[order], np.asarray(spec.weights)[order],
-                             provenance="atomic passthrough")
+        atoms = AtomicApprox(pts[order], np.asarray(spec.weights)[order])
         return [(atoms, None)] * len(levels)
     if None in levels:
         raise ValueError("a level is required to discretize a non-atomic measure")
@@ -120,8 +117,7 @@ def _midpoint_atoms(n, support):
     keys, masses = support
     # a 1D key is the cube's index l; the midpoint is (2l + 1) 2^-(n+1)
     pts = np.asarray((2 * keys + 1) * math.ldexp(1.0, -(n + 1)), dtype=float)
-    return AtomicApprox(pts, masses / math.fsum(masses.tolist()),
-                        provenance=f"level-{n} midpoint discretization"), masses
+    return AtomicApprox(pts, masses / math.fsum(masses.tolist())), masses
 
 
 def stiffness_tridiagonal(points: np.ndarray, lo: float = 0.0, hi: float = 1.0

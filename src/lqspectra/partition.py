@@ -94,6 +94,7 @@ DEFAULT_MAX_DEPTH = 60
 _BUDGET = "an integer cube budget"
 _TINY = math.ulp(0.0)  # the least positive float: J_a >= _TINY means J_a > 0
 _ZERO = np.zeros(1)  # the oracle vector of an empty cube
+_J_TOL = 1e-9  # the relative drift of a stored J that partition_violations allows
 
 
 class MaxDepthExceeded(RuntimeError):
@@ -230,11 +231,11 @@ class Partition:
         ]
 
 
-def partition_violations(part: Partition, spec: MeasureSpec | None = None,
-                         atol: float = 1e-9) -> list[str]:
+def partition_violations(part: Partition, spec: MeasureSpec | None = None) -> list[str]:
     """Check the partition invariants: pairwise disjointness, exact cover of
     the unit cube, and (when ``spec`` is given) stored J values matching
-    recomputation.  Reads the cubes' (level, key) arrays only."""
+    recomputation within 1e-9 (relative; absolute where |J| < 1).  Reads
+    the cubes' (level, key) arrays only."""
     out = []
     levels, keys, m = part._arrays
     if not len(levels):
@@ -257,7 +258,7 @@ def partition_violations(part: Partition, spec: MeasureSpec | None = None,
     if spec is not None:
         _checks.dimension("part", m, spec.dim)
         again = _key_j(spec, levels, keys, part.a)
-        bad = np.flatnonzero(np.abs(again - part.j_values) > atol * np.maximum(1.0, np.abs(again)))
+        bad = np.flatnonzero(np.abs(again - part.j_values) > _J_TOL * np.maximum(1.0, np.abs(again)))
         if len(bad):
             r = int(bad[0])
             cube = _cubes(int(levels[r]), keys[r:r + 1], m)[0]

@@ -9,10 +9,10 @@ matrix is badly conditioned already at moderate degree, while the
 orthonormal basis turns the moment system into the identity at no modeling
 cost.
 
-Moments are evaluated by tensor Gauss-Legendre quadrature with ell+q_extra
-nodes per axis (default q_extra = 4): exact for the polynomial factors and
-accurate for smooth evaluation oracles.  Independent verification passes use
-doubled node counts.
+Moments are evaluated by tensor Gauss-Legendre quadrature with ell + 4
+nodes per axis: exact for the polynomial factors and accurate for smooth
+evaluation oracles.  Independent verification passes use the doubled node
+count 2 (ell + 4).
 
 Errors in L^q of a measure nu use exact atom sums when nu is atomic and
 otherwise seeded Monte Carlo draws from nu (map compositions for IFS
@@ -94,6 +94,7 @@ __all__ = [
 BASIS_TAG = "shifted-legendre-orthonormal-v1"
 _BLOCK = 1 << 14  # points or quadrature nodes per block
 _OUTSIDE = "some points lie outside the partition (expected (0,1]^m)"
+_EXTRA_NODES = 4  # Gauss nodes per axis beyond ell in a projection
 
 
 def kappa(m: int, ell: int) -> int:
@@ -117,13 +118,9 @@ class FunctionHandle:
     The oracle must be pointwise: the value at a point may not depend on the
     other rows of the array.  Projections evaluate it once per block of
     cubes, on all their quadrature nodes together.
-
-    ``smoothness`` is free-form metadata (e.g. a Sobolev order the caller
-    believes in); nothing here verifies it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    smoothness: float | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.fn(points)
@@ -200,12 +197,12 @@ def _nodes(corner: np.ndarray, side: np.ndarray, n_nodes: int) -> tuple[np.ndarr
     return pts.reshape(-1, m), weights.reshape(-1)
 
 
-def _project(u, cubes: _CubeKeys, ell: int, q_extra: int) -> np.ndarray:
+def _project(u, cubes: _CubeKeys, ell: int) -> np.ndarray:
     """Coefficients (k, kappa) of the projections of u on the cubes, one
     oracle call per block of cubes."""
     k = len(cubes.levels)
     coeffs = np.empty((k, kappa(cubes.dim, ell)))  # kappa checks ell
-    n_nodes = ell + _checks.count("q_extra", q_extra, least=0)
+    n_nodes = ell + _EXTRA_NODES
     geometry = _geometry(*cubes)
     corner, side, _ = geometry
     per = n_nodes ** cubes.dim
@@ -222,10 +219,10 @@ def _project(u, cubes: _CubeKeys, ell: int, q_extra: int) -> np.ndarray:
     return coeffs
 
 
-def project_poly(u, cube: DyadicCube, ell: int, q_extra: int = 4) -> np.ndarray:
+def project_poly(u, cube: DyadicCube, ell: int) -> np.ndarray:
     """Coefficients of the moment-matching projection of u on the cube, in
     the cube's orthonormal basis (length kappa(m, ell))."""
-    return _project(u, _CubeKeys.of([cube]), ell, q_extra)[0]
+    return _project(u, _CubeKeys.of([cube]), ell)[0]
 
 
 def polynomial_values(cube: DyadicCube, ell: int, coeffs: np.ndarray,
@@ -235,21 +232,21 @@ def polynomial_values(cube: DyadicCube, ell: int, coeffs: np.ndarray,
     return _basis(points, corner[0], side[0], norm[0], ell) @ np.asarray(coeffs)
 
 
-def _cube_residual(u, cube: DyadicCube, ell: int, coeffs: np.ndarray,
-                   n_nodes: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tensor Gauss points and weights of the cube, n_nodes per axis (by
-    default the doubled order 2 (ell + 4)), and u minus the polynomial with
-    the given coefficients on them."""
+def _cube_residual(u, cube: DyadicCube, ell: int,
+                   coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor Gauss points and weights of the cube at twice the projection's
+    order, 2 (ell + 4) per axis, and u minus the polynomial with the given
+    coefficients on them."""
     corner, side, _ = _geometry(*_CubeKeys.of([cube]))
-    pts, w = _nodes(corner, side, 2 * (ell + 4) if n_nodes is None else n_nodes)
+    pts, w = _nodes(corner, side, 2 * (ell + _EXTRA_NODES))
     return pts, w, _eval_u(u, pts) - polynomial_values(cube, ell, coeffs, pts)
 
 
-def moment_residuals(u, cube: DyadicCube, ell: int, coeffs: np.ndarray,
-                     n_nodes: int | None = None) -> np.ndarray:
+def moment_residuals(u, cube: DyadicCube, ell: int, coeffs: np.ndarray) -> np.ndarray:
     """Residuals int x^k (u - r) dLambda over the cube for all |k| <= ell-1,
-    evaluated with an independent (by default doubled-order) quadrature."""
-    pts, w, diff = _cube_residual(u, cube, ell, coeffs, n_nodes)
+    r the polynomial with the given coefficients, evaluated with an
+    independent quadrature of 2 (ell + 4) nodes per axis."""
+    pts, w, diff = _cube_residual(u, cube, ell, coeffs)
     out = []
     for k in multi_indices(cube.dim, ell):
         mono = np.ones(pts.shape[0])
@@ -260,13 +257,10 @@ def moment_residuals(u, cube: DyadicCube, ell: int, coeffs: np.ndarray,
     return np.asarray(out)
 
 
-def projection_l2_error(u, cube: DyadicCube, ell: int,
-                        coeffs: np.ndarray | None = None,
-                        n_nodes: int | None = None) -> float:
-    """L^2(cube) error of the projection (or of a supplied coefficient vector)."""
-    if coeffs is None:
-        coeffs = project_poly(u, cube, ell)
-    pts, w, diff = _cube_residual(u, cube, ell, coeffs, n_nodes)
+def projection_l2_error(u, cube: DyadicCube, ell: int, coeffs: np.ndarray) -> float:
+    """L^2(cube) error of the polynomial with the given coefficients,
+    evaluated with 2 (ell + 4) Gauss nodes per axis."""
+    pts, w, diff = _cube_residual(u, cube, ell, coeffs)
     return float(np.sqrt(np.sum(diff * diff * w)))
 
 
@@ -397,14 +391,14 @@ class PiecewisePoly:
 
 
 def piecewise_project(u, partition: Union[Partition, Sequence[DyadicCube]],
-                      ell: int, q_extra: int = 4) -> PiecewisePoly:
+                      ell: int) -> PiecewisePoly:
     """Project u cube by cube over a partition, evaluating u once per block
     of cubes.  A :class:`Partition` hands over its (level, key) arrays, so
     neither it nor the result builds DyadicCube objects."""
     cubes = partition._arrays if isinstance(partition, Partition) else _CubeKeys.of(list(partition))
     if not len(cubes.levels):
         raise ValueError("empty partition")
-    return PiecewisePoly(order=ell, cubes=cubes, coeffs=_project(u, cubes, ell, q_extra))
+    return PiecewisePoly(order=ell, cubes=cubes, coeffs=_project(u, cubes, ell))
 
 
 # ---------------------------------------------------------------------------

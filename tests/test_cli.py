@@ -312,6 +312,9 @@ def fuzzed_flags(draw):
     command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
     base, flags = FUZZ_COMMANDS[command]
     flag = draw(st.sampled_from(flags))
+    if flag == "--t-grid" and "--t" in base:  # the two exclude each other
+        at = base.index("--t")
+        base = base[:at] + base[at + 2:]
     return [command, *base, f"{flag}={draw(st.sampled_from(FLAG_TOKENS))}"]
 
 
@@ -333,6 +336,23 @@ def test_bad_flag_exits_1(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
+    # partition read --t and dropped --t-grid without a word
+    (["partition", "--measure", "binomial_07_03", "--a", "1", "--t", "1e-3",
+      "--t-grid", "1e-2,10,3"], "argument --t-grid: not allowed with argument --t"),
+    (["partition", "--measure", "binomial_07_03", "--a", "1"],
+     "one of the arguments --t --t-grid is required"),
+    (["project", "--measure", "binomial_07_03", "--function", "nope"],
+     "argument --function: invalid choice: 'nope'"),
+    (["demo", "fig2"], "argument name: invalid choice: 'fig2'"),
+])
+def test_flag_rules_of_the_parser_exit_1_without_csv(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, message", [
     (["spectrum", "--measure", "binomial_07_03", "--levels", "3,27"],
      "out of memory at levels up to 27; lower --levels"),
     (["fixedpoint", "--measure", "fig1_tetraeder", "--levels", "2..9"],
@@ -350,6 +370,10 @@ def test_bad_flag_exits_1(capsys):
     (["eigen", "--measure", "dirac_half", "--level", "6", "--cuts", "0.25",
       "--x-count", "10000000000"],
      "out of memory at level 6 or in the 10000000000-point x grid; lower --level or --x-count"),
+    # the Monte Carlo sample fails before any walk (the message blamed --max-depth)
+    (["project", "--measure", "binomial_07_03", "--n-list", "2", "--samples", "1000000000"],
+     "out of memory in the 1000000000-point sample or in a walk that may reach depth 60; "
+     "lower --samples or --max-depth"),
 ])
 def test_out_of_memory_exits_1_with_the_level(tmp_path, capsys, monkeypatch, argv, message):
     # the engine raises as numpy does when a level's arrays do not fit
@@ -357,6 +381,7 @@ def test_out_of_memory_exits_1_with_the_level(tmp_path, capsys, monkeypatch, arg
         raise MemoryError("Unable to allocate 2.00 GiB for an array")
     monkeypatch.setattr(lq.measures, "_engine", no_memory)
     monkeypatch.setattr(lq.partition, "_engine", no_memory)
+    monkeypatch.setattr(lq.polyapprox, "sample_measure", no_memory)
     monkeypatch.setattr(np, "geomspace", no_memory)
     assert run_cli(*argv, "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err
@@ -455,6 +480,15 @@ def test_project_csv(tmp_path):
     rows = (tmp_path / "projection_errors.csv").read_text().strip().splitlines()
     assert rows[0] == "n,max_J_a,bound,measured_error,stderr"
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("function", ["sinpi", "sqrtnorm"])
+def test_project_runs_every_test_function(tmp_path, function):
+    assert run_cli("project", "--measure", "binomial_07_03", "--function", function,
+                   "--n-list", "2", "--samples", "1000", "--out", str(tmp_path)) == 0
+    header, row = (tmp_path / "projection_errors.csv").read_text().splitlines()
+    assert header == "n,max_J_a,bound,measured_error,stderr"
+    assert 0.0 < float(row.split(",")[3]) < math.inf
 
 
 @pytest.mark.parametrize("flags, message", [

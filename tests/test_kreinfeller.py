@@ -56,6 +56,16 @@ def test_non_finite_points_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("points, weights", [
+    ([0.2, 0.5], [1.0]),
+    ([[0.2, 0.5]], [[0.5, 0.5]]),
+    ([], []),
+], ids=["lengths", "2-D", "empty"])
+def test_atomic_approx_needs_equal_length_1d_arrays(points, weights):
+    with pytest.raises(ValueError, match="^points and weights must be equal-length 1D arrays$"):
+        lq.AtomicApprox(points, weights)
+
+
 def test_atomic_approx_invariants():
     with pytest.raises(ValueError, match="increasing"):
         lq.AtomicApprox(np.array([0.6, 0.4]), np.array([0.5, 0.5]))

@@ -337,6 +337,65 @@ def test_negative_density_depth_is_a_violation():
     assert _violations(lambda: lq.DyadicDensity(-1, [1.0])) == ["depth must be >= 0"]
 
 
+_HALVES = (lq.DyadicMap(1, (Fraction(0),)), lq.DyadicMap(1, (Fraction(1, 2),)))
+_THIRD, _HALF = Fraction(1, 3), Fraction(1, 2)
+# one build per refusal of the measure layer, with the message it gives
+REFUSALS = {
+    "Lebesgue-dimension": (lambda: lq.Lebesgue(0), "dimension must be >= 1"),
+    "DyadicIFS-dimension": (lambda: lq.DyadicIFS(0, _HALVES, (0.5, 0.5)),
+                            "dimension must be >= 1"),
+    "DyadicIFS-lengths": (lambda: lq.DyadicIFS(1, _HALVES, (1.0,)),
+                          "maps and weights must have equal length"),
+    "DyadicIFS-ratio": (lambda: lq.DyadicIFS(1, (lq.DyadicMap(0, (Fraction(0),)), _HALVES[1]),
+                                             (0.5, 0.5)),
+                        "map 0: ratio exponent must be >= 1"),
+    "DyadicIFS-offset": (lambda: lq.DyadicIFS(2, _HALVES, (0.5, 0.5)),
+                         "map 0: offset dimension mismatch"),
+    "GeneralIFS1D-lengths": (lambda: lq.GeneralIFS1D(lq.cantor_measure().maps, (1.0,)),
+                             "maps and weights must have equal length"),
+    "GeneralIFS1D-one map": (lambda: lq.GeneralIFS1D((lq.Homothety1D(_HALF, _HALF),), (1.0,)),
+                             "at least two maps are required (one map degenerates to a "
+                             "point mass)"),
+    "GeneralIFS1D-ratio": (lambda: lq.GeneralIFS1D((lq.Homothety1D(Fraction(0), Fraction(0)),
+                                                    lq.Homothety1D(_HALF, _HALF)), (0.5, 0.5)),
+                           "map 0: ratio must lie in (0, 1)"),
+    "GeneralIFS1D-image": (lambda: lq.GeneralIFS1D((lq.Homothety1D(_THIRD, Fraction(0)),
+                                                    lq.Homothety1D(_HALF, Fraction(3, 4))),
+                                                   (0.5, 0.5)),
+                           "map 1: image [3/4, 5/4] leaves [0, 1]"),
+    "Atomic-none": (lambda: lq.Atomic((), ()), "at least one atom is required"),
+    "Atomic-lengths": (lambda: lq.Atomic(((_HALF,),), (0.5, 0.5)),
+                       "points and weights must have equal length"),
+    "Atomic-dimensions": (lambda: lq.Atomic(((_THIRD,), (_THIRD, _THIRD)), (0.5, 0.5)),
+                          "atom 1: dimension mismatch"),
+    "Atomic-duplicates": (lambda: lq.Atomic(((_HALF,), (_HALF,)), (0.5, 0.5)),
+                          "duplicate atom positions"),
+    "DyadicDensity-shape": (lambda: lq.DyadicDensity(1, [1.0, 1.0, 1.0]),
+                            "values must have shape (2,)*m for depth 1"),
+    "DyadicDensity-negative": (lambda: lq.DyadicDensity(1, [-1.0, 3.0]),
+                               "density values must be finite and >= 0"),
+    "Mixture-empty": (lambda: lq.Mixture(()), "at least one component is required"),
+    "sierpinski_tetrahedron": (lambda: lq.sierpinski_tetrahedron([1 / 3] * 3),
+                               "exactly four weights are required"),
+    "preimage_cube-coarser": (lambda: lq.binomial_ifs(0.7).preimage_cube(1, lq.unit_cube(1)),
+                              "cube is coarser than the image of the map"),
+    "preimage_cube-outside": (lambda: lq.binomial_ifs(0.7).preimage_cube(
+        1, lq.DyadicCube(1, (0,))), "cube is not contained in the image of the map"),
+    "cube_containing": (lambda: cube_containing((0,), 3), "point coordinate 0 outside (0, 1]"),
+    "contains_point": (lambda: lq.DyadicCube(1, (0,)).contains_point((_HALF, _HALF)),
+                       "point dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_measure_refusal_gives_its_message(case):
+    build, message = REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        build()
+    exc = err.value
+    assert message in (exc.violations if isinstance(exc, lq.InvalidMeasureError) else [str(exc)])
+
+
 @pytest.mark.parametrize("big", [63, 10 ** 12])
 def test_exponent_and_dimension_bounds_are_violations(monkeypatch, big):
     # each bound fires before a shift by the exponent or a map is built

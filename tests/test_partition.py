@@ -300,10 +300,6 @@ BAD_COUNTS = {
     "ell-OrderParams": lambda s: lq.OrderParams(2, 2, 1.5, 1),
     "n-sample_measure": lambda s: lq.sample_measure(s, 2.5, np.random.default_rng(0)),
     "n-sample_measure_negative": lambda s: lq.sample_measure(s, -1, np.random.default_rng(0)),
-    "q_extra-project_poly": lambda s: lq.project_poly(
-        lambda x: x[:, 0], lq.unit_cube(1), 2, q_extra=-3),
-    "q_extra-piecewise_project": lambda s: lq.piecewise_project(
-        lambda x: x[:, 0], [lq.unit_cube(1)], 2, q_extra=2.5),
 }
 
 
@@ -361,6 +357,25 @@ def test_every_grid_site_accepts_any_1d_sequence(binom, site):
         assert np.array_equal(GRID_SITES[site](binom, same), want)
     if site == "x_grid":  # counts need no order
         assert np.array_equal(GRID_SITES[site](binom, grid[::-1]), want[::-1])
+
+
+def test_minimal_cardinality_refuses_a_cap_below_every_feasible_budget(binom):
+    with pytest.raises(ValueError, match=r"^no dyadic partition with max J_a < 1e-09 within 2"):
+        lq.minimal_dyadic_cardinality(binom, 1.0, 1e-9, k_cap=2)
+
+
+class _UniterableArray(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("the grid was copied through a list")
+
+
+@pytest.mark.parametrize("site", GRID_SITES)
+def test_every_grid_site_converts_an_array_without_iterating_it(binom, site):
+    # a copy through a list of floats took several times the array's memory,
+    # enough to run out on a 2 * 10^8-point --s-grid
+    grid = np.array([0.1, 0.2, 0.3, 0.4])
+    assert np.array_equal(GRID_SITES[site](binom, grid.view(_UniterableArray)),
+                          GRID_SITES[site](binom, grid))
 
 
 def test_every_dimension_site_names_its_argument(binom):

@@ -6,6 +6,7 @@ same coefficients, values and draws to the bit."""
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,6 +124,22 @@ def test_rejects_non_finite_oracle():
         lq.project_poly(bad, lq.unit_cube(1), 1)
 
 
+REFUSALS = {
+    "oracle shape": (lambda: lq.project_poly(lambda pts: pts, lq.unit_cube(1), 1),
+                     "function returned shape (5, 1), expected (5,)"),
+    "empty partition": (lambda: lq.piecewise_project(poly_u([1.0]), [], 1), "empty partition"),
+    "no pieces": (lambda: lq.PiecewisePoly(order=1, cubes=[], coeffs=np.zeros((0, 1)))
+                  .evaluate([[0.5]]), "some points lie outside the partition"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_projection_refusal_gives_its_message(case):
+    build, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # piecewise projection
 # ---------------------------------------------------------------------------
@@ -200,6 +217,15 @@ def test_error_vanishes_on_reproduced_polynomials(binom):
     assert err < 1e-12
 
 
+def test_sampled_error_of_an_exact_approximation_is_zero(binom):
+    # a zero mean has no delta-method bar: its q-th root has no derivative there
+    halves = [lq.DyadicCube(1, (0,)), lq.DyadicCube(1, (1,))]
+    appr = lq.piecewise_project(poly_u([0.5, 0.5]), halves, 2)
+    sample = lq.error_sample(appr.evaluate, binom, 2.0, n_samples=1000)
+    assert sample.weights is None
+    assert lq.error_from_sample(sample, appr) == (0.0, 0.0)
+
+
 def test_error_lebesgue_monte_carlo_vs_closed_form(leb1):
     halves = [lq.DyadicCube(1, (0,)), lq.DyadicCube(1, (1,))]
     u = poly_u([0.0, 1.0])
@@ -265,6 +291,11 @@ def test_width_sequence_dimension_scaling(leb2):
     wb = lq.width_upper_sequence(leb2, params, [1, 2, 4])
     assert wb.kappa == 3
     assert np.array_equal(wb.dimensions, [3, 6, 12])
+
+
+def test_width_sequence_of_one_budget_has_no_slope(leb1):
+    wb = lq.width_upper_sequence(leb1, lq.OrderParams(2, 2, 1, 1), [4])
+    assert wb.bounds.tolist() == [0.25] and math.isnan(wb.slope)
 
 
 def test_width_sequence_validates(leb1):

@@ -193,6 +193,17 @@ def test_selfsimilar_closed_forms_refuse_nan_ratios(closed_form, ratios):
         closed_form([0.5, 0.5], ratios, 1.0)
 
 
+@pytest.mark.parametrize("closed_form", [lq.selfsimilar_beta, lq.selfsimilar_s_rho])
+@pytest.mark.parametrize("weights, ratios", [
+    ([0.5, 0.5], [0.5]),
+    ([[0.5, 0.5]], [[0.5, 0.5]]),
+    ([], []),
+], ids=["lengths", "2-D", "empty"])
+def test_selfsimilar_closed_forms_need_equal_length_1d_data(closed_form, weights, ratios):
+    with pytest.raises(ValueError, match="^weights and ratios must be 1D arrays of equal length$"):
+        closed_form(weights, ratios, 1.0)
+
+
 def test_selfsimilar_s_rho_residual():
     s = lq.selfsimilar_s_rho(FIG1_WEIGHTS, FIG1_RATIOS, 2.0)
     resid = abs(sum((p * 0.25) ** s for p in FIG1_WEIGHTS) - 1.0)
