@@ -35,7 +35,7 @@ def grid(name: str, values, least: int = 1, inclusive: bool = False,
         g = np.empty((0, 0))
     if not (g.ndim == 1 and len(g) >= least
             and np.all((g >= 0 if inclusive else g > 0) & (g < math.inf))  # a NaN fails too
-            and not (increasing and np.any(np.diff(g) <= 0))):
+            and not (increasing and np.any(g[1:] <= g[:-1]))):  # views: np.diff would copy g
         raise ValueError(f"{name} must be a {'strictly increasing ' * increasing}1-D grid of "
                          f">= {least} finite {'nonnegative' if inclusive else 'positive'} values")
     return g

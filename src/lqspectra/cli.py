@@ -413,6 +413,9 @@ def _out_of_memory(args) -> str:
                 f"reach depth {args.max_depth}; lower --levels or --max-depth")
     if args.command == "demo":
         return "out of memory"
+    if args.command == "spectrum":
+        return (f"out of memory at levels up to {args.levels[-1]} or in the "
+                f"{len(args.s_grid)}-point s grid; lower --levels or --s-grid")
     return f"out of memory at levels up to {args.levels[-1]}; lower --levels"
 
 

@@ -17,7 +17,12 @@ count 2 (ell + 4).
 Errors in L^q of a measure nu use exact atom sums when nu is atomic and
 otherwise seeded Monte Carlo draws from nu (map compositions for IFS
 measures, cell selection for densities); singular measures admit no faithful
-grid quadrature, so a standard error accompanies every sampled value.
+grid quadrature, so a standard error accompanies every sampled value.  An IFS
+draw composes random words of k maps, k the largest with K^k <= 2^10 for K
+maps: one uniform picks a word, with the product of its weights as its
+probability, and one multiply-add per axis applies its composite ratio and
+offset.  Enough words are composed that a position lies within 2^-50 of an
+exact draw from nu (see ``sample_measure`` for the stream layout).
 
 The layer works on arrays.  A projection evaluates the oracle once per block
 of cubes, on the tensor Gauss nodes of all of them, and an evaluation finds
@@ -36,10 +41,12 @@ table search (``_located``): the range is cut into 2^b cells, about 16 per
 edge and at most 2^16, and a cell with no edge strictly inside it gives all
 its needles one count; only the needles of the other cells are searched one
 by one.  Every discrete draw (an atom, a density cell, a mixture component,
-an IFS map) is the one ``rng.choice(K, size=n, p=p)`` makes: choice draws n
-uniforms and returns searchsorted(cdf, u, "right") for cdf = p.cumsum()
-divided by its last entry, and so does the sampler, with the same uniforms
-and the stream left at the same place.
+an IFS word) goes through one draw table (``_draw_table``) and is the one
+``rng.choice(K, size=n, p=p)`` makes: choice draws n uniforms and returns
+searchsorted(cdf, u, "right") for cdf = p.cumsum() divided by its last
+entry, and so does the sampler, with the same uniforms and the stream left
+at the same place.  An IFS builds its word table and the table's cells once
+per call and locates every word step in them.
 """
 
 from __future__ import annotations
@@ -95,6 +102,8 @@ BASIS_TAG = "shifted-legendre-orthonormal-v1"
 _BLOCK = 1 << 14  # points or quadrature nodes per block
 _OUTSIDE = "some points lie outside the partition (expected (0,1]^m)"
 _EXTRA_NODES = 4  # Gauss nodes per axis beyond ell in a projection
+_WORDS = 1 << 10  # the most words of an IFS word table
+_DRAW_BLOCK = 1 << 13  # points per block of an IFS draw
 
 
 def kappa(m: int, ell: int) -> int:
@@ -405,6 +414,25 @@ def piecewise_project(u, partition: Union[Partition, Sequence[DyadicCube]],
 # Sampling from a measure and empirical L^q errors
 # ---------------------------------------------------------------------------
 
+def _cell_counts(edges: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The cell table of :func:`_located`: for each cell [starts[c], starts[c+1])
+    of a sorted grid, #{e <= starts[c]}, or -1 where an edge lies strictly
+    inside the cell."""
+    lo = np.searchsorted(edges, starts[:-1], side="right")
+    return np.where(lo == np.searchsorted(edges, starts[1:], side="left"), lo, -1)
+
+
+def _in_cells(edges: np.ndarray, needles: np.ndarray, cell: np.ndarray,
+              counts: np.ndarray) -> np.ndarray:
+    """:func:`_located` with the cell table ``counts`` of :func:`_cell_counts`
+    built beforehand."""
+    out = counts.take(cell, mode="clip")
+    rows = np.flatnonzero(out < 0)
+    if len(rows):
+        out[rows] = np.searchsorted(edges, needles[rows], side="right")
+    return out
+
+
 def _located(edges: np.ndarray, needles: np.ndarray, cell: np.ndarray,
              starts: np.ndarray) -> np.ndarray:
     """``np.searchsorted(edges, needles, side="right")`` for needles that lie
@@ -415,13 +443,7 @@ def _located(edges: np.ndarray, needles: np.ndarray, cell: np.ndarray,
     count is read from a table of 2 searches per cell; only the needles of
     the other cells are searched one by one.
     """
-    lo = np.searchsorted(edges, starts[:-1], side="right")
-    hi = np.searchsorted(edges, starts[1:], side="left")
-    out = lo.take(cell, mode="clip")
-    rows = np.flatnonzero((lo != hi).take(cell, mode="clip"))
-    if len(rows):
-        out[rows] = np.searchsorted(edges, needles[rows], side="right")
-    return out
+    return _in_cells(edges, needles, cell, _cell_counts(edges, starts))
 
 
 def _cell_bits(n_edges: int, bits: int = 16) -> int:
@@ -430,66 +452,113 @@ def _cell_bits(n_edges: int, bits: int = 16) -> int:
     return min(bits, n_edges.bit_length() + 4, 16)
 
 
-def _choice(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``rng.choice(len(probs), size=n, p=probs)``: numpy's choice draws n
-    uniforms u and returns searchsorted(cdf, u, "right") with cdf =
-    probs.cumsum() / its last entry, so this gives the same picks and leaves
-    the stream where choice leaves it."""
+def _draw_table(probs: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The draw table of ``rng.choice(len(probs), p=probs)``: the CDF that
+    choice searches, probs.cumsum() divided by its last entry, with the bits
+    and the starts of its cell grid in [0, 1]."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(n)
     b = _cell_bits(len(cdf))
-    # floor(u 2^b) is exact: u < 1 and the product only shifts the exponent
-    cell = np.ldexp(u, b).astype(np.intp)
-    return _located(cdf, u, cell, np.ldexp(np.arange((1 << b) + 1, dtype=float), -b))
+    return cdf, b, np.ldexp(np.arange((1 << b) + 1, dtype=float), -b)
+
+
+def _draw_cells(u: np.ndarray, bits: int) -> np.ndarray:
+    """The cells floor(u 2^bits) of uniforms u in [0, 1); the product is
+    exact, as u < 1 and it only shifts the exponent."""
+    return np.ldexp(u, bits).astype(np.intp)
+
+
+def _choice(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(probs), size=n, p=probs)``: numpy's choice draws n
+    uniforms u and returns searchsorted(cdf, u, "right") on its draw table,
+    so this gives the same picks and leaves the stream where choice leaves
+    it."""
+    cdf, b, starts = _draw_table(probs)
+    u = rng.random(n)
+    return _located(cdf, u, _draw_cells(u, b), starts)
+
+
+def _ifs_words(spec: MeasureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(probs, ratios, offsets, steps): the words of k maps of an IFS with K
+    maps, k the largest with K^k <= ``_WORDS`` (at least 1), in the order of
+    ``itertools.product(range(K), repeat=k)``, and the word steps a draw
+    takes, ceil(S / k) for S = ceil(52 ln 2 / -ln r_max) + 3 map steps.
+
+    A word applies its first map first.  Its probability is the product of
+    its weights (normalised by their fsum), multiplied from the left, its
+    ratio the product of its ratios, and offsets[w] (shape (K^k, m)) the
+    image of the origin."""
+    if isinstance(spec, DyadicIFS):
+        ratios = np.array([math.ldexp(1.0, -mp.ratio_log2) for mp in spec.maps])
+        offsets = np.array([[float(c) for c in mp.offset] for mp in spec.maps])
+    else:
+        ratios = np.array([float(mp.ratio) for mp in spec.maps])
+        offsets = np.array([[float(mp.offset)] for mp in spec.maps])
+    probs = np.asarray(spec.weights) / math.fsum(spec.weights)
+    n_maps, k = len(ratios), 1
+    while n_maps ** (k + 1) <= _WORDS:
+        k += 1
+    word_probs, word_ratios, word_offsets = probs, ratios, offsets
+    for _ in range(k - 1):
+        # one more map on every word: word w, then map i, is word w K + i
+        word_probs = (word_probs[:, None] * probs).ravel()
+        word_ratios = (word_ratios[:, None] * ratios).ravel()
+        word_offsets = (word_offsets[:, None] * ratios[:, None] + offsets).reshape(-1, spec.dim)
+    steps = int(math.ceil(52.0 * math.log(2.0) / -math.log(float(ratios.max())))) + 3
+    return word_probs, word_ratios, word_offsets, -(-steps // k)
+
+
+def _sample_ifs(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The IFS branch of :func:`sample_measure`."""
+    probs, ratios, offsets, steps = _ifs_words(spec)
+    cdf, b, starts = _draw_table(probs)
+    counts = _cell_counts(cdf, starts)  # one cell table for every word step
+    # with one ratio for every word, x * r equals x * ratios[word]
+    ratio = float(ratios[0]) if np.all(ratios == ratios[0]) else None
+    offset_axes = np.ascontiguousarray(offsets.T)
+    out = np.empty((n, spec.dim))
+    for start in range(0, n, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, n - start)
+        x = np.ascontiguousarray((1.0 - rng.random((size, spec.dim))).T)  # one row per axis
+        for _ in range(steps):
+            u = rng.random(size)
+            word = _in_cells(cdf, u, _draw_cells(u, b), counts)
+            x *= ratio if ratio is not None else ratios.take(word)
+            for row, axis in zip(x, offset_axes):
+                row += axis.take(word)
+        out[start:start + size] = x.T
+    return out
 
 
 def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points distributed by the measure, shape (n, m).
 
-    IFS measures are sampled by composing ~55 independent weight-distributed
-    maps (position error below 2^-50); atomic and density measures are
-    sampled exactly up to floating point.  Every discrete draw is the one
-    ``rng.choice(len(p), size=n, p=p)`` makes, with the same use of the
-    stream: n uniforms u, each mapped to searchsorted(cdf, u, "right").
-    For the few maps of an IFS that index is counted, one comparison per
-    CDF cut, in buffers reused over the steps; atoms, density cells and
-    mixture components are located by the cell table of :func:`_located`.
+    Every discrete draw is the one ``rng.choice(len(p), size=n, p=p)``
+    makes, with the same use of the stream: one uniform u per pick, mapped
+    to searchsorted(cdf, u, "right") through the draw table of
+    :func:`_draw_table` and the cell table of :func:`_located`.  Atomic and
+    density measures are sampled exactly up to floating point; a density
+    draws its n cells, then n x m uniforms for the positions inside them.  A
+    mixture draws its n components, then samples each component in turn.
+
+    An IFS with K maps is sampled by composing random maps: a word step
+    applies a word of k maps at once, k the largest with K^k <= 2^10 (k = 10
+    for two maps, 5 for four), drawn with the word's probability, the
+    product of its weights, from one uniform, and costs one multiply-add
+    per axis with the word's composite ratio and offset.  Each point takes
+    ceil(S / k) word steps, so at least S = ceil(52 ln 2 / -ln r_max) + 3
+    map steps, after which its start moves it by at most r_max^S < 2^-52
+    per axis: with the rounding, a position lies within 2^-50 of an exact
+    draw.  Points are drawn in blocks of ``_DRAW_BLOCK``: a block draws its
+    starting points (size x m uniforms x0, starting at 1 - x0), then for
+    each word step one uniform per point.
     """
     _checks.count("n", n, least=0)
     m = spec.dim
     if isinstance(spec, Lebesgue):
         return 1.0 - rng.random((n, m))
     if isinstance(spec, (DyadicIFS, GeneralIFS1D)):
-        if isinstance(spec, DyadicIFS):
-            ratios = np.array([math.ldexp(1.0, -mp.ratio_log2) for mp in spec.maps])
-            offsets = np.array([[float(c) for c in mp.offset] for mp in spec.maps])
-        else:
-            ratios = np.array([float(mp.ratio) for mp in spec.maps])
-            offsets = np.array([[float(mp.offset)] for mp in spec.maps])
-        cdf = np.cumsum(np.asarray(spec.weights) / math.fsum(spec.weights))
-        cdf /= cdf[-1]
-        cuts = cdf[:-1].tolist()
-        r_max = float(ratios.max())
-        steps = int(math.ceil(52.0 * math.log(2.0) / -math.log(r_max))) + 3
-        x = np.ascontiguousarray((1.0 - rng.random((n, m))).T)  # one row per axis
-        # with one ratio for every map, x * r equals x * ratios[pick]
-        ratio = float(ratios[0]) if np.all(ratios == ratios[0]) else None
-        offset_axes = [np.ascontiguousarray(offsets[:, j]) for j in range(m)]
-        u, pick = np.empty(n), np.empty(n, dtype=np.intp)
-        ge, buf = np.empty(n, dtype=bool), np.empty(n)
-        for _ in range(steps):
-            rng.random(out=u)
-            # the map #{j : cdf_j <= u}, which is searchsorted(cdf, u, "right");
-            # a valid IFS has at least two maps, so one cut or more
-            np.greater_equal(u, cuts[0], out=pick)
-            for c in cuts[1:]:
-                np.greater_equal(u, c, out=ge)
-                pick += ge
-            x *= ratio if ratio is not None else ratios.take(pick, mode="clip")
-            for j in range(m):
-                x[j] += offset_axes[j].take(pick, out=buf, mode="clip")
-        return np.ascontiguousarray(x.T)
+        return _sample_ifs(spec, n, rng)
     if isinstance(spec, Atomic):
         pts = np.array([[float(c) for c in p] for p in spec.points])
         return pts[_choice(np.asarray(spec.weights) / math.fsum(spec.weights), n, rng)]

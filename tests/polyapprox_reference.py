@@ -1,12 +1,17 @@
-"""The per-cube projection, the cube-scanning evaluation and the
-``Generator.choice`` IFS sampler that ``lqspectra.polyapprox`` used before it
-worked on blocks of cubes and points, kept unchanged as the reference for the
-differential tests in ``tests/test_polyapprox.py``.
+"""The per-cube projection and the cube-scanning evaluation that
+``lqspectra.polyapprox`` used before it worked on blocks of cubes and points,
+kept unchanged, and a sampler that makes every discrete draw with one
+``Generator.choice`` call and applies an IFS word's maps one at a time: the
+references of the differential tests in ``tests/test_polyapprox.py``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -98,10 +103,35 @@ def scan_evaluate(order: int, cubes, coeffs, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n points distributed by the measure, one ``rng.choice`` per IFS step."""
+# the stream layout of ``lqspectra.polyapprox.sample_measure`` on an IFS:
+# words of at most WORDS maps, drawn for blocks of DRAW_BLOCK points
+WORDS = 1 << 10
+DRAW_BLOCK = 1 << 13
+
+
+def word_length(n_maps: int) -> int:
+    """The largest k >= 1 with n_maps^k <= WORDS (1 when n_maps > WORDS)."""
+    return max([1] + [k for k in range(1, 11) if n_maps ** k <= WORDS])
+
+
+def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator,
+                   picks: list | None = None) -> np.ndarray:
+    """Draw n points distributed by the measure, one ``rng.choice`` per
+    discrete draw; each choice's picks are appended to ``picks`` when given.
+
+    An IFS draws blocks of DRAW_BLOCK points: a block draws its starting
+    points, then for each word step one word of k maps per point, with
+    probability the product of the word's weights multiplied from the left,
+    and applies the word's maps one at a time, first map first."""
     ensure_valid(spec)
     m = spec.dim
+    record = picks.append if picks is not None else lambda pick: None
+
+    def choice(probs, size):
+        pick = rng.choice(len(probs), size=size, p=probs)
+        record(pick)
+        return pick
+
     if isinstance(spec, Lebesgue):
         return 1.0 - rng.random((n, m))
     if isinstance(spec, (DyadicIFS, GeneralIFS1D)):
@@ -112,32 +142,71 @@ def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.nd
             ratios = np.array([float(mp.ratio) for mp in spec.maps])
             offsets = np.array([[float(mp.offset)] for mp in spec.maps])
         probs = np.asarray(spec.weights) / math.fsum(spec.weights)
-        r_max = float(ratios.max())
-        steps = int(math.ceil(52.0 * math.log(2.0) / -math.log(r_max))) + 3
-        x = 1.0 - rng.random((n, m))
-        for _ in range(steps):
-            pick = rng.choice(len(probs), size=n, p=probs)
-            x = x * ratios[pick, None] + offsets[pick]
-        return x
+        k = word_length(len(probs))
+        words = np.array(list(product(range(len(probs)), repeat=k)))
+        word_probs = np.array([reduce(mul, probs[word]) for word in words])
+        steps = int(math.ceil(52.0 * math.log(2.0) / -math.log(float(ratios.max())))) + 3
+        out = np.empty((n, m))
+        for start in range(0, n, DRAW_BLOCK):
+            size = min(DRAW_BLOCK, n - start)
+            x = 1.0 - rng.random((size, m))
+            for _ in range(-(-steps // k)):
+                for i in words[choice(word_probs, size)].T:
+                    x = x * ratios[i, None] + offsets[i]
+            out[start:start + size] = x
+        return out
     if isinstance(spec, Atomic):
         pts = np.array([[float(c) for c in p] for p in spec.points])
-        probs = np.asarray(spec.weights) / math.fsum(spec.weights)
-        pick = rng.choice(len(probs), size=n, p=probs)
-        return pts[pick]
+        return pts[choice(np.asarray(spec.weights) / math.fsum(spec.weights), n)]
     if isinstance(spec, DyadicDensity):
         side = 1 << spec.depth
         cellmass = spec.values.ravel() * math.ldexp(1.0, -spec.depth * m)
-        probs = cellmass / cellmass.sum()
-        flat = rng.choice(len(probs), size=n, p=probs)
+        flat = choice(cellmass / cellmass.sum(), n)
         idx = np.stack(np.unravel_index(flat, spec.values.shape), axis=-1)
         return (idx + (1.0 - rng.random((n, m)))) / side
     if isinstance(spec, Mixture):
         coefs = np.array([c for c, _ in spec.components])
-        pick = rng.choice(len(coefs), size=n, p=coefs / coefs.sum())
+        pick = choice(coefs / coefs.sum(), n)
         out = np.empty((n, m))
         for i, (_, sub) in enumerate(spec.components):
             take = pick == i
             if np.any(take):
-                out[take] = sample_measure(sub, int(take.sum()), rng)
+                out[take] = sample_measure(sub, int(take.sum()), rng, picks)
         return out
     raise ValueError(f"no sampler for measure spec {type(spec).__name__}")
+
+
+def exact_words(spec) -> tuple[list, list, list]:
+    """(probs, ratios, offsets): the word table of an IFS in exact Fractions,
+    in the order of ``itertools.product``, from the spec's rational ratios
+    and offsets and its weights normalised exactly.  A word applies its first
+    map first, so its offset is the image of the origin."""
+    if isinstance(spec, DyadicIFS):
+        maps = [(Fraction(1, 1 << mp.ratio_log2), mp.offset) for mp in spec.maps]
+    else:
+        maps = [(mp.ratio, (mp.offset,)) for mp in spec.maps]
+    weights = [Fraction(w) for w in spec.weights]
+    weights = [w / sum(weights) for w in weights]
+    # the words of j + 1 maps: each word of j maps, then each map
+    words = [(Fraction(1), Fraction(1), (Fraction(0),) * spec.dim)]
+    for _ in range(word_length(len(maps))):
+        words = [(p * w, r * ratio, tuple(c * ratio + d for c, d in zip(o, offset)))
+                 for p, r, o in words for w, (ratio, offset) in zip(weights, maps)]
+    probs, ratios, offsets = zip(*words)
+    return list(probs), list(ratios), list(offsets)
+
+
+def word_table_gaps(spec, probs, ratios, offsets) -> tuple[float, float, float]:
+    """The largest relative errors of a float word table's probabilities and
+    ratios, and the largest absolute error of its offsets, against
+    :func:`exact_words`, computed exactly."""
+    want_probs, want_ratios, want_offsets = exact_words(spec)
+    assert len(probs) == len(ratios) == len(offsets) == len(want_probs)
+
+    def relative(got, want):
+        return max(float(abs(Fraction(g) - w) / w) for g, w in zip(np.asarray(got).tolist(), want))
+
+    return (relative(probs, want_probs), relative(ratios, want_ratios),
+            max(float(abs(Fraction(g) - w)) for row, want in zip(np.asarray(offsets).tolist(),
+                                                                 want_offsets)
+                for g, w in zip(row, want)))

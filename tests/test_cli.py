@@ -354,7 +354,7 @@ def test_flag_rules_of_the_parser_exit_1_without_csv(tmp_path, capsys, argv, mes
 
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--measure", "binomial_07_03", "--levels", "3,27"],
-     "out of memory at levels up to 27; lower --levels"),
+     "out of memory at levels up to 27 or in the 9-point s grid; lower --levels or --s-grid"),
     (["fixedpoint", "--measure", "fig1_tetraeder", "--levels", "2..9"],
      "out of memory at levels up to 9; lower --levels"),
     (["order", "--measure", "binomial_07_03", "--levels", "8..11"],

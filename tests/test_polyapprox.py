@@ -1,8 +1,10 @@
 """Moment-matching projections, empirical L^q errors, width upper bounds.
 
-``polyapprox_reference`` holds the per-cube projection, the cube scan and the
-``rng.choice`` sampler the block layer replaced; the block layer must give the
-same coefficients, values and draws to the bit."""
+``polyapprox_reference`` holds the per-cube projection and the cube scan the
+block layer replaced, which it must match to the bit, and an ``rng.choice``
+sampler, whose picks the draw tables must match; an IFS word's maps are
+applied one by one there and in one multiply-add here, so IFS positions agree
+within 2^-50."""
 
 import json
 import math
@@ -374,22 +376,17 @@ def _uniform_points(rng, n, m):
 @pytest.mark.parametrize("block", [polyapprox._BLOCK, 97])
 @pytest.mark.parametrize("name", SHIPPED + FIXTURES)
 def test_blocks_match_per_cube_loops(request, monkeypatch, name, block):
-    # bit-equal coefficients, values and draws; block 97 puts block
-    # boundaries inside the node grids and the point sets of single cubes
+    # bit-equal coefficients and values; block 97 puts block boundaries
+    # inside the node grids and the point sets of single cubes
     monkeypatch.setattr(polyapprox, "_BLOCK", block)
     spec = _diff_spec(request, name)
     m = spec.dim
     u = lambda pts: np.exp(pts.sum(axis=1)) + np.sin(7.0 * pts[:, 0])
     part = lq.adaptive_partition(spec, 1.0, 10.0 ** -min(1.0 + m, 3.0))
     rng = np.random.default_rng(SHIPPED.index(name) if name in SHIPPED else 50 + FIXTURES.index(name))
-    for seed in (0, 1):
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = lq.sample_measure(spec, DIFF_POINTS, got_rng)
-        want = ref.sample_measure(spec, DIFF_POINTS, want_rng)
-        assert np.array_equal(got, want), (name, seed)
-        assert got_rng.random() == want_rng.random(), (name, seed)  # same stream position
     # measure draws crowd into few cubes; uniform points reach every cube
-    pts = np.concatenate((got, _uniform_points(rng, DIFF_POINTS // 4, m)))
+    pts = np.concatenate((lq.sample_measure(spec, DIFF_POINTS, np.random.default_rng(1)),
+                          _uniform_points(rng, DIFF_POINTS // 4, m)))
     for ell in (1, 2, 3):
         pp = lq.piecewise_project(u, part, ell)
         coeffs = ref.piecewise_coeffs(u, part.cubes, ell)
@@ -404,8 +401,51 @@ def test_blocks_match_per_cube_loops(request, monkeypatch, name, block):
                               ref.polynomial_values(cube, ell, coeffs, pts[:50]))
 
 
+def _ifs_parts(spec):
+    """The IFS of a spec: itself, or the IFS components of a mixture."""
+    if isinstance(spec, lq.Mixture):
+        return [part for _, sub in spec.components for part in _ifs_parts(sub)]
+    return [spec] if isinstance(spec, (lq.DyadicIFS, lq.GeneralIFS1D)) else []
+
+
+def _spy_picks(monkeypatch):
+    """Record the picks of every draw-table lookup, in order."""
+    picks = []
+    in_cells = polyapprox._in_cells
+
+    def spy(*args):
+        pick = in_cells(*args)
+        picks.append(pick.copy())
+        return pick
+
+    monkeypatch.setattr(polyapprox, "_in_cells", spy)
+    return picks
+
+
+@pytest.mark.parametrize("name", SHIPPED + FIXTURES)
+def test_draws_match_choice_sampler(request, monkeypatch, name):
+    # every atom, density cell, mixture component and IFS word is the one
+    # rng.choice picks, in the same order, and the stream ends at the same
+    # place; IFS positions agree within 2^-50, all others to the bit
+    spec = _diff_spec(request, name)
+    got_picks = _spy_picks(monkeypatch)
+    for seed in (0, 1):
+        got_picks.clear()
+        got_rng, want_rng, want_picks = np.random.default_rng(seed), np.random.default_rng(seed), []
+        got = lq.sample_measure(spec, DIFF_POINTS, got_rng)
+        want = ref.sample_measure(spec, DIFF_POINTS, want_rng, want_picks)
+        assert len(got_picks) == len(want_picks), (name, seed)
+        assert all(map(np.array_equal, got_picks, want_picks)), (name, seed)
+        if _ifs_parts(spec):
+            assert np.max(np.abs(got - want)) <= 2.0 ** -50, (name, seed)
+        else:
+            assert np.array_equal(got, want), (name, seed)
+        assert got_rng.random() == want_rng.random(), (name, seed)  # same stream position
+
+
 def test_error_lq_draws_match_choice_sampler(binom, tetra, cantor, mixture):
-    # error_Lq consumes the rng stream exactly as the choice sampler did
+    # error_Lq consumes the rng stream as the choice sampler does; its
+    # positions agree within 2^-50, so the errors within 1e-12 relative
     u = lambda pts: np.exp(pts.sum(axis=1))
     for spec in (binom, tetra, cantor, mixture):
         part = lq.budget_partition(spec, 1.0, 40)
@@ -413,7 +453,61 @@ def test_error_lq_draws_match_choice_sampler(binom, tetra, cantor, mixture):
         pts = ref.sample_measure(spec, 5000, np.random.default_rng(11))
         diff = np.abs(u(pts) - ref.scan_evaluate(2, part.cubes, pp.coeffs, pts)) ** 2.0
         want = float(diff.mean()) ** 0.5
-        assert lq.error_Lq(u, pp, spec, 2.0, n_samples=5000, seed=11)[0] == want
+        got = lq.error_Lq(u, pp, spec, 2.0, n_samples=5000, seed=11)[0]
+        assert abs(got - want) <= 1e-12 * want
+
+
+IFS_NAMES = ["binomial_07_03", "cantor_third", "fig1_tetraeder", "binom", "uneven_ifs", "mixture"]
+
+
+@pytest.mark.parametrize("name", IFS_NAMES)
+def test_word_table_is_the_exact_composition(request, name):
+    # each word's probability, ratio and offset against the exact Fraction
+    # composition of its k maps; ratios of powers of 2 multiply exactly
+    for spec in _ifs_parts(_diff_spec(request, name)):
+        probs, ratios, offsets, steps = polyapprox._ifs_words(spec)
+        prob_gap, ratio_gap, offset_gap = ref.word_table_gaps(spec, probs, ratios, offsets)
+        assert prob_gap <= 1e-14 and ratio_gap <= 1e-14 and offset_gap <= 2.0 ** -50
+        if isinstance(spec, lq.DyadicIFS):
+            assert ratio_gap == 0.0
+
+
+def _chi_square(spec, level, seed, n=200_000):
+    """Pearson's statistic and its degrees of freedom: the level cube counts
+    of n draws against the exact masses, the cubes of expected count below
+    5 pooled into one cell."""
+    cubes, masses = lq.support_with_masses(spec, level)
+    shape = (1 << level,) * spec.dim
+    keys = np.ravel_multi_index(np.array([c.index for c in cubes]).T, shape)
+    order = np.argsort(keys)
+    keys, expected = keys[order], n * np.asarray(masses)[order]
+    pts = lq.sample_measure(spec, n, np.random.default_rng(seed))
+    # a draw is its offset sum plus a positive tail: when rounding puts it on
+    # a cube edge, the exact point lies above the edge, so cubes are read
+    # left-closed here
+    index = np.minimum(np.floor(np.ldexp(pts, level)).astype(np.int64), (1 << level) - 1)
+    drawn = np.ravel_multi_index(index.T, shape)
+    rows = np.minimum(np.searchsorted(keys, drawn), len(keys) - 1)
+    assert np.array_equal(keys[rows], drawn)  # every draw lies in the support
+    counts = np.bincount(rows, minlength=len(keys))
+    small = expected < 5.0
+    if small.any():
+        counts = np.append(counts[~small], counts[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return float(np.sum((counts - expected) ** 2 / expected)), len(counts) - 1
+
+
+@pytest.mark.parametrize("name, level", [("binomial_07_03", 8), ("cantor_third", 8),
+                                         ("fig1_tetraeder", 3), ("uneven_ifs", 8),
+                                         ("mixture", 8)])
+def test_draws_follow_the_exact_cube_masses(request, name, level):
+    # over seeds 1-20 the largest statistic lay 2.77 standard deviations
+    # sqrt(2 df) above its df (uneven_ifs: 271 at df 224; binomial: 313 at
+    # 255), so the bound of 5 leaves a margin of 2.2
+    spec = _diff_spec(request, name)
+    for seed in (0, 21):
+        stat, df = _chi_square(spec, level, seed)
+        assert stat <= df + 5.0 * math.sqrt(2.0 * df), (name, seed, stat, df)
 
 
 def test_deep_3d_keys_take_python_integers():

@@ -2,8 +2,9 @@
 the adaptive family's card(t) identity and depth-limit naming, the shape of
 the spectra and their certified roots on the same specs, the oracle's
 merge of a split cube's children on generated vectors, JSON round trips of
-the specs, and one support walk over many levels against a walk to each
-level alone.
+the specs, one support walk over many levels against a walk to each
+level alone, and the sampler's IFS word tables against their exact
+composition.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
@@ -27,8 +28,9 @@ from hypothesis import strategies as st
 
 import cursor_reference as ref
 import lqspectra as lq
+import polyapprox_reference as polyapprox_ref
 import spectrum_reference as spectrum_ref
-from lqspectra import measures, partition, spectrum
+from lqspectra import measures, partition, polyapprox, spectrum
 
 MAX_CUBES = 256
 
@@ -467,3 +469,12 @@ def test_half_ratio_spectrum_is_the_closed_form_at_every_level(spec):
     for n, _ in _spectrum_levels(spec):
         got = lq.spectrum_curve(spec, n, S_GRID).values
         assert np.all(np.abs(got - want) <= 1e-12)
+
+
+@given(st.integers(1, 3).flatmap(lambda m: dyadic_ifs(m, float_weights)))
+def test_ifs_word_table_is_the_exact_composition(spec):
+    # the sampler's words of k maps against their exact Fraction composition;
+    # ratios of powers of 2 multiply exactly
+    probs, ratios, offsets, _ = polyapprox._ifs_words(spec)
+    prob_gap, ratio_gap, offset_gap = polyapprox_ref.word_table_gaps(spec, probs, ratios, offsets)
+    assert prob_gap <= 1e-14 and ratio_gap == 0.0 and offset_gap <= 2.0 ** -50

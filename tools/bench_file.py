@@ -36,12 +36,12 @@ and of the tetrahedron at level 9 on the workload's 20-point s grids, and
 two more on a 2-D density at depth 9 whose 262,144 level-9 masses are all
 distinct: ``spectrum_curve`` on the grid and ``s_nb`` at the b of the
 workload's density; five for the mass engine (see
-:func:`measures_cases`); and five for the polyapprox
+:func:`measures_cases`); and seven for the polyapprox
 layer at the sizes of the ``partitions`` workload, timed the same way:
-``sample_measure`` of the binomial and of the density at 10^5 points, the
-ell = 1 ``evaluate`` of the binomial's budget partition at 10^5 points,
-and each of the workload's two budget_partition -> piecewise_project ->
-error_Lq chains.  Rows with a count of work also carry ``units`` and
+``sample_measure`` of the binomial, the density, the tetrahedron and the
+Cantor measure at 10^5 points, the ell = 1 ``evaluate`` of the binomial's
+budget partition at 10^5 points, and each of the workload's two
+budget_partition -> piecewise_project -> error_Lq chains.  Rows with a count of work also carry ``units`` and
 ``units_per_s`` (cubes, atoms, roots, s-grid points, samples or points
 per second of the median).
 The children run single-threaded BLAS, as perfbench's do.
@@ -336,8 +336,9 @@ def eigen_cases() -> list[tuple[str, str]]:
 def polyapprox_cases(seed: int) -> list[tuple[str, str]]:
     """(case, child code) of the polyapprox rows, at the sizes of the
     ``partitions`` workload with this seed: the workload's two
-    budget_partition -> piecewise_project -> error_Lq chains, and their
-    parts on the binomial and the density."""
+    budget_partition -> piecewise_project -> error_Lq chains, their parts on
+    the binomial and the density, and the sampler on the workload's
+    tetrahedron and on the Cantor measure."""
     inputs = make_inputs("partitions", seed)
     specs, prm = inputs["specs"], inputs["params"]
     expsum = "u = lambda pts: np.exp(pts.sum(axis=1))\n"
@@ -359,6 +360,13 @@ def polyapprox_cases(seed: int) -> list[tuple[str, str]]:
         cases.append((f"budget_partition -> piecewise_project -> error_Lq({name}, budget "
                        f"{item['budget']}, q={item['q']}, {n} samples); samples",
                        _case_code(specs[name], chain, str(n), expsum)))
+    # the sampler on four maps in 3-D and on a GeneralIFS1D, at the size of
+    # the first chain
+    n = prm["project"][0]["samples"]
+    for name, entry in (("tetra", specs["tetra"]), ("cantor", {"call": "cantor_measure", "args": []})):
+        cases.append((f"sample_measure({name}, {n}); samples",
+                      _case_code(entry, f"lq.sample_measure(spec, {n}, np.random.default_rng(1))",
+                                 str(n))))
     return cases
 
 
