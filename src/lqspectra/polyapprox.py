@@ -22,7 +22,11 @@ draw composes random words of k maps, k the largest with K^k <= 2^10 for K
 maps: one uniform picks a word, with the product of its weights as its
 probability, and one multiply-add per axis applies its composite ratio and
 offset.  Enough words are composed that a position lies within 2^-50 of an
-exact draw from nu (see ``sample_measure`` for the stream layout).
+exact draw from nu (see ``sample_measure`` for the stream layout).  A word
+step's sum x r + o (x > 0) that rounds down onto the lower face o of the
+word's image moves up one ulp, so right-closed cubes read the draw where
+its exact point lies; a point that two rare maps within one 53-bit window
+leave just above another face can still round onto that face.
 
 The layer works on arrays.  A projection evaluates the oracle once per block
 of cubes, on the tensor Gauss nodes of all of them, and an evaluation finds
@@ -525,7 +529,10 @@ def _sample_ifs(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.ndarr
             word = _in_cells(cdf, u, _draw_cells(u, b), counts)
             x *= ratio if ratio is not None else ratios.take(word)
             for row, axis in zip(x, offset_axes):
-                row += axis.take(word)
+                off = axis.take(word)
+                row += off
+                # x > 0: a point rounded onto its image's lower face moves up one ulp
+                np.nextafter(row, 2.0, out=row, where=row == off)
         out[start:start + size] = x.T
     return out
 
@@ -552,6 +559,14 @@ def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator) -> np.nd
     draw.  Points are drawn in blocks of ``_DRAW_BLOCK``: a block draws its
     starting points (size x m uniforms x0, starting at 1 - x0), then for
     each word step one uniform per point.
+
+    A word step's exact image of a point lies strictly above the word's
+    offset o on every axis, as x > 0; a coordinate that rounds down to o
+    moves up one ulp (within the 2^-50), so no draw lands on the lower face
+    of its image and right-closed cubes hold it.  The rule does not cover a
+    second-order case: two rare-map contributions within one 53-bit window,
+    where a point lies just above a face other than the word's own (one an
+    earlier word step approached) and rounds onto that face.
     """
     _checks.count("n", n, least=0)
     m = spec.dim

@@ -25,25 +25,20 @@ when every count is 1 the multiply by c_k is skipped, which changes no value.
 
 Fixed points: for b > 0 the function g(s) = beta_n(s) - b*s is continuous
 and strictly decreasing wherever it matters, non-negative at 0 and negative
-at 1, so it has a unique root s_{n,b} in [0, 1].  Bisection on [0, 1] finds
-it, halving down to a width below 1e-14 (47 midpoints); the sign of the
-computed g at each midpoint decides the step.  A level of one cube has
-beta_n(0) = 0 and root 0; a level of N > 1 equal masses is one group, and
-its root is not 0 (m / (m + b) for Lebesgue measure in dimension m).
+at 1, so it has a unique root s_{n,b} in [0, 1].  g is also convex, so
+Newton's method from s = 0 (g = log2(N) / n, g' = mean(l_k) / n - b)
+approaches the root from the left, one grouped sum per step with the slope
+from the same terms.  It stops at the first step not above 1e-15, as it
+does once the computed g is <= 0, and returns 1 once an iterate reaches 1.
+A level of one cube has beta_n(0) = 0 and root 0; a level of N > 1 equal
+masses is one group, and its root is not 0 (m / (m + b) for Lebesgue
+measure in dimension m).
 
-Most of those signs are certain before they are computed.  Let g~ be g as
-an exact function of the computed log2 masses l_k, and g^ the computed g.
-If max l_k <= 0, g~ is strictly decreasing (g~' = sum_k w_k l_k / n - b <=
--b with weights w_k >= 0), and an a-priori bound E >= |g^ - g~| on [0, 1]
-turns two evaluations into a certified bracket (a, c): once g^(a) > 2E, every
-s <= a has g^(s) >= g~(s) - E >= g~(a) - E >= g^(a) - 2E > 0, and once
-g^(c) < -2E every s >= c has g^(s) < 0.  The bisection then takes the step
-of a midpoint outside (a, c) without evaluating g there, and the steps, the
-iterates and the returned root are exactly those of evaluating every
-midpoint.  A few Newton steps from s = 0, which approach the root from the
-left because g is convex and decreasing, put a and c a few E/|g'| either
-side of it; a check that fails widens the bracket a few times and then
-gives it up, and the bisection evaluates every midpoint.
+Let g~ be g as an exact function of the computed log2 masses l_k.  If
+max l_k <= 0, g~ falls with slope <= -b (g~' = sum_k w_k l_k / n - b with
+weights w_k >= 0), so each root lies within about 2E / b of the root of g~
+for a bound E >= |g^ - g~| on the computed g^: Newton stops where g^ is
+within E of 0, up to its last step.
 
 The bound E, for N cubes (N = sum_k c_k, not the number K of groups),
 M = -min l_k, L = log2 N and u = 2^-53, follows the evaluation step by step
@@ -66,8 +61,8 @@ for s in [0, 1]:
 
 Together E0 = u ((4M + 5L + 34) / n + 2 (L + M) / n + 2b) <= u ((6M + 7L +
 34) / n + 2b), of which the rounding of the count multiply gives 2 of the
-34, and the code uses E = 64 E0: the factor covers exp2 and log2
-implementations up to tens of ulps off.  The bound needs a finite b.
+34; exp2 and log2 implementations up to tens of ulps off raise E above E0
+by as many times.  The bound needs a finite b.
 
 The limit behaviour in n is estimated by the max of the roots over the tail
 half of the requested levels, and the whole sequence is reported because no
@@ -101,26 +96,21 @@ __all__ = [
 ]
 
 BISECT_WIDTH = 1e-14
-MAX_BISECT = 200
-CERT_SAFETY = 64.0  # the factor of E over the step-by-step rounding bound E0
-NEWTON_STEPS = 12
-NEWTON_TOL = 1e-7  # the next iterate is then off by about g''/(2|g'|) * 1e-14
-WIDENINGS = 4
+MAX_BISECT = 200  # also the cap on the Newton steps of a root
+NEWTON_TOL = 1e-15
 
 
-def _bisect(positive: Callable[[float], bool], lo: float, hi: float, relative: bool = False,
-            certified: tuple[float, float] = (-math.inf, math.inf)) -> float:
+def _bisect(positive: Callable[[float], bool], lo: float, hi: float,
+            relative: bool = False) -> float:
     """Midpoint of the final bracket of a bisection on [lo, hi] that moves
     ``lo`` up to every midpoint where ``positive`` holds and ``hi`` down to
     the others, until the width falls below 1e-14 (times max(1, |mid|) if
-    ``relative``).  ``positive`` is taken as true at midpoints <= a and as
-    false at midpoints >= c, for ``certified`` = (a, c), without a call."""
-    a, c = certified
+    ``relative``)."""
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if hi - lo < BISECT_WIDTH * (max(1.0, abs(mid)) if relative else 1.0):
             break
-        if mid <= a or (mid < c and positive(mid)):
+        if positive(mid):
             lo = mid
         else:
             hi = mid
@@ -200,7 +190,7 @@ def spectrum_curve(spec: MeasureSpec, n: int, s_grid: Sequence[float]) -> Spectr
 
 
 def s_nb(spec: MeasureSpec, n: int, b: float) -> float:
-    """Unique root in [0, 1] of beta_n(s) = b*s, by bisection to ~1e-14.
+    """Unique root in [0, 1] of beta_n(s) = b*s, by Newton's method from 0.
 
     Returns 0 when beta_n(0) <= 0 already (single-cube support).
     """
@@ -210,59 +200,33 @@ def s_nb(spec: MeasureSpec, n: int, b: float) -> float:
 
 
 def _root(groups: _MassGroups, n: int, b: float) -> float:
-    """s_{n,b} of one level's mass groups."""
-    if groups.cubes == 1:
+    """s_{n,b} of one level's mass groups, by Newton's method from s = 0."""
+    count = groups.cubes
+    if count == 1:
         return 0.0  # beta_n(0) = log2(1) / n = 0: the root is 0
     buf = np.empty_like(groups.log2)
-
-    def g(s):
-        return _beta(groups, n, s, buf) - b * s
-
-    certified = (-math.inf, math.inf)
-    if groups.log2[-1] <= 0.0:  # g~ strictly decreasing: a bracket can be certified
-        certified = _certified_bracket(g, groups, n, b, buf)
-    return _bisect(lambda s: g(s) > 0.0, 0.0, 1.0, certified=certified)
+    # at s = 0, g = log2(count) / n and g' = mean(l) / n - b
+    s, value = 0.0, math.log2(count) / n
+    l_sum = float(groups.log2.sum() if groups.counts is None
+                  else np.dot(groups.counts, groups.log2))
+    slope = l_sum / (count * n) - b
+    for _ in range(MAX_BISECT):
+        step = -value / slope
+        if not step > NEWTON_TOL:  # also once the computed g is <= 0
+            break
+        s += step
+        if s >= 1.0:
+            return 1.0  # g stays positive on [0, 1]
+        shift, total = _log2_moment(groups, s, buf)
+        value = (shift + math.log2(total)) / n - b * s
+        slope = float(np.dot(buf, groups.log2)) / (total * n) - b
+    return s
 
 
 def _rounding_bound(groups: _MassGroups, n: int, b: float) -> float:
     """E0 of the module docstring: a bound on |g^ - g~| over [0, 1]."""
     spread = -float(groups.log2[0])
     return 2.0 ** -53 * ((6.0 * spread + 7.0 * math.log2(groups.cubes) + 34.0) / n + 2.0 * b)
-
-
-def _certified_bracket(g: Callable[[float], float], groups: _MassGroups, n: int, b: float,
-                       buf: np.ndarray) -> tuple[float, float]:
-    """(a, c) with g(a) > 2E and g(c) < -2E for the bound E of the module
-    docstring, or an infinite end where no such point was found in (0, 1)."""
-    err = CERT_SAFETY * _rounding_bound(groups, n, b)
-    count = groups.cubes
-    # Newton from s = 0, where g = log2(count) / n and g' = mean(l) / n - b
-    s, value = 0.0, math.log2(count) / n
-    l_sum = float(groups.log2.sum() if groups.counts is None
-                  else np.dot(groups.counts, groups.log2))
-    slope = l_sum / (count * n) - b
-    for _ in range(NEWTON_STEPS):
-        step = -value / slope
-        s += step
-        if abs(step) < NEWTON_TOL:
-            break
-        shift, total = _log2_moment(groups, s, buf)
-        value = (shift + math.log2(total)) / n - b * s
-        slope = float(np.dot(buf, groups.log2)) / (total * n) - b
-    half_width = 4.0 * err / -slope
-
-    def end(sign):
-        width = half_width
-        for _ in range(WIDENINGS):
-            t = s + sign * width
-            if not 0.0 < t < 1.0:
-                break  # no midpoint lies beyond t
-            if sign * g(t) < -2.0 * err:
-                return t
-            width *= 8.0
-        return sign * math.inf
-
-    return end(-1.0), end(1.0)
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,7 @@ def sample_measure(spec: MeasureSpec, n: int, rng: np.random.Generator,
             for _ in range(-(-steps // k)):
                 for i in words[choice(word_probs, size)].T:
                     x = x * ratios[i, None] + offsets[i]
+                    x = np.where(x == offsets[i], np.nextafter(x, 2.0), x)  # above the face
             out[start:start + size] = x
         return out
     if isinstance(spec, Atomic):

@@ -1,12 +1,12 @@
-"""The spectrum layer before certified brackets and mass groups, kept as the
+"""The spectrum layer before Newton roots and mass groups, kept as the
 reference of the differential tests: plain bisections that evaluate every
 midpoint, beta_n summed over every cube with its own pass for the max
 shift, and one engine walk per level in s_b_estimate.
 
 ``grouped_root`` and ``grouped_s_b_estimate`` are the same plain bisection
-over the package's grouped evaluator ``spectrum._beta``: the certified roots
-must equal them bit for bit, while the full-N functions agree with the
-grouped ones only to within a rounding bound."""
+over the package's grouped evaluator ``spectrum._beta``.  The Newton roots
+agree with them, and the full-N functions with the grouped ones, to within
+a rounding bound."""
 
 from __future__ import annotations
 
@@ -30,14 +30,13 @@ def beta_from_masses(log2_masses, n, s, out=None):
     return (shift + math.log2(float(x.sum()))) / n
 
 
-def root_from_masses(log2_masses, n, b, seen=None):
-    """Root of beta_n(s) = b*s on [0, 1], every midpoint evaluated; the
-    midpoints are appended to ``seen`` if it is given."""
+def root_from_masses(log2_masses, n, b):
+    """Root of beta_n(s) = b*s on [0, 1], every midpoint evaluated."""
     buf = np.empty_like(log2_masses)
+    return _plain_bisection(lambda s: beta_from_masses(log2_masses, n, s, buf) - b * s)
 
-    def g(s):
-        return beta_from_masses(log2_masses, n, s, buf) - b * s
 
+def _plain_bisection(g):
     if g(0.0) <= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -45,8 +44,6 @@ def root_from_masses(log2_masses, n, b, seen=None):
         mid = 0.5 * (lo + hi)
         if hi - lo < 1e-14:
             break
-        if seen is not None:
-            seen.append(mid)
         if g(mid) > 0.0:
             lo = mid
         else:
@@ -54,29 +51,18 @@ def root_from_masses(log2_masses, n, b, seen=None):
     return 0.5 * (lo + hi)
 
 
-def _plain_bisection(g, seen):
-    if g(0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-14:
-            break
-        if seen is not None:
-            seen.append(mid)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def grouped_root(groups, n, b, seen=None):
+def grouped_root(groups, n, b):
     """Root of beta_n(s) = b*s on [0, 1] from one level's mass groups, every
-    midpoint evaluated by ``spectrum._beta``; the midpoints are appended to
-    ``seen`` if it is given."""
+    midpoint evaluated by ``spectrum._beta``."""
     buf = np.empty_like(groups.log2)
-    return _plain_bisection(lambda s: spectrum._beta(groups, n, s, buf) - b * s, seen)
+    return _plain_bisection(lambda s: spectrum._beta(groups, n, s, buf) - b * s)
+
+
+def root_bound(groups, n, b):
+    """2 E0 / b + 2e-14, for the rounding bound E0 of the spectrum module
+    docstring: how far two roots of one level, each found from a computed g
+    within E0 of the exact g~, may lie apart (test_spectrum_certified)."""
+    return 2.0 * spectrum._rounding_bound(groups, n, b) / b + 2e-14
 
 
 def grouped_s_b_estimate(spec, b, levels):

@@ -193,13 +193,6 @@ def test_support_is_exactly_the_positive_cubes(binom, cantor):
             assert ((idx,) in got) == (mass > 0)
 
 
-def test_support_masses_fast_paths_match_descent(binom, tetra, leb2):
-    for spec, n in ((binom, 5), (tetra, 3), (leb2, 4)):
-        fast = np.sort(lq.support_masses(spec, n))
-        slow = np.sort(lq.support_with_masses(spec, n)[1])
-        assert np.array_equal(fast, slow)
-
-
 def test_exp_decay_atoms_shape():
     eta = lq.exp_decay_atoms(30)
     assert lq.validate(eta) == []

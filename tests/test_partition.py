@@ -413,7 +413,7 @@ def test_oracle_vector_monotone(binom):
     assert np.all(np.diff(v[1:]) <= 1e-18)
 
 
-def test_selfsimilar_fastpath_equals_tree_dp(binom):
+def test_ifs_engine_oracle_equals_one_component_mixture(binom):
     # a single-component mixture walks another engine to the same masses; in
     # 1D any partition with <= k cubes has depth <= k-1, so max_depth = 9
     # leaves the budgets up to 8 uncapped

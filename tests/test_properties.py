@@ -1,6 +1,7 @@
 """Mass invariants of the frontier engine on generated specs of every family,
 the adaptive family's card(t) identity and depth-limit naming, the shape of
-the spectra and their certified roots on the same specs, the oracle's
+the spectra and their Newton roots on the same specs, the spectrum bracket
+of a mixture by its components, the oracle's
 merge of a split cube's children on generated vectors, JSON round trips of
 the specs, one support walk over many levels against a walk to each
 level alone, and the sampler's IFS word tables against their exact
@@ -20,6 +21,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -383,7 +385,7 @@ def test_profile_depth_error_names_the_threshold_walks_cube(spec, a, max_depth):
 
 
 # ---------------------------------------------------------------------------
-# Spectra: beta_n and the certified roots s_{n,b}
+# Spectra: beta_n and the Newton roots s_{n,b}
 # ---------------------------------------------------------------------------
 
 S_GRID = np.linspace(0.0, 3.0, 13)
@@ -413,7 +415,36 @@ def test_spectrum_shape_and_certified_roots(spec, b):
         assert np.all(np.diff(values) <= 1e-12)
         assert np.all(np.diff(values, 2) >= -1e-9)
         assert 0.0 <= root <= 1.0 and residual <= 1e-10
-        assert root == spectrum_ref.grouped_root(spectrum._mass_groups(masses), n, b)
+        groups = spectrum._mass_groups(masses)
+        want = spectrum_ref.grouped_root(groups, n, b)
+        assert abs(root - want) <= spectrum_ref.root_bound(groups, n, b)
+        assert _newton_evaluations(groups, n, b) <= 20
+
+
+def _newton_evaluations(groups, n, b):
+    """The beta_n evaluations of one root, one per Newton step."""
+    with mock.patch.object(spectrum, "_log2_moment", wraps=spectrum._log2_moment) as moment:
+        spectrum._root(groups, n, b)
+    return moment.call_count
+
+
+@given(specs(float_weights).filter(lambda spec: isinstance(spec, lq.Mixture)))
+def test_mixture_spectrum_lies_in_the_bracket_of_its_components(spec):
+    # for the K components of coefficient c_i > 0, least c_min, with masses
+    # a_i(C): (c_j a_j)^s <= (sum_i c_i a_i)^s <= (max_i a_i)^s <= sum_i a_i^s
+    # on every cube, so summed over a level's cubes
+    #   max_i beta_i + s log2(c_min) / n <= beta_mix <= max_i beta_i + log2(K) / n,
+    # up to the rounding bounds E0 of the mixture's and a component's sums
+    coefs, comps = zip(*[(c, sub) for c, sub in spec.components if c > 0.0])
+    for n, masses in _spectrum_levels(spec):
+        parts = [spectrum._mass_groups(lq.support_masses(sub, n)) for sub in comps]
+        beta = lq.spectrum_curve(spec, n, S_GRID).values
+        top = np.max([[spectrum._beta(part, n, s) for s in S_GRID] for part in parts], axis=0)
+        slack = np.maximum(1.0, S_GRID) * (
+            spectrum._rounding_bound(spectrum._mass_groups(masses), n, 0.0)
+            + max(spectrum._rounding_bound(part, n, 0.0) for part in parts))
+        assert np.all(top + S_GRID * math.log2(min(coefs)) / n - slack <= beta), n
+        assert np.all(beta <= top + math.log2(len(comps)) / n + slack), n
 
 
 @st.composite
@@ -441,13 +472,13 @@ def test_grouped_spectrum_within_the_rounding_bound_of_the_full_sum(masses, n, b
     assert np.array_equal(np.ones(len(distinct)) if groups.counts is None else groups.counts,
                           counts)
     assert (groups.counts is None) == (len(distinct) == len(masses))
-    e0 = spectrum._rounding_bound(groups, n, b)
     for s in S_GRID:
         beta_bound = 2.0 * spectrum._rounding_bound(groups, n, 0.0) * max(1.0, s)
         assert abs(spectrum._beta(groups, n, s)
                    - spectrum_ref.beta_from_masses(log2_masses, n, s)) <= beta_bound
-    assert abs(spectrum._root(groups, n, b)
-               - spectrum_ref.root_from_masses(log2_masses, n, b)) <= 2.0 * e0 / b + 2e-14
+    want = spectrum_ref.root_from_masses(log2_masses, n, b)
+    assert abs(spectrum._root(groups, n, b) - want) <= spectrum_ref.root_bound(groups, n, b)
+    assert _newton_evaluations(groups, n, b) <= 20
 
 
 @st.composite

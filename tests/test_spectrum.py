@@ -256,19 +256,27 @@ def test_order_bound_rejects_inconsistent_s_rho():
 
 
 # ---------------------------------------------------------------------------
-# the bisection's scratch buffer
+# the scratch buffer
 # ---------------------------------------------------------------------------
 
-def _beta_fresh(groups, n, s, out=None):
-    """The formula before the scratch buffer: fresh temporaries, and the max
-    shift found by a pass (``out`` is not used)."""
+def _moment_fresh(groups, s, out=None):
+    """The moment before the scratch buffer: fresh temporaries, and the max
+    shift found by a pass.  The terms are copied into ``out`` if it is given,
+    because the Newton roots read their slope from it."""
     x = s * groups.log2
     shift = float(x.max())
     with np.errstate(under="ignore"):
         terms = np.exp2(x - shift)
     if groups.counts is not None:
         terms = terms * groups.counts
-    return (shift + math.log2(float(terms.sum()))) / n
+    if out is not None:
+        out[:] = terms
+    return shift, float(terms.sum())
+
+
+def _beta_fresh(groups, n, s):
+    shift, total = _moment_fresh(groups, s)
+    return (shift + math.log2(total)) / n
 
 
 def test_scratch_buffer_keeps_beta_and_roots_bit_identical(monkeypatch, binom, tetra, cantor):
@@ -288,7 +296,7 @@ def test_scratch_buffer_keeps_beta_and_roots_bit_identical(monkeypatch, binom, t
             for spec, n in cases] == [False, False, False, True]
     got = [(lq.s_nb(spec, n, b), lq.spectrum_curve(spec, n, s_grid).values)
            for spec, n in cases for b in (0.4, 1.0, 3.0)]
-    monkeypatch.setattr(spectrum, "_beta", _beta_fresh)
+    monkeypatch.setattr(spectrum, "_log2_moment", _moment_fresh)
     want = [(lq.s_nb(spec, n, b), lq.spectrum_curve(spec, n, s_grid).values)
             for spec, n in cases for b in (0.4, 1.0, 3.0)]
     for (root, curve), (root_want, curve_want) in zip(got, want):

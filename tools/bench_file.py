@@ -36,12 +36,14 @@ and of the tetrahedron at level 9 on the workload's 20-point s grids, and
 two more on a 2-D density at depth 9 whose 262,144 level-9 masses are all
 distinct: ``spectrum_curve`` on the grid and ``s_nb`` at the b of the
 workload's density; five for the mass engine (see
-:func:`measures_cases`); and seven for the polyapprox
+:func:`measures_cases`); and eight for the polyapprox
 layer at the sizes of the ``partitions`` workload, timed the same way:
 ``sample_measure`` of the binomial, the density, the tetrahedron and the
 Cantor measure at 10^5 points, the ell = 1 ``evaluate`` of the binomial's
-budget partition at 10^5 points, and each of the workload's two
-budget_partition -> piecewise_project -> error_Lq chains.  Rows with a count of work also carry ``units`` and
+budget partition at 10^5 points, each of the workload's two
+budget_partition -> piecewise_project -> error_Lq chains, and the chain of
+the workload's tetrahedron at a = 0.5, budget 124, ell = 3 and q = 3 with
+10^5 samples.  Rows with a count of work also carry ``units`` and
 ``units_per_s`` (cubes, atoms, roots, s-grid points, samples or points
 per second of the median).
 The children run single-threaded BLAS, as perfbench's do.
@@ -337,8 +339,8 @@ def polyapprox_cases(seed: int) -> list[tuple[str, str]]:
     """(case, child code) of the polyapprox rows, at the sizes of the
     ``partitions`` workload with this seed: the workload's two
     budget_partition -> piecewise_project -> error_Lq chains, their parts on
-    the binomial and the density, and the sampler on the workload's
-    tetrahedron and on the Cantor measure."""
+    the binomial and the density, the sampler on the workload's tetrahedron
+    and on the Cantor measure, and the tetrahedron's own error chain."""
     inputs = make_inputs("partitions", seed)
     specs, prm = inputs["specs"], inputs["params"]
     expsum = "u = lambda pts: np.exp(pts.sum(axis=1))\n"
@@ -367,6 +369,13 @@ def polyapprox_cases(seed: int) -> list[tuple[str, str]]:
         cases.append((f"sample_measure({name}, {n}); samples",
                       _case_code(entry, f"lq.sample_measure(spec, {n}, np.random.default_rng(1))",
                                  str(n))))
+    # the tetrahedron's chain at the sizes of its regression test, where the
+    # rare map's level-1 image is one piece
+    chain = ("lq.error_Lq(u, lq.piecewise_project(u, lq.budget_partition(spec, 0.5, 124), 3), "
+             "spec, 3.0, n_samples=100_000, seed=0)")
+    cases.append(("budget_partition -> piecewise_project -> error_Lq(tetra, a=0.5, budget 124, "
+                  "ell=3, q=3, 100000 samples); samples",
+                  _case_code(specs["tetra"], chain, "100_000", expsum)))
     return cases
 
 
