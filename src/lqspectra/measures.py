@@ -537,6 +537,13 @@ def ensure_valid(spec: MeasureSpec) -> None:
 # oracle and discretization all run on these engines; the helpers below keep
 # the key arithmetic in this module.
 #
+# The IFS engine is a finite automaton: a cube's mass and its children's
+# (w, node) depend on its own (w, node) alone.  The spectrum's roots need
+# only the multiset of a level's masses, so ``_state_masses`` walks the
+# distinct states with their cube counts instead of the cubes: no keys, and
+# equal states merged at every level.  The curves ``beta_n`` and
+# ``spectrum_curve`` still read ``support_masses``.
+#
 # Keys are int64 while m * level <= 62 and Python integers (object arrays)
 # beyond, so positions are exact at any depth.  A mass that sums several
 # terms (IFS images sharing a cube, atoms, mixture components) is correctly
@@ -762,16 +769,39 @@ class _IfsEngine(_Engine):
             return self._frontier(fr.level + 1, keys.ravel(), kids.ravel(),
                                   np.tile(self.next[row, :width], len(node)))
         keys = np.empty((len(node), self.sel.shape[1]), dtype=lifted.dtype)
-        kids = np.empty(keys.shape)
-        nodes = np.empty(keys.shape, dtype=self.node_type)
         for j in range(keys.shape[1]):
             np.bitwise_or(lifted, self.sel[node, j], out=keys[:, j])
-            np.multiply(w, self.factor[node, j], out=kids[:, j])
-            nodes[:, j] = self.next[node, j]
+        kids, nodes = self._child_states(w, node)
         if self.full:
             return self._frontier(fr.level + 1, keys.ravel(), kids.ravel(), nodes.ravel())
         real = ~np.isnan(kids)
         return self._frontier(fr.level + 1, keys[real], kids[real], nodes[real])
+
+    def _child_states(self, w, node):
+        """The (parent, column) tables of the children's w and node; a NaN w
+        marks a padding column."""
+        kids = np.empty((len(node), self.sel.shape[1]))
+        nodes = np.empty(kids.shape, dtype=self.node_type)
+        for j in range(kids.shape[1]):
+            np.multiply(w, self.factor[node, j], out=kids[:, j])
+            nodes[:, j] = self.next[node, j]
+        return kids, nodes
+
+    def merged_children(self, w, node, count):
+        """The distinct states (w, node) of the children of the distinct
+        states (w, node), each held by ``count`` cubes, with the number of
+        child cubes in each: equal rows are merged and their counts added."""
+        kids, nodes = (table.ravel() for table in self._child_states(w, node))
+        count = np.repeat(count, self.sel.shape[1])
+        if not self.full:
+            real = ~np.isnan(kids)
+            kids, nodes, count = kids[real], nodes[real], count[real]
+        order = np.lexsort((kids, nodes))
+        kids, nodes, count = kids[order], nodes[order], count[order]
+        new = np.ones(len(kids), dtype=bool)
+        new[1:] = (kids[1:] != kids[:-1]) | (nodes[1:] != nodes[:-1])
+        starts = np.flatnonzero(new)
+        return kids[starts], nodes[starts], np.add.reduceat(count, starts)
 
 
 def _lebesgue_ifs(spec: Lebesgue) -> DyadicIFS:
@@ -1053,6 +1083,32 @@ def _supports(spec: MeasureSpec, levels: Sequence[int]) -> Iterator[tuple[np.nda
             fr = eng.expand(fr)
         keep = slice(None) if fr.masses.all() else fr.masses > 0.0
         yield fr.keys[keep], fr.masses[keep]
+
+
+def _state_masses(spec: MeasureSpec, levels: Sequence[int]
+                  ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """For a DyadicIFS or Lebesgue spec, the positive masses of the distinct
+    engine states (w, node) at each of the non-decreasing ``levels``, with
+    the number of cubes in each state as Python integers; None for the
+    other families.  One walk over the distinct states, no keys: a cube's
+    mass and children depend on its state alone, and a child's w is the
+    product the cube walk computes, so the masses taken count times each
+    are the multiset :func:`support_masses` returns, bit for bit, at any
+    depth."""
+    if not isinstance(spec, (DyadicIFS, Lebesgue)):
+        return None
+    eng = _engine(spec)
+    w, node, count = np.ones(1), np.zeros(1, dtype=eng.node_type), np.array([1], dtype=object)
+    level, out = 0, []
+    for n in levels:
+        _checks.count("level", n, least=0)
+        while level < n:
+            w, node, count = eng.merged_children(w, node, count)
+            level += 1
+        masses = eng._frontier(n, None, w, node).masses
+        keep = masses > 0.0
+        out.append((masses[keep], count[keep]))
+    return out
 
 
 def support_with_masses(spec: MeasureSpec, n: int) -> tuple[list[DyadicCube], np.ndarray]:

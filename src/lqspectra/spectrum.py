@@ -23,6 +23,18 @@ equals the largest rounded product s * l_k, and no pass over the products
 is needed to find it.  The counts are held as floats, exact below 2^53;
 when every count is 1 the multiply by c_k is skipped, which changes no value.
 
+The sum needs the multiset of masses only, not where the cubes are.  For a
+DyadicIFS or Lebesgue spec the roots read it from a walk over the distinct
+states (w, node) of the mass engine with their cube counts as Python
+integers (``measures._state_masses``), which gives the cube walk's masses
+bit for bit at a cost set by the number of distinct states: 67 for the
+binomial at level 18, against 262,144 cubes.  So ``s_nb`` and
+``s_b_estimate`` reach levels no cube walk can, as long as a level has
+fewer than 2^1000 cubes (N, the c_k and N*n are used as floats).  The other
+families, and ``beta_n`` and ``spectrum_curve`` for every family, group the
+masses of ``support_masses``: the curves still read the public cube walk,
+the one function through which the mass engine's work is traced.
+
 Fixed points: for b > 0 the function g(s) = beta_n(s) - b*s is continuous
 and strictly decreasing wherever it matters, non-negative at 0 and negative
 at 1, so it has a unique root s_{n,b} in [0, 1].  g is also convex, so
@@ -79,7 +91,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _checks
-from .measures import MeasureSpec, _supports, support_masses
+from .measures import MeasureSpec, _state_masses, _supports, support_masses
 
 __all__ = [
     "SpectrumCurve",
@@ -98,6 +110,7 @@ __all__ = [
 BISECT_WIDTH = 1e-14
 MAX_BISECT = 200  # also the cap on the Newton steps of a root
 NEWTON_TOL = 1e-15
+_MAX_CUBE_BITS = 1000  # a level's cube count N must stay below 2^1000
 
 
 def _bisect(positive: Callable[[float], bool], lo: float, hi: float,
@@ -122,19 +135,41 @@ class _MassGroups(NamedTuple):
 
     log2: np.ndarray  # the distinct l_k, ascending
     counts: np.ndarray | None  # the float c_k, or None when every c_k is 1
-    cubes: int  # N = sum_k c_k
+    cubes: int  # N = sum_k c_k, exact at any level
 
 
-def _mass_groups(masses: np.ndarray) -> _MassGroups:
-    """The :class:`_MassGroups` of the positive masses of one level."""
-    distinct, counts = np.unique(masses, return_counts=True)
+def _mass_groups(masses: np.ndarray, counts: np.ndarray | None = None) -> _MassGroups:
+    """The :class:`_MassGroups` of the positive masses of one level, each
+    taken ``counts`` times (integers; once each when None)."""
+    if counts is None:
+        distinct, counts = np.unique(masses, return_counts=True)
+        cubes = len(masses)
+    else:
+        order = np.argsort(masses)
+        masses, counts = masses[order], counts[order]
+        starts = np.flatnonzero(np.diff(masses, prepend=-np.inf))
+        distinct, counts = masses[starts], np.add.reduceat(counts, starts)
+        cubes = int(counts.sum())
+        if cubes.bit_length() > _MAX_CUBE_BITS:  # N, the c_k and N * n are used as floats
+            raise ValueError(f"a level of about 2^{cubes.bit_length() - 1} positive cubes "
+                             f"is beyond the float range of the spectrum sums")
     log2 = np.log2(distinct)
     # distinct masses whose log2 rounds to one value are adjacent: merge them
     starts = np.flatnonzero(np.diff(log2, prepend=-np.inf))
     if len(starts) < len(log2):
         log2, counts = log2[starts], np.add.reduceat(counts, starts)
-    return _MassGroups(log2, None if len(log2) == len(masses) else counts.astype(float),
-                       len(masses))
+    return _MassGroups(log2, None if len(log2) == cubes else counts.astype(float), cubes)
+
+
+def _level_groups(spec: MeasureSpec, levels: Sequence[int]) -> list[_MassGroups]:
+    """The :class:`_MassGroups` of each of the non-decreasing ``levels``,
+    from one walk: over the distinct engine states of a DyadicIFS or
+    Lebesgue spec, over the positive cubes of the other families.  Only the
+    walk holds a frontier."""
+    states = _state_masses(spec, levels)
+    if states is None:
+        return list(map(_mass_groups, map(itemgetter(1), _supports(spec, levels))))
+    return [_mass_groups(masses, counts) for masses, counts in states]
 
 
 def _log2_moment(groups: _MassGroups, s: float,
@@ -192,11 +227,13 @@ def spectrum_curve(spec: MeasureSpec, n: int, s_grid: Sequence[float]) -> Spectr
 def s_nb(spec: MeasureSpec, n: int, b: float) -> float:
     """Unique root in [0, 1] of beta_n(s) = b*s, by Newton's method from 0.
 
-    Returns 0 when beta_n(0) <= 0 already (single-cube support).
+    Returns 0 when beta_n(0) <= 0 already (single-cube support).  For a
+    DyadicIFS or Lebesgue spec the level's masses come from the distinct
+    engine states, so any level of fewer than 2^1000 cubes is reached.
     """
     _checks.real("b", b)
     _checks.count("n", n, what="a level")
-    return _root(_mass_groups(support_masses(spec, n)), n, b)
+    return _root(_level_groups(spec, [n])[0], n, b)
 
 
 def _root(groups: _MassGroups, n: int, b: float) -> float:
@@ -246,7 +283,10 @@ class FixedPoint:
 
 
 def s_b_estimate(spec: MeasureSpec, b: float, levels: Sequence[int]) -> FixedPoint:
-    """Roots at every requested level and the tail-half max as the estimate."""
+    """Roots at every requested level and the tail-half max as the estimate,
+    from one walk to the deepest level: over the distinct engine states for
+    a DyadicIFS or Lebesgue spec, which reaches any level of fewer than
+    2^1000 cubes, and over the positive cubes otherwise."""
     return _fixed_points(spec, [b], levels)[0]
 
 
@@ -256,16 +296,16 @@ def _fixed_points(spec: MeasureSpec, bs: Sequence[float],
     for b in bs:
         _checks.real("b", b)
     levels = _checks.levels("levels", levels)
-    # one walk to the deepest level, keeping each level's mass groups; the
-    # roots are solved after it, when no frontier is left
-    per_level = list(map(_mass_groups, map(itemgetter(1), _supports(spec, levels))))
+    # the roots are solved after the walk, when no frontier is left
+    per_level = _level_groups(spec, levels)
     return [_fixed_point(b, levels, per_level) for b in bs]
 
 
 def _fixed_point(b: float, levels: tuple[int, ...],
                  per_level: Iterable[_MassGroups]) -> FixedPoint:
-    """s_b_estimate from the :func:`_mass_groups` of the positive cube masses
-    of each level, as :func:`support_masses` returns them."""
+    """s_b_estimate from the :class:`_MassGroups` of each level, as
+    :func:`_level_groups` or :func:`_mass_groups` of the masses of a cube walk
+    give them; the two are equal bit for bit."""
     roots = []
     residuals = []
     for n, groups in zip(levels, per_level):

@@ -6,7 +6,10 @@ shift, and one engine walk per level in s_b_estimate.
 ``grouped_root`` and ``grouped_s_b_estimate`` are the same plain bisection
 over the package's grouped evaluator ``spectrum._beta``.  The Newton roots
 agree with them, and the full-N functions with the grouped ones, to within
-a rounding bound."""
+a rounding bound.
+
+``same_groups`` compares the mass groups of the walk over engine states
+with those of the cube walk, which the roots read before it, bit for bit."""
 
 from __future__ import annotations
 
@@ -63,6 +66,15 @@ def root_bound(groups, n, b):
     docstring: how far two roots of one level, each found from a computed g
     within E0 of the exact g~, may lie apart (test_spectrum_certified)."""
     return 2.0 * spectrum._rounding_bound(groups, n, b) / b + 2e-14
+
+
+def same_groups(got, spec, n):
+    """Whether ``got`` has the log2 values, counts and cube count of the mass
+    groups of ``support_masses(spec, n)``, bit for bit."""
+    want = spectrum._mass_groups(lq.support_masses(spec, n))
+    return (np.array_equal(got.log2, want.log2) and got.cubes == want.cubes
+            and (got.counts is None) == (want.counts is None)
+            and (got.counts is None or np.array_equal(got.counts, want.counts)))
 
 
 def grouped_s_b_estimate(spec, b, levels):

@@ -8,7 +8,9 @@ bit-identical masses; for GeneralIFS1D (whose masses are truncated at
 ``mass_tol``) the same cubes with masses within ``mass_tol``.  The same holds
 for the adaptive partitions, the refinement profile and the exact oracle
 built on the engine, and the oracle's one merge per split cube gives the
-bytes of the pairwise fold on the same walks.
+bytes of the pairwise fold on the same walks.  The spectrum roots' mass
+groups from the walk over distinct engine states equal the groups of the
+cube walk, bit for bit.
 """
 
 import math
@@ -24,6 +26,7 @@ import cursor_reference as ref
 import fold_reference
 import ifs1d_reference
 import lqspectra as lq
+import spectrum_reference as spectrum_ref
 from lqspectra import kreinfeller, measures, spectrum
 from lqspectra.measures import cube_containing
 
@@ -403,10 +406,39 @@ def test_order_fit_single_sweep_is_bit_identical(monkeypatch, spec, levels):
     counted(spectrum, measures._supports)
     fit = lq.order_fit(spec, levels)
     assert calls == [("lqspectra.kreinfeller", tuple(levels))]
-    # the former route: cursor masses, swept twice (discretize, then s_b_estimate)
+    # the reference route: cursor masses for discretize, then s_b_estimate,
+    # which walks the cubes again unless the spec is a DyadicIFS, whose roots
+    # come from the walk over its engine states
     counted(kreinfeller, cursor_supports)
     counted(spectrum, cursor_supports)
     before = lq.order_fit(spec, levels, reference_levels=levels)
-    assert calls[1:] == [("lqspectra.kreinfeller", tuple(levels)),
-                         ("lqspectra.spectrum", tuple(levels))]
+    walks = [("lqspectra.kreinfeller", tuple(levels))]
+    if not isinstance(spec, lq.DyadicIFS):
+        walks.append(("lqspectra.spectrum", tuple(levels)))
+    assert calls[1:] == walks
     assert _fields(fit) == _fields(before)
+
+
+# ---------------------------------------------------------------------------
+# Spectrum roots from the distinct engine states
+# ---------------------------------------------------------------------------
+
+DEEPEST = {1: 16, 2: 9, 3: 6}  # up to 2^16, 2^18 and 2^18 cubes a level
+
+
+def _half_quarter_eighth():
+    """A 1D dyadic IFS of ratios 1/2, 1/4 and 1/8 on (1/2, 1], (0, 1/4] and
+    (3/8, 1/2]: its engine trie has three nodes and padded rows."""
+    maps = (lq.DyadicMap(1, (Fraction(1, 2),)), lq.DyadicMap(2, (Fraction(0),)),
+            lq.DyadicMap(3, (Fraction(3, 8),)))
+    return lq.DyadicIFS(1, maps, (0.45, 0.35, 0.2))
+
+
+@pytest.mark.parametrize("name", ALL + ["half_quarter_eighth"])
+def test_state_walk_groups_equal_the_cube_walk(request, name):
+    spec = _half_quarter_eighth() if name == "half_quarter_eighth" else _spec(request, name)
+    levels = list(range(1, DEEPEST[spec.dim] + 1))
+    states = measures._state_masses(spec, levels)
+    assert (states is None) == (not isinstance(spec, (lq.DyadicIFS, lq.Lebesgue)))
+    for n, got in zip(levels, spectrum._level_groups(spec, levels)):
+        assert spectrum_ref.same_groups(got, spec, n), (name, n)

@@ -1,11 +1,11 @@
 """Mass invariants of the frontier engine on generated specs of every family,
 the adaptive family's card(t) identity and depth-limit naming, the shape of
-the spectra and their Newton roots on the same specs, the spectrum bracket
-of a mixture by its components, the oracle's
-merge of a split cube's children on generated vectors, JSON round trips of
-the specs, one support walk over many levels against a walk to each
-level alone, and the sampler's IFS word tables against their exact
-composition.
+the spectra and their Newton roots on the same specs, the roots' mass
+groups from the distinct engine states of generated dyadic IFS, the
+spectrum bracket of a mixture by its components, the oracle's merge of a
+split cube's children on generated vectors, JSON round trips of the specs,
+one support walk over many levels against a walk to each level alone, and
+the sampler's IFS word tables against their exact composition.
 
 The strategies draw dyadic IFS with disjoint images of mixed ratios, Cantor-
 type GeneralIFS1D, atoms on and off the dyadic grid (float coordinates among
@@ -500,6 +500,20 @@ def test_half_ratio_spectrum_is_the_closed_form_at_every_level(spec):
     for n, _ in _spectrum_levels(spec):
         got = lq.spectrum_curve(spec, n, S_GRID).values
         assert np.all(np.abs(got - want) <= 1e-12)
+
+
+@given(st.integers(1, 3).flatmap(lambda m: dyadic_ifs(m, float_weights)
+                                 | dyadic_ifs(m, exact_weights)))
+def test_state_walk_groups_equal_the_cube_walk(spec):
+    # the roots' mass groups from the distinct engine states, against the
+    # groups of every cube's mass; exact weights give many equal masses
+    levels = []
+    for n in range(1, 13):
+        if len(lq.support_masses(spec, n)) > 16 * MAX_CUBES:
+            break
+        levels.append(n)
+    for n, got in zip(levels, spectrum._level_groups(spec, levels)):
+        assert spectrum_ref.same_groups(got, spec, n), n
 
 
 @given(st.integers(1, 3).flatmap(lambda m: dyadic_ifs(m, float_weights)))

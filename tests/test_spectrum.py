@@ -140,6 +140,44 @@ def test_s_b_estimate_validates_levels(leb1):
         lq.s_b_estimate(leb1, 1.0, [3, 2])
 
 
+# the largest gap to the closed form measured at these levels, over b in
+# {0.5, 1, 2, 3}, is 3.6e-15
+DEEP_MARGIN = 1e-14
+
+
+@pytest.mark.parametrize("spec, weights, n, b", [
+    (lq.binomial_ifs(0.7), (0.7, 0.3), 64, 1.0),
+    (lq.binomial_ifs(0.7), (0.7, 0.3), 100, 3.0),
+    (lq.sierpinski_tetrahedron(FIG1_WEIGHTS), FIG1_WEIGHTS, 40, 2.0),
+    (lq.Lebesgue(3), (0.125,) * 8, 30, 1.0),
+])
+def test_roots_at_levels_no_cube_walk_reaches(monkeypatch, spec, weights, n, b):
+    # 2^100, 4^40 and 8^30 cubes: the roots come from the distinct engine
+    # states; every ratio is 1/2, so beta_n is the self-similar beta
+    walks = []
+
+    def kept(spec, levels):
+        walks.append(lq.measures._state_masses(spec, levels))
+        return walks[-1]
+
+    monkeypatch.setattr(spectrum, "_state_masses", kept)
+    want = lq.selfsimilar_s_rho(weights, [0.5] * len(weights), b)
+    assert abs(lq.s_nb(spec, n, b) - want) <= DEEP_MARGIN
+    fp = lq.s_b_estimate(spec, b, [n - 1, n])
+    assert np.all(np.abs(fp.roots - want) <= DEEP_MARGIN)
+    assert abs(fp.s_hat - want) <= DEEP_MARGIN
+    # the cube counts are exact integers: every cube of the level, once
+    assert [[sum(counts) for _, counts in walk] for walk in walks] == [
+        [len(weights) ** n], [len(weights) ** (n - 1), len(weights) ** n]]
+
+
+def test_roots_refuse_a_level_beyond_the_float_range():
+    # 8^333 = 2^999 cubes are within range, 8^334 = 2^1002 are not
+    assert lq.s_nb(lq.Lebesgue(3), 333, 1.0) == pytest.approx(0.75, abs=1e-14)
+    with pytest.raises(ValueError, match="2\\^1002 positive cubes"):
+        lq.s_nb(lq.Lebesgue(3), 334, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # self-similar closed forms
 # ---------------------------------------------------------------------------

@@ -27,16 +27,17 @@ budgets of the workload's two error chains and of its tetrahedron
 polynomial reproduction, and one that reads ``Partition.cubes`` of
 ``adaptive_partition(binomial_ifs(0.7), 1.0, 1e-5)`` (377 DyadicCube
 objects built per read, 100 reads per call); five for the exact oracle (see
-:func:`oracle_cases`); and eight for the spectrum layer at the
-sizes of the ``levels`` workload, timed the same way: ``s_nb`` of the
-binomial at level 18 and of the tetrahedron at level 9, ``s_b_estimate`` of
-the binomial at levels 14, 16 and 18 and of the workload's 1000-atom spec
-at levels 8, 12 and 16, and ``spectrum_curve`` of the binomial at level 18
-and of the tetrahedron at level 9 on the workload's 20-point s grids, and
+:func:`oracle_cases`); and nine for the spectrum layer, timed the same way:
+at the sizes of the ``levels`` workload, ``s_nb`` of the binomial at level
+18 and of the tetrahedron at level 9, ``s_b_estimate`` of the binomial at
+levels 14, 16 and 18 and of the workload's 1000-atom spec at levels 8, 12
+and 16, and ``spectrum_curve`` of the binomial at level 18 and of the
+tetrahedron at level 9 on the workload's 20-point s grids; ``s_b_estimate``
+of ``Lebesgue(3)`` at levels 5, 6 and 7 (2,097,152 cubes at level 7); and
 two more on a 2-D density at depth 9 whose 262,144 level-9 masses are all
 distinct: ``spectrum_curve`` on the grid and ``s_nb`` at the b of the
-workload's density; five for the mass engine (see
-:func:`measures_cases`); and eight for the polyapprox
+workload's density; five for the mass engine (see :func:`measures_cases`);
+and eight for the polyapprox
 layer at the sizes of the ``partitions`` workload, timed the same way:
 ``sample_measure`` of the binomial, the density, the tetrahedron and the
 Cantor measure at 10^5 points, the ell = 1 ``evaluate`` of the binomial's
@@ -187,6 +188,9 @@ def spectrum_cases(seed: int) -> list[tuple[str, str]]:
         (f"s_b_estimate(binomial_ifs({p:.4g}), b={binomial['b_est']}, {levels}); roots",
          _case_code(specs["binomial"], f"lq.s_b_estimate(spec, {binomial['b_est']!r}, {levels})",
                     str(len(levels)))),
+        ("s_b_estimate(Lebesgue(3), b=1.0, [5, 6, 7]), 2,097,152 cubes at level 7; roots",
+         _case_code({"call": "Lebesgue", "args": [3]}, "lq.s_b_estimate(spec, 1.0, [5, 6, 7])",
+                    "3")),
         (f"s_b_estimate(atomic, 1000 atoms, b={atomic['b_est']}, {atomic['est_levels']}); roots",
          _case_code(specs["atomic"],
                     f"lq.s_b_estimate(spec, {atomic['b_est']!r}, {atomic['est_levels']})",
