@@ -33,13 +33,7 @@ from .partition import (
     entropy_estimate,
 )
 from .polyapprox import FunctionHandle, error_from_sample, error_sample, kappa, piecewise_project
-from .spectrum import (
-    OrderParams,
-    _fixed_points,
-    s_b_estimate,
-    selfsimilar_s_rho,
-    spectrum_curve,
-)
+from .spectrum import OrderParams, s_b_estimate, selfsimilar_s_rho, spectrum_curve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,8 +172,9 @@ def _cmd_spectrum(args) -> None:
 
 def _cmd_fixedpoint(args) -> None:
     spec = _resolve_measure(args.measure)
+    fixed_points = [s_b_estimate(spec, b, args.levels) for b in args.b]
     rows = []
-    for b, fp in zip(args.b, _fixed_points(spec, args.b, args.levels)):
+    for b, fp in zip(args.b, fixed_points):
         for lvl, root, res in zip(fp.levels, fp.roots, fp.residuals):
             rows.append((lvl, b, root, res))
         print(f"b={b}: s_hat = {fp.s_hat!r} (tail max of {len(fp.levels)} levels)")
@@ -203,8 +198,12 @@ def _cmd_partition(args) -> None:
 
 def _cmd_entropy(args) -> None:
     spec = _resolve_measure(args.measure)
+    for a in args.a:  # b = a * m, the slope of the fixed point s_am
+        if math.isfinite(a) and not math.isfinite(a * spec.dim):
+            raise ValueError(f"--a {a!r} times the dimension m = {spec.dim} overflows to "
+                             "inf; lower --a")
     fits = [entropy_estimate(spec, a, args.t_grid, max_depth=args.max_depth) for a in args.a]
-    fixed_points = _fixed_points(spec, [a * spec.dim for a in args.a], args.levels)
+    fixed_points = [s_b_estimate(spec, a * spec.dim, args.levels) for a in args.a]
     samples = []
     summary = []
     for a, fit, fp in zip(args.a, fits, fixed_points):
@@ -392,9 +391,9 @@ def _build_parser() -> _Parser:
 
 
 def _out_of_memory(args) -> str:
-    """The error text of a subcommand that ran out of memory: the deepest
-    level it was asked for and the flag that sets it.  ``args`` is None when
-    a flag type ran out, before the flags were all read."""
+    """The error text of a subcommand that ran out of memory: what sized the
+    allocations that may have failed, and the flags that set it.  ``args`` is
+    None when a flag type ran out, before the flags were all read."""
     if args is None:
         return "out of memory while reading the flags; lower the count of --s-grid or --t-grid"
     if args.command == "eigen":
@@ -402,15 +401,19 @@ def _out_of_memory(args) -> str:
             return (f"out of memory at level {args.level} or in the {args.x_count}-point "
                     "x grid; lower --level or --x-count")
         return f"out of memory at level {args.level}; lower --level"
-    if args.command == "partition":
-        return (f"out of memory in a walk that may reach depth {args.max_depth}; "
-                "lower --max-depth")
+    if args.command == "partition":  # the least threshold sizes the deepest walk
+        t, flag = ((args.t, "--t") if args.t is not None
+                   else (float(args.t_grid[0]), "the start of --t-grid"))
+        return (f"out of memory in a walk that may reach cubes of J_a down to t = {t!r}; "
+                f"raise {flag}")
     if args.command == "project":
-        return (f"out of memory in the {args.samples}-point sample or in a walk that may "
-                f"reach depth {args.max_depth}; lower --samples or --max-depth")
-    if args.command == "entropy":
-        return (f"out of memory at levels up to {args.levels[-1]} or in a walk that may "
-                f"reach depth {args.max_depth}; lower --levels or --max-depth")
+        return (f"out of memory in the {args.samples}-point sample, in a walk to the "
+                f"largest budget {max(args.n_list)} of --n-list or in the {args.ell + 4}^m "
+                f"Gauss nodes per cube of --ell {args.ell}; lower --samples, --n-list or --ell")
+    if args.command == "entropy":  # the largest t sets the least threshold 1/t of the walk
+        return (f"out of memory at levels up to {args.levels[-1]} or in a walk to "
+                f"threshold 1/t for the largest t = {float(args.t_grid[-1])!r} of --t-grid; "
+                "lower --levels or --t-grid")
     if args.command == "demo":
         return "out of memory"
     if args.command == "spectrum":

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _checks
 from .measures import Atomic, MeasureSpec, _supports
-from .spectrum import _fixed_point, _mass_groups, s_b_estimate
+from .spectrum import s_b_estimate
 
 __all__ = [
     "AtomicApprox",
@@ -92,22 +92,21 @@ def discretize(spec: MeasureSpec, n: int) -> AtomicApprox:
     sit on the dyadic grid, keeping them clear of typical cut points in the
     counting checks.
     """
-    (atoms, _), = _discretize(spec, [n])
+    atoms, = _discretize(spec, [n])
     return atoms
 
 
-def _discretize(spec: MeasureSpec, levels: Sequence[int]
-                ) -> Iterable[tuple[AtomicApprox, np.ndarray | None]]:
-    """discretize(spec, n) at each of the non-decreasing ``levels``, from one
-    walk, with the unnormalised level-n masses it used (None for the atomic
-    passthrough, which uses none)."""
+def _discretize(spec: MeasureSpec, levels: Sequence[int]) -> Iterable[AtomicApprox]:
+    """The atoms of discretize(spec, n) at each of the non-decreasing
+    ``levels``, from one walk of the levels (an atomic spec passes through
+    without one)."""
     if spec.dim != 1:
         raise ValueError("the eigensolver only handles 1D measures")
     if isinstance(spec, Atomic):
         pts = np.array([float(p[0]) for p in spec.points])
         order = np.argsort(pts)
         atoms = AtomicApprox(pts[order], np.asarray(spec.weights)[order])
-        return [(atoms, None)] * len(levels)
+        return [atoms] * len(levels)
     if None in levels:
         raise ValueError("a level is required to discretize a non-atomic measure")
     return map(_midpoint_atoms, levels, _supports(spec, levels))
@@ -117,7 +116,7 @@ def _midpoint_atoms(n, support):
     keys, masses = support
     # a 1D key is the cube's index l; the midpoint is (2l + 1) 2^-(n+1)
     pts = np.asarray((2 * keys + 1) * math.ldexp(1.0, -(n + 1)), dtype=float)
-    return AtomicApprox(pts, masses / math.fsum(masses.tolist())), masses
+    return AtomicApprox(pts, masses / math.fsum(masses.tolist()))
 
 
 def stiffness_tridiagonal(points: np.ndarray, lo: float = 0.0, hi: float = 1.0
@@ -295,7 +294,8 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
 
     The explicit ``index_window`` (1-based, inclusive) applies to the finest
     level; coarser levels always use the default policy scaled to their own
-    rank.  Raises when the finest window holds fewer than 10 points.
+    rank.  Raises when the finest window holds fewer than 10 points.  The
+    target s1_hat is ``s_b_estimate(spec, 1, reference_levels or levels).s_hat``.
     """
     levels = _checks.levels("levels", sorted(levels))
     _fit_window(0, index_window)  # an explicit window is checked before any solve
@@ -303,9 +303,7 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
         reference_levels = _checks.levels("reference_levels", reference_levels)
     slopes = []
     stderr_finest = window_finest = None
-    raw = []  # each level's masses, reused by the fixed-point step below
-    for lvl, (atoms, masses) in zip(levels, _discretize(spec, levels)):
-        raw.append(masses)
+    for lvl, atoms in zip(levels, _discretize(spec, levels)):
         eigs = solve_eigen(atoms)
         lam = eigs.eigenvalues
         lo, hi = _fit_window(len(lam), index_window if lvl == levels[-1] else None)
@@ -321,10 +319,7 @@ def order_fit(spec: MeasureSpec, levels: Sequence[int],
             window_finest = (lo, hi)
     finest_slope = slopes[-1][1]
     drift = max(abs(s - finest_slope) for _, s in slopes)
-    if reference_levels is None and not isinstance(spec, Atomic):
-        s1 = _fixed_point(1.0, levels, map(_mass_groups, raw)).s_hat
-    else:
-        s1 = s_b_estimate(spec, 1.0, reference_levels or levels).s_hat
+    s1 = s_b_estimate(spec, 1.0, reference_levels or levels).s_hat
     reference = -1.0 / s1 if s1 > 0 else -math.inf
     return OrderFit(
         slope=finest_slope,

@@ -20,8 +20,10 @@ over K values instead of N cubes.  Sums are evaluated in log space with a
 max shift, so skewed weights at depth (cube masses around 1e-300) do not
 underflow.  The shift is s * l_K: rounding is monotone, so for s >= 0 it
 equals the largest rounded product s * l_k, and no pass over the products
-is needed to find it.  The counts are held as floats, exact below 2^53;
-when every count is 1 the multiply by c_k is skipped, which changes no value.
+is needed to find it.  An s whose shift overflows to -inf puts beta_n(s)
+beyond the float range and is refused.  The counts are held as floats,
+exact below 2^53; when every count is 1 the multiply by c_k is skipped,
+which changes no value.
 
 The sum needs the multiset of masses only, not where the cubes are.  For a
 DyadicIFS or Lebesgue spec the roots read it from a walk over the distinct
@@ -86,7 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,11 +178,15 @@ def _log2_moment(groups: _MassGroups, s: float,
                  out: np.ndarray | None = None) -> tuple[float, float]:
     """(shift, total) with sum_k c_k 2^(s*l_k) = 2^shift * total, for s >= 0
     and the shift s * max_k l_k; ``out``, shaped like the l_k, is left holding
-    the terms c_k 2^(s*l_k - shift)."""
-    x = np.multiply(groups.log2, s, out=out)
+    the terms c_k 2^(s*l_k - shift).  Raises when the shift overflows to
+    -inf; products below it that overflow give zero terms."""
     shift = s * float(groups.log2[-1])
-    np.subtract(x, shift, out=x)
-    with np.errstate(under="ignore"):
+    if shift == -math.inf:  # the terms would be -inf - (-inf), a NaN
+        raise ValueError(f"s = {s!r} times the level's largest log2 mass "
+                         f"{float(groups.log2[-1])!r} is beyond the float range")
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.multiply(groups.log2, s, out=out)
+        np.subtract(x, shift, out=x)
         np.exp2(x, out=x)
     if groups.counts is not None:
         np.multiply(x, groups.counts, out=x)
@@ -286,29 +292,13 @@ def s_b_estimate(spec: MeasureSpec, b: float, levels: Sequence[int]) -> FixedPoi
     """Roots at every requested level and the tail-half max as the estimate,
     from one walk to the deepest level: over the distinct engine states for
     a DyadicIFS or Lebesgue spec, which reaches any level of fewer than
-    2^1000 cubes, and over the positive cubes otherwise."""
-    return _fixed_points(spec, [b], levels)[0]
-
-
-def _fixed_points(spec: MeasureSpec, bs: Sequence[float],
-                  levels: Sequence[int]) -> list[FixedPoint]:
-    """:func:`s_b_estimate` for each b of ``bs``, from one walk of the levels."""
-    for b in bs:
-        _checks.real("b", b)
+    2^1000 cubes, and over the positive cubes otherwise.  The roots are
+    solved after the walk, when no frontier is left."""
+    _checks.real("b", b)
     levels = _checks.levels("levels", levels)
-    # the roots are solved after the walk, when no frontier is left
-    per_level = _level_groups(spec, levels)
-    return [_fixed_point(b, levels, per_level) for b in bs]
-
-
-def _fixed_point(b: float, levels: tuple[int, ...],
-                 per_level: Iterable[_MassGroups]) -> FixedPoint:
-    """s_b_estimate from the :class:`_MassGroups` of each level, as
-    :func:`_level_groups` or :func:`_mass_groups` of the masses of a cube walk
-    give them; the two are equal bit for bit."""
     roots = []
     residuals = []
-    for n, groups in zip(levels, per_level):
+    for n, groups in zip(levels, _level_groups(spec, levels)):
         r = _root(groups, n, b)
         roots.append(r)
         residuals.append(abs(_beta(groups, n, r) - b * r) if r > 0.0 else 0.0)

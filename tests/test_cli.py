@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqspectra as lq
-from lqspectra import cli
+from lqspectra import cli, kreinfeller
 
 
 def run_cli(*argv):
@@ -105,12 +105,24 @@ def test_nan_mixture_coefficient_rejected(tmp_path, capsys):
     (["entropy", "--t-grid", "1e300,1e10,7"], "overflows"),
     (["eigen", "--level", "6", "--cuts", "nan"], "cuts must be"),
     (["eigen", "--level", "6", "--cuts", "0.5,inf"], "cuts must be"),
+    # beta_n was written as nan: s * max log2 mass overflowed to -inf
+    (["spectrum", "--levels", "5", "--s-grid", "0:1e308:3"],
+     "s = 1e+308 times the level's largest log2 mass"),
 ])
 def test_non_finite_parameters_exit_1_without_csv(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run_cli(*argv, "--measure", "binomial_07_03", "--out", str(out)) == 1
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_entropy_a_times_m_beyond_the_float_range_names_a(tmp_path, capsys):
+    # a * m overflowed to inf, and the error named b, which entropy does not take
+    assert run_cli("entropy", "--measure", "fig1_tetraeder", "--a", "1e308", "--levels", "2..4",
+                   "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == ("error: --a 1e+308 times the dimension m = 3 "
+                                       "overflows to inf; lower --a\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -359,21 +371,32 @@ def test_flag_rules_of_the_parser_exit_1_without_csv(tmp_path, capsys, argv, mes
      "out of memory at levels up to 9; lower --levels"),
     (["order", "--measure", "binomial_07_03", "--levels", "8..11"],
      "out of memory at levels up to 11; lower --levels"),
+    # the largest t sets the least threshold 1/t of the entropy walk
     (["entropy", "--measure", "fig1_tetraeder", "--levels", "2..8"],
-     "out of memory at levels up to 8 or in a walk that may reach depth 60; "
-     "lower --levels or --max-depth"),
+     "out of memory at levels up to 8 or in a walk to threshold 1/t for the largest "
+     "t = 100000000.0 of --t-grid; lower --levels or --t-grid"),
     (["eigen", "--measure", "binomial_07_03", "--level", "30"],
      "out of memory at level 30; lower --level"),
+    # the threshold sizes the walk (the message blamed --max-depth)
     (["partition", "--measure", "binomial_07_03", "--a", "1", "--t", "1e-9"],
-     "out of memory in a walk that may reach depth 60; lower --max-depth"),
+     "out of memory in a walk that may reach cubes of J_a down to t = 1e-09; raise --t"),
     # an atomic measure needs no engine: the x grid of the sandwich is what fails
     (["eigen", "--measure", "dirac_half", "--level", "6", "--cuts", "0.25",
       "--x-count", "10000000000"],
      "out of memory at level 6 or in the 10000000000-point x grid; lower --level or --x-count"),
     # the Monte Carlo sample fails before any walk (the message blamed --max-depth)
     (["project", "--measure", "binomial_07_03", "--n-list", "2", "--samples", "1000000000"],
-     "out of memory in the 1000000000-point sample or in a walk that may reach depth 60; "
-     "lower --samples or --max-depth"),
+     "out of memory in the 1000000000-point sample, in a walk to the largest budget 2 of "
+     "--n-list or in the 5^m Gauss nodes per cube of --ell 1; lower --samples, --n-list "
+     "or --ell"),
+    (["partition", "--measure", "binomial_07_03", "--a", "1", "--t-grid", "1e-9,10,3"],
+     "out of memory in a walk that may reach cubes of J_a down to t = 1e-09; "
+     "raise the start of --t-grid"),
+    (["project", "--measure", "fig1_tetraeder", "--ell", "1000", "--n-list", "2,64",
+      "--samples", "1000"],
+     "out of memory in the 1000-point sample, in a walk to the largest budget 64 of "
+     "--n-list or in the 1004^m Gauss nodes per cube of --ell 1000; lower --samples, "
+     "--n-list or --ell"),
 ])
 def test_out_of_memory_exits_1_with_the_level(tmp_path, capsys, monkeypatch, argv, message):
     # the engine raises as numpy does when a level's arrays do not fit
@@ -607,6 +630,27 @@ def test_demo_fig1(tmp_path):
 
 def test_unknown_demo_exits_1(tmp_path, capsys):
     assert run_cli("demo", "fig2", "--out", str(tmp_path)) == 1
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["fixedpoint", "--measure", "binomial_07_03", "--levels", "2..4", "--b", "1,2"], 2),
+    (["entropy", "--measure", "binomial_07_03", "--a", "0.5,1", "--t-grid", "10,10,4",
+      "--levels", "2..4"], 2),
+    (["order", "--measure", "binomial_07_03", "--levels", "6..7"], 1),
+    (["demo", "fig1"], 1),
+])
+def test_roots_of_the_cli_reach_s_b_estimate(tmp_path, monkeypatch, argv, calls):
+    # one call per b through the bindings of cli and kreinfeller, which a
+    # tracer wrapping the public functions rebinds (fixedpoint, entropy and
+    # order made none)
+    seen = []
+    for module in (cli, kreinfeller):
+        def counted(*args, impl=module.s_b_estimate, name=module.__name__, **kwargs):
+            seen.append(name)
+            return impl(*args, **kwargs)
+        monkeypatch.setattr(module, "s_b_estimate", counted)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------

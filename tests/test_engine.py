@@ -377,7 +377,8 @@ def test_cdf_chain_crosses_from_int64_to_python_integers():
 
 
 # ---------------------------------------------------------------------------
-# order_fit: one mass sweep per level
+# order_fit: one cube walk for the atoms, and one more for the roots only
+# off the state walk
 # ---------------------------------------------------------------------------
 
 def _fields(fit):
@@ -388,7 +389,7 @@ def _fields(fit):
     (lq.cantor_measure(), [8, 9, 10, 11]),
     (lq.binomial_ifs(0.7), [8, 9, 10, 11]),
 ])
-def test_order_fit_single_sweep_is_bit_identical(monkeypatch, spec, levels):
+def test_order_fit_walks_cubes_for_roots_only_off_the_state_walk(monkeypatch, spec, levels):
     calls = []
 
     def counted(module, impl):  # one entry per walk: the module and the levels it reads
@@ -402,20 +403,21 @@ def test_order_fit_single_sweep_is_bit_identical(monkeypatch, spec, levels):
             cubes, masses = ref.support_with_masses(spec, n)
             yield np.array([c.index[0] for c in cubes], dtype=np.int64), masses
 
+    # discretize walks the cubes; s_b_estimate walks them again unless the
+    # spec is a DyadicIFS or Lebesgue, whose roots come from the walk over
+    # its engine states
+    walks = [("lqspectra.kreinfeller", tuple(levels))]
+    if not isinstance(spec, (lq.DyadicIFS, lq.Lebesgue)):
+        walks.append(("lqspectra.spectrum", tuple(levels)))
     counted(kreinfeller, measures._supports)
     counted(spectrum, measures._supports)
     fit = lq.order_fit(spec, levels)
-    assert calls == [("lqspectra.kreinfeller", tuple(levels))]
-    # the reference route: cursor masses for discretize, then s_b_estimate,
-    # which walks the cubes again unless the spec is a DyadicIFS, whose roots
-    # come from the walk over its engine states
+    assert calls == walks
+    # the reference route: cursor masses for both walks
     counted(kreinfeller, cursor_supports)
     counted(spectrum, cursor_supports)
     before = lq.order_fit(spec, levels, reference_levels=levels)
-    walks = [("lqspectra.kreinfeller", tuple(levels))]
-    if not isinstance(spec, lq.DyadicIFS):
-        walks.append(("lqspectra.spectrum", tuple(levels)))
-    assert calls[1:] == walks
+    assert calls[len(walks):] == walks
     assert _fields(fit) == _fields(before)
 
 

@@ -84,6 +84,26 @@ def test_deep_skewed_weights_no_underflow(binom):
     assert val == pytest.approx(math.log2(0.7 ** 30 + 0.3 ** 30), abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["binom", "leb1"])
+def test_beta_beyond_the_float_range_is_refused(request, name):
+    # s * max l_k overflowed to -inf, and -inf - (-inf) made beta_n a NaN
+    spec = request.getfixturevalue(name)
+    match = r"s = 1e\+308 times the level's largest log2 mass"
+    with pytest.raises(ValueError, match=match):
+        lq.beta_n(spec, 5, 1e308)
+    with pytest.raises(ValueError, match=match):
+        lq.spectrum_curve(spec, 5, [0.0, 1e308])
+
+
+def test_curve_far_out_in_s_runs_clean(tetra):
+    # the products of the far lighter masses overflow to -inf and give zero
+    # terms, without a RuntimeWarning (an error in this suite)
+    curve = lq.spectrum_curve(tetra, 3, np.linspace(0.0, 3e307, 7))
+    assert np.all(np.isfinite(curve.values))
+    # the one heaviest cube, of mass 0.659^3, leaves beta_3(s) = s log2(0.659)
+    assert curve.values[-1] == pytest.approx(3e307 * math.log2(0.659), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # fixed points
 # ---------------------------------------------------------------------------
